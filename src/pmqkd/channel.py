@@ -32,6 +32,11 @@ class ChannelSpec:
     alpha_db_per_km: float = defaults.ALPHA_DB_PER_KM
 
     def __post_init__(self):
+        for name in ("eta_d", "p_d", "e_d", "total_loss_db", "distance_km",
+                     "alpha_db_per_km"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"ChannelSpec: {name} must be finite, got {value}")
         if (self.total_loss_db is None) == (self.distance_km is None):
             raise DomainError(
                 "ChannelSpec: exactly one of total_loss_db / distance_km required"

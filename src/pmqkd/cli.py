@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ from .ingest import (
 from .optimizer import SearchBounds, optimize
 from .pipeline import expected_key_rate
 from .security import SecurityBudget
-from .simulator import ProtocolParams, simulate, write_tally_csv
+from .simulator import DEFAULT_BATCH_SIZE, ProtocolParams, simulate, write_tally_csv
 
 EXIT_CODES = {
     "usage": 2,
@@ -244,6 +245,8 @@ def cmd_deviation(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "mu", "output")
+    if not math.isfinite(args.n_rounds):
+        raise DomainError(f"--n-rounds must be finite, got {args.n_rounds}")
     channel = _channel_from(args)
     params = ProtocolParams(
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
@@ -353,10 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run; writes a tally CSV")
     _add_channel_args(p); _add_protocol_args(p); _add_budget_args(p)
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--batch-size", type=int, default=2_000_000,
-                   help="rounds per RNG batch (part of the deterministic "
-                        "stream layout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel batch workers")
+    p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
+                   help="rounds per RNG batch, each one multinomial draw (part "
+                        "of the deterministic stream layout)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; batches run in-process "
+                        "and the output never depends on it")
     p.add_argument("--output", "-o", required=False, default=None,
                    help="tally CSV path")
     p.set_defaults(func=cmd_simulate)

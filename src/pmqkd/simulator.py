@@ -1,19 +1,32 @@
-"""Monte Carlo emulation of the protocol rounds.
+"""Count-level Monte Carlo emulation of the protocol rounds.
 
-Each round draws random phase slices and key bits for both senders, feeds
-the resulting interference pattern through a two-detector click model (dark
-counts included), keeps single-click rounds, sifts on matching announced
-phases, applies the deterministic flip rule, and samples test rounds.
+A round draws random phase slices and key bits for both senders, feeds the
+resulting interference pattern through a two-detector click model (dark
+counts and misalignment included), keeps single-click rounds, sifts on
+matching announced phases, applies the deterministic flip rule, and samples
+test rounds.  Rounds are i.i.d. given the parameters and every tally field
+is a sum of counts over a fixed set of outcomes, so a batch of rounds is one
+multinomial draw over those outcomes, with exactly the distribution of the
+round-by-round process:
+
+* a single click, per matched phase pair, detector and in-test or not
+  (8 M outcomes);
+* a single click on an unmatched pair;
+* a double click;
+* no click.
+
+Misalignment is never reported, so it is folded into the click
+probabilities.  The cost of a draw does not depend on the number of rounds.
 
 Rounds are processed in fixed-size batches.  The random stream of batch i is
-derived from the counter-based key (seed, i), so the tally is bit-identical
-no matter how many workers process the batches: merging is associative and
-commutative, and batch boundaries depend only on the round count.
+derived from the counter-based key (seed, i) and batch boundaries depend
+only on the round count, so the tally is a function of (params, seed,
+batch_size) alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +36,7 @@ from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
 from .security import SecurityBudget
 
-DEFAULT_BATCH_SIZE = 2_000_000
+DEFAULT_BATCH_SIZE = 10**10
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,10 @@ class ProtocolParams:
     budget: SecurityBudget = field(default_factory=SecurityBudget)
 
     def __post_init__(self):
+        for name in ("mu", "p_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"ProtocolParams: {name} must be finite, got {value}")
         if self.mu < 0:
             raise DomainError(f"ProtocolParams: mu must be >= 0, got {self.mu}")
         if self.m_slices < 2 or self.m_slices % 2 != 0:
@@ -89,7 +106,11 @@ class ObservedTally:
         return total
 
     def merge(self, other: "ObservedTally") -> "ObservedTally":
-        """Combine two batch tallies; associative and commutative."""
+        """Combine two batch tallies; associative and commutative.
+
+        An m_s or n_sifted unknown on either side stays unknown: a partial
+        count must not pass for a measured total.
+        """
         if (self.m_slices, self.mu, self.p_s) != (other.m_slices, other.mu, other.p_s):
             raise DomainError("ObservedTally.merge: incompatible tallies")
         merged = dict(self.matched)
@@ -103,86 +124,85 @@ class ObservedTally:
             n_det=self.n_det + other.n_det,
             n_double=self.n_double + other.n_double,
             matched=merged,
-            m_s=(self.m_s or 0) + (other.m_s or 0),
-            n_sifted=(self.n_sifted or 0) + (other.n_sifted or 0),
+            m_s=_sum_known(self.m_s, other.m_s),
+            n_sifted=_sum_known(self.n_sifted, other.n_sifted),
             seed=self.seed,
         )
 
 
-def _click_probabilities(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-detector click probability indexed by the effective phase slice."""
-    m = params.m_slices
-    eta = transmittance(params.channel)
-    p_d = params.channel.p_d
-    delta_phi = 2.0 * np.pi * np.arange(m) / m
-    i1 = params.mu * eta * (1.0 + np.cos(delta_phi)) / 2.0
-    i2 = params.mu * eta - i1
-    p1 = 1.0 - (1.0 - p_d) * np.exp(-i1)
-    p2 = 1.0 - (1.0 - p_d) * np.exp(-i2)
-    return p1, p2
+def _sum_known(a: int | None, b: int | None) -> int | None:
+    return None if a is None or b is None else a + b
 
 
-def _simulate_batch(params: ProtocolParams, seed: int, batch_index: int,
-                    batch_rounds: int) -> ObservedTally:
+def _matched_pairs(m: int) -> list[tuple[int, int]]:
+    """Matched phase pairs in canonical order: all delta = 0, then delta = pi."""
+    return [(a, (a + offset) % m) for offset in (0, m // 2) for a in range(m)]
+
+
+def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
+    """Probabilities of the outcomes a round can contribute to a tally.
+
+    Entry ((in_test * 2 M + j) * 2 + det - 1) is a single click on detector
+    det for the j-th pair of :func:`_matched_pairs`, in a sifted round
+    (in_test = 0) or a test round (in_test = 1).  The single clicks on
+    unmatched pairs, the double clicks and, last, no click follow.  No
+    click takes the remainder, so the rare outcomes are drawn against
+    conditional probabilities free of cancellation.
+    """
     m = params.m_slices
+    channel = params.channel
+    x = params.mu * transmittance(channel)
+    cos = np.cos(2.0 * np.pi * np.arange(m) / m)  # indexed by delta slice
+    # log P(port stays dark): no dark count and no photon at that port
+    log_dark1 = math.log1p(-channel.p_d) - x * (1.0 + cos) / 2.0
+    log_dark2 = math.log1p(-channel.p_d) - x * (1.0 - cos) / 2.0
+    click1, click2 = -np.expm1(log_dark1), -np.expm1(log_dark2)
+    only1, only2 = click1 * np.exp(log_dark2), click2 * np.exp(log_dark1)
+    # Misalignment swaps the interference ports; announcements are unaffected.
+    e_d = channel.e_d
+    single = np.stack([(1.0 - e_d) * only1 + e_d * only2,
+                       (1.0 - e_d) * only2 + e_d * only1], axis=1)
     half = m // 2
-    p1_table, p2_table = _click_probabilities(params)
-    # Misalignment swaps the interference ports: the detection sees the phase
-    # difference offset by pi while the announcements keep it.  Entries
-    # m .. 2m-1 of the extended tables are the swapped ports.
-    p1_ext = np.concatenate([p1_table, p2_table])
-    p2_ext = np.concatenate([p2_table, p1_table])
+    deltas = np.repeat([0, half], m)  # delta of each matched pair
+    matched = np.multiply.outer([1.0 - params.p_s, params.p_s],
+                                single[deltas] / (m * m))
+    unmatched = np.delete(single, [0, half], axis=0).sum() / m
+    double = (click1 * click2).sum() / m
+    probs = np.concatenate([matched.ravel(), [unmatched, double, 0.0]])
+    probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
+    return probs
+
+
+def _simulate_batch(params: ProtocolParams, probs: np.ndarray, seed: int,
+                    batch_index: int, batch_rounds: int) -> ObservedTally:
+    m = params.m_slices
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
     )
-    # Fixed draw order per batch; every round consumes the same draws so the
-    # stream is independent of which rounds turn out valid.  Click draws
-    # compare against probabilities as small as p_d ~ 1e-8 and need float64;
-    # the misalignment and sampling thresholds are coarse, so float32
-    # quantization (~6e-8) is far below their statistical resolution.
-    pair = rng.integers(0, m * m, size=batch_rounds, dtype=np.uint16)
-    misaligned = rng.random(batch_rounds, dtype=np.float32) < np.float32(
-        params.channel.e_d
-    )
-    u1 = rng.random(batch_rounds)
-    u2 = rng.random(batch_rounds)
-    in_test = rng.random(batch_rounds, dtype=np.float32) < np.float32(params.p_s)
-
-    tau_a = (pair // m).astype(np.uint8)
-    tau_b = (pair % m).astype(np.uint8)
-    delta = (tau_a + np.uint8(m) - tau_b) % np.uint8(m)  # tau_a + m < 256
-    idx_eff = delta + misaligned * np.uint8(m)
-    click1 = u1 < p1_ext[idx_eff]
-    click2 = u2 < p2_ext[idx_eff]
-    valid = click1 ^ click2
-    matched = (delta == 0) | (delta == half)
-    kept = valid & matched
-
-    error = kept & (((delta == 0) & click2) | ((delta == half) & click1))
-
-    tally = ObservedTally(
+    counts = rng.multinomial(batch_rounds, probs)
+    # Sifted rounds, then test rounds, each indexed by (pair, detector).
+    sifted, test = counts[: 8 * m].reshape(2, 2 * m, 2)
+    per_det = sifted + test
+    # Errors are D2 clicks at delta = 0 (first m pairs), D1 clicks at delta = pi.
+    m_s = test[:m, 1].sum() + test[m:, 0].sum()
+    matched = {
+        (a, b, det + 1): int(per_det[j, det])
+        for j, (a, b) in enumerate(_matched_pairs(m))
+        for det in (0, 1)
+        if per_det[j, det]
+    }
+    return ObservedTally(
         m_slices=m,
         n_rounds=batch_rounds,
         mu=params.mu,
         p_s=params.p_s,
-        n_det=int(valid.sum()),
-        n_double=int((click1 & click2).sum()),
-        m_s=int((error & in_test).sum()),
-        n_sifted=int((kept & ~in_test).sum()),
+        n_det=int(per_det.sum() + counts[8 * m]),
+        n_double=int(counts[8 * m + 1]),
+        matched=matched,
+        m_s=int(m_s),
+        n_sifted=int(sifted.sum()),
+        seed=seed,
     )
-    if tally.n_det:
-        det2 = click2[kept].astype(np.int64)  # 0 -> D1, 1 -> D2
-        idx = pair[kept].astype(np.int64) * 2 + det2
-        counts = np.bincount(idx, minlength=2 * m * m)
-        matched_map: dict[tuple[int, int, int], int] = {}
-        for a in range(m):
-            for b in (a, (a + half) % m):
-                for det in (1, 2):
-                    count = int(counts[(a * m + b) * 2 + (det - 1)])
-                    if count:
-                        matched_map[(a, b, det)] = count
-        tally.matched = matched_map
-    return tally
 
 
 def simulate(
@@ -193,33 +213,19 @@ def simulate(
 ) -> ObservedTally:
     """Run the protocol for params.n_rounds rounds.
 
-    Deterministic for fixed (params, seed, batch_size); n_jobs only changes
-    who processes each batch, never the result.
+    Deterministic for fixed (params, seed, batch_size).  Batches are drawn
+    in this process; n_jobs is kept for callers that pass it and never
+    changes the result.
     """
     if batch_size < 1:
         raise DomainError("simulate: batch_size must be >= 1")
     n = int(params.n_rounds)
-    batches = [
-        (i, min(batch_size, n - i * batch_size))
-        for i in range((n + batch_size - 1) // batch_size)
-    ]
-    if n_jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            tallies = list(
-                pool.map(
-                    _simulate_batch,
-                    [params] * len(batches),
-                    [seed] * len(batches),
-                    [i for i, _ in batches],
-                    [r for _, r in batches],
-                )
-            )
-    else:
-        tallies = [_simulate_batch(params, seed, i, r) for i, r in batches]
-    total = tallies[0]
-    for t in tallies[1:]:
-        total = total.merge(t)
-    total.seed = seed
+    probs = _outcome_probabilities(params)
+    total = _simulate_batch(params, probs, seed, 0, min(batch_size, n))
+    for i in range(1, (n + batch_size - 1) // batch_size):
+        total = total.merge(
+            _simulate_batch(params, probs, seed, i, min(batch_size, n - i * batch_size))
+        )
     return total
 
 
@@ -246,15 +252,13 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     Rows are emitted in canonical order (all delta = 0 pairs, then all
     delta = pi pairs), so equal tallies produce byte-identical files.
     """
-    m = tally.m_slices
-    half = m // 2
     lines = []
     lines.append(f"# loss_db={loss_db!r}")
     lines.append(f"# N={tally.n_rounds}")
     lines.append(f"# mu={tally.mu!r}")
     lines.append(f"# p_s={tally.p_s!r}")
     lines.append(f"# n_det={tally.n_det}")
-    lines.append(f"# m_slices={m}")
+    lines.append(f"# m_slices={tally.m_slices}")
     lines.append(f"# n_double={tally.n_double}")
     if tally.m_s is not None:
         lines.append(f"# m_s={tally.m_s}")
@@ -264,11 +268,9 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     if tally.seed is not None:
         lines.append(f"# seed={tally.seed}")
     lines.append("phase_a,phase_b,d1_count,d2_count")
-    for offset in (0, half):
-        for a in range(m):
-            b = (a + offset) % m
-            d1 = tally.matched.get((a, b, 1), 0)
-            d2 = tally.matched.get((a, b, 2), 0)
-            lines.append(f"{a},{b},{d1},{d2}")
+    for a, b in _matched_pairs(tally.m_slices):
+        d1 = tally.matched.get((a, b, 1), 0)
+        d2 = tally.matched.get((a, b, 2), 0)
+        lines.append(f"{a},{b},{d1},{d2}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

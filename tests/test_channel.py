@@ -52,6 +52,17 @@ class TestChannelSpec:
         with pytest.raises(DomainError):
             ChannelSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["total_loss_db", "distance_km", "alpha_db_per_km", "eta_d",
+                 "p_d", "e_d"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields(self, name, value):
+        kwargs = {"distance_km": 100.0} if name == "distance_km" else {"total_loss_db": 10.0}
+        kwargs[name] = value
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ChannelSpec(**kwargs)
+
 
 class TestTransmittance:
     def test_lossless(self):

@@ -189,6 +189,27 @@ class TestSimulateReproduce:
         code, _, err = run_cli(capsys, "reproduce")
         assert code == EXIT_CODES["domain"]
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--loss-db", "nan", "total_loss_db"),
+        ("--loss-db", "inf", "total_loss_db"),
+        ("--mu", "nan", "mu"),
+        ("--mu", "inf", "mu"),
+        ("--p-s", "nan", "p_s"),
+        ("--n-rounds", "nan", "--n-rounds"),
+    ])
+    def test_simulate_rejects_non_finite(self, capsys, tmp_path, flag, value, field):
+        out = tmp_path / "tally.csv"
+        args = {"--loss-db": "20", "--mu": "1e-3", "--n-rounds": "1e6", "--p-s": "0.07"}
+        args[flag] = value
+        argv = ["simulate", "--output", str(out)]
+        for k, v in args.items():
+            argv += [k, v]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CODES["domain"]
+        assert err.startswith("pmqkd: error [domain]")
+        assert f"{field} must be finite" in err
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_optimize_json(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Ingestion tests: bundled dataset cross-checks, schema validation, and
 key-rate reproduction."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from pmqkd.ingest import (
     reproduce_key_rate,
     result_to_json,
 )
+from pmqkd.simulator import ObservedTally
 
 # Published summary values for the three bundled datasets.
 REPORTED = {
@@ -71,6 +73,30 @@ class TestReproduction:
         assert abs(result.rate - reported) / reported < 0.15
         assert result.m_s_reconstructed is True
         assert result.q_source == "channel-model"
+
+    @pytest.mark.parametrize("scale", [2, 1])
+    def test_merge_never_rates_above_reconstruction(self, scale):
+        # Merge the 45 dB record (no m_s) with itself, or with an empty
+        # transcribed tally.  The merged m_s stays unknown, so the rate is the
+        # reconstruction from the same counts, never a measured m_s = 0.
+        record = load_bundled_record(45)
+        tally = record.tally
+        partner = tally if scale == 2 else ObservedTally(
+            m_slices=tally.m_slices, n_rounds=0, mu=tally.mu, p_s=tally.p_s)
+        merged = tally.merge(partner)
+        assert merged.m_s is None and merged.n_sifted is None
+        n_rounds = float(merged.n_rounds)
+        same_counts = dataclasses.replace(
+            tally, n_rounds=merged.n_rounds, n_det=tally.n_det * scale,
+            matched={k: v * scale for k, v in tally.matched.items()},
+        )
+        got = reproduce_key_rate(dataclasses.replace(record, tally=merged,
+                                                     n_rounds=n_rounds))
+        unmerged = reproduce_key_rate(dataclasses.replace(record, tally=same_counts,
+                                                          n_rounds=n_rounds))
+        assert got.m_s_reconstructed is True
+        assert got.m_s == unmerged.m_s == 49 * scale
+        assert got.rate <= unmerged.rate
 
     def test_45db_phase_error_back_substitution(self):
         # the 45 dB dataset reproduces the published rate with a lifted

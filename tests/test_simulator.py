@@ -1,8 +1,10 @@
-"""Monte Carlo simulator tests: determinism, closed-form agreement,
-sifting statistics, and CSV round-trips."""
+"""Monte Carlo simulator tests: determinism, the outcome table against a
+round-by-round enumeration, closed-form agreement, sifting statistics, and
+CSV round-trips."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,8 @@ from pmqkd.errors import DomainError, NoDataError
 from pmqkd.simulator import (
     ObservedTally,
     ProtocolParams,
+    _matched_pairs,
+    _outcome_probabilities,
     simulate,
     tally_to_stats,
     write_tally_csv,
@@ -36,6 +40,15 @@ class TestParamsValidation:
             ProtocolParams(mu=1e-3, m_slices=8, n_rounds=10, p_s=0.0, channel=ch)
         with pytest.raises(DomainError):
             ProtocolParams(mu=1e-3, m_slices=8, n_rounds=0, p_s=0.1, channel=ch)
+
+    @pytest.mark.parametrize("name", ["mu", "p_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        fields = dict(mu=1e-3, m_slices=8, n_rounds=10, p_s=0.1,
+                      channel=ChannelSpec(total_loss_db=20))
+        fields[name] = value
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ProtocolParams(**fields)
 
 
 class TestDeterminism:
@@ -203,6 +216,15 @@ class TestCsvRoundTrip:
         write_tally_csv(tally, str(p2), loss_db=20.0)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_merge_keeps_unknown_counts_unknown(self):
+        known = ObservedTally(m_slices=8, n_rounds=10, mu=1e-3, p_s=0.07,
+                              m_s=2, n_sifted=5)
+        unknown = ObservedTally(m_slices=8, n_rounds=10, mu=1e-3, p_s=0.07)
+        for merged in (known.merge(unknown), unknown.merge(known)):
+            assert merged.m_s is None and merged.n_sifted is None
+        both = known.merge(known)
+        assert (both.m_s, both.n_sifted) == (4, 10)
+
     def test_merge_is_associative(self):
         params = make_params(n_rounds=900_000)
         t = simulate(params, seed=4, batch_size=300_000)
@@ -211,3 +233,142 @@ class TestCsvRoundTrip:
         # is comparable here: merge bookkeeping stays consistent
         assert t.n_rounds == single.n_rounds == 900_000
         assert t.total_matched() == t.n_sifted + (t.total_matched() - t.n_sifted)
+
+
+def round_by_round_outcomes(params):
+    """Outcome probabilities enumerated over every round the protocol can play.
+
+    Each (phase pair, misalignment, click pattern, in-test) combination is
+    weighted with its probability, in mpmath arithmetic, and added to the
+    outcome it reports, in the order of ``_outcome_probabilities``.
+    """
+    m = params.m_slices
+    half = m // 2
+    ch = params.channel
+    x = mp.mpf(params.mu) * mp.mpf(transmittance(ch))
+    p_d, e_d, p_s = mp.mpf(ch.p_d), mp.mpf(ch.e_d), mp.mpf(params.p_s)
+    pair_index = {pair: j for j, pair in enumerate(_matched_pairs(m))}
+    probs = [mp.mpf(0)] * (8 * m + 3)
+    for a in range(m):
+        for b in range(m):
+            delta = (a - b) % m
+            c = mp.cos(2 * mp.pi * delta / m)
+            for misaligned, p_mis in ((False, 1 - e_d), (True, e_d)):
+                i1, i2 = x * (1 + c) / 2, x * (1 - c) / 2
+                if misaligned:
+                    i1, i2 = i2, i1
+                p1 = 1 - (1 - p_d) * mp.exp(-i1)
+                p2 = 1 - (1 - p_d) * mp.exp(-i2)
+                for click1, click2 in ((True, False), (False, True), (True, True),
+                                       (False, False)):
+                    p = (p1 if click1 else 1 - p1) * (p2 if click2 else 1 - p2)
+                    p *= p_mis / (m * m)
+                    if click1 and click2:
+                        probs[8 * m + 1] += p
+                    elif not (click1 or click2):
+                        probs[8 * m + 2] += p
+                    elif delta not in (0, half):
+                        probs[8 * m] += p
+                    else:
+                        cell = pair_index[(a, b)] * 2 + (1 if click2 else 0)
+                        probs[cell] += p * (1 - p_s)
+                        probs[4 * m + cell] += p * p_s
+    return np.array([float(p) for p in probs])
+
+
+def binomial_z(k, n, p):
+    """Normal score of the exact binomial tail beyond k (signed)."""
+    if k >= n * p:
+        return max(0.0, float(stats.norm.isf(stats.binom.sf(k - 1, n, p))))
+    return min(0.0, -float(stats.norm.isf(stats.binom.cdf(k, n, p))))
+
+
+def double_click_probability(mu, eta, p_d, m):
+    """P(both detectors click), averaged over the m phase differences."""
+    total = 0.0
+    for k in range(m):
+        c = math.cos(2 * math.pi * k / m)
+        dark1 = (1 - p_d) * math.exp(-mu * eta * (1 + c) / 2)
+        dark2 = (1 - p_d) * math.exp(-mu * eta * (1 - c) / 2)
+        total += (1 - dark1) * (1 - dark2)
+    return total / m
+
+
+class TestCountLevelSampler:
+    @pytest.mark.parametrize("loss,mu,m,p_d,e_d", [
+        (45.0, 9.78e-4, 8, 1e-8, 0.01),
+        (10.0, 5e-2, 6, 1e-6, 0.03),
+        (20.0, 0.0, 8, 1e-3, 0.01),
+        (0.0, 3.0, 8, 0.0, 0.5),
+    ])
+    def test_outcome_table_matches_round_by_round(self, loss, mu, m, p_d, e_d):
+        params = ProtocolParams(
+            mu=mu, m_slices=m, n_rounds=1, p_s=0.07,
+            channel=ChannelSpec(total_loss_db=loss, p_d=p_d, e_d=e_d),
+        )
+        probs = _outcome_probabilities(params)
+        with mp.workdps(40):
+            reference = round_by_round_outcomes(params)
+        np.testing.assert_allclose(probs, reference, rtol=1e-12, atol=1e-300)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_criterion_6_settings_at_1e11(self):
+        # The acceptance check's 20 parameter sets, at the paper's N = 1e11.
+        rng = np.random.default_rng(20240817)
+        sets = [
+            (float(10 ** rng.uniform(-4, -2)), float(rng.uniform(10, 50)),
+             int(rng.integers(2**31)))
+            for _ in range(20)
+        ]
+        n_rounds = 10**11
+        zs = []
+        for mu, loss, seed in sets:
+            channel = ChannelSpec(total_loss_db=loss)
+            params = ProtocolParams(mu=mu, m_slices=8, n_rounds=n_rounds,
+                                    p_s=0.07, channel=channel)
+            tally = simulate(params, seed=seed)
+            q_emp, e_b_emp, _ = tally_to_stats(tally)
+            eta = transmittance(channel)
+            q = gain(mu, eta, channel.p_d)
+            e_b = qber(mu, eta, channel.p_d, channel.e_d)
+            n_matched = tally.total_matched()
+            zs.append((q_emp - q) / math.sqrt(q * (1 - q) / n_rounds))
+            zs.append((e_b_emp - e_b) / math.sqrt(e_b * (1 - e_b) / n_matched))
+            frac = n_matched / tally.n_det
+            zs.append((frac - 0.25) / math.sqrt(0.25 * 0.75 / tally.n_det))
+        assert max(abs(z) for z in zs) <= 3.0
+
+    @pytest.mark.parametrize("loss,mu,m,seed", [
+        (35.0, 3.2e-3, 8, 1),
+        (45.0, 9.78e-4, 8, 2),
+        (12.0, 2e-2, 6, 3),
+        (25.0, 1e-2, 8, 4),
+    ])
+    def test_double_clicks_and_sampled_errors_exact_binomial(self, loss, mu, m, seed):
+        n_rounds = 10**11
+        channel = ChannelSpec(total_loss_db=loss)
+        params = ProtocolParams(mu=mu, m_slices=m, n_rounds=n_rounds, p_s=0.07,
+                                channel=channel)
+        tally = simulate(params, seed=seed)
+        eta = transmittance(channel)
+        # Matched pairs sit at phase difference 0 or pi, where the closed-form
+        # gain and QBER are exact: P(sampled error) = (2/M) Q E_b p_s.
+        p_err = (2 / m) * gain(mu, eta, channel.p_d) * qber(
+            mu, eta, channel.p_d, channel.e_d) * params.p_s
+        p_double = double_click_probability(mu, eta, channel.p_d, m)
+        assert abs(binomial_z(tally.m_s, n_rounds, p_err)) <= 4.0
+        assert abs(binomial_z(tally.n_double, n_rounds, p_double)) <= 4.0
+
+    def test_single_batch_1e13_counts_consistent(self):
+        params = make_params(loss_db=30.0, mu=5e-3, n_rounds=10**13)
+        tally = simulate(params, seed=13, batch_size=10**13)
+        assert tally.n_rounds == 10**13
+        sampled_out = tally.total_matched() - tally.n_sifted
+        assert tally.n_det >= tally.total_matched() >= tally.n_sifted > 0
+        assert 0 < tally.m_s <= sampled_out
+
+    def test_batch_count_and_rounds(self):
+        params = make_params(n_rounds=1_000_003)
+        tally = simulate(params, seed=5, batch_size=100_000)
+        assert tally.n_rounds == 1_000_003
+        assert tally.seed == 5
