@@ -14,7 +14,6 @@ from .ingest import (
     ExperimentRecord,
     derive_observables,
     load_bundled_record,
-    parse_component_losses,
     parse_tally_csv,
     reproduce_key_rate,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "key_length",
     "load_bundled_record",
     "optimize",
-    "parse_component_losses",
     "parse_tally_csv",
     "phase_error_continuous",
     "phase_error_discrete",

@@ -12,6 +12,7 @@ Every command exits nonzero on error with a one-line diagnostic of the form
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,12 +77,12 @@ def _add_protocol_args(p: argparse.ArgumentParser) -> None:
                    help="number of rounds N")
     g.add_argument("--p-s", type=float, default=defaults.P_S,
                    help="sampling fraction for parameter estimation")
-    g.add_argument("--f-ec", type=float, default=defaults.F_EC,
-                   help="error correction efficiency factor")
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("security budget")
+    g.add_argument("--f-ec", type=float, default=defaults.F_EC,
+                   help="error correction efficiency factor (>= 1)")
     g.add_argument("--eps", type=float, default=defaults.EPS_CHERNOFF,
                    help="Chernoff failure probability per application")
     g.add_argument("--eps-ka", type=float, default=defaults.EPS_KATO,
@@ -171,42 +172,45 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
-def _scan_point(payload):
-    (d_km, alpha, eta_d, p_d, e_d, n_rounds, m, p_s, f, budget, mu_fixed,
-     optimize_ps, seed) = payload
-    channel = ChannelSpec(eta_d=eta_d, p_d=p_d, e_d=e_d, distance_km=d_km,
-                          alpha_db_per_km=alpha)
-    if mu_fixed is not None:
-        res = expected_key_rate(channel, mu_fixed, m_slices=m,
+def _scan_point(
+    channel: ChannelSpec, *, n_rounds: float, m_slices: int, p_s: float,
+    f: float, budget: SecurityBudget, mu: float | None, optimize_ps: bool,
+) -> tuple[float, float, float]:
+    """(mu, p_s, rate) at one scan point: fixed mu, or optimized."""
+    if mu is not None:
+        res = expected_key_rate(channel, mu, m_slices=m_slices,
                                 n_rounds=n_rounds, p_s=p_s, f=f, budget=budget)
-        return d_km, mu_fixed, p_s, res.rate
-    opt = optimize(channel, n_rounds, m, budget=budget, f=f,
-                   fixed_p_s=None if optimize_ps else p_s, seed=seed)
-    return d_km, opt.mu_opt, opt.p_s_opt, opt.rate_opt
+        return mu, p_s, res.rate
+    opt = optimize(channel, n_rounds, m_slices, budget=budget, f=f,
+                   fixed_p_s=None if optimize_ps else p_s)
+    return opt.mu_opt, opt.p_s_opt, opt.rate_opt
 
 
 def cmd_scan(args) -> int:
     if args.step <= 0:
         raise DomainError("--step must be positive")
-    budget = _budget_from(args)
     distances = []
     d = args.d_min
     while d <= args.d_max + 1e-9:
         distances.append(round(d, 9))
         d += args.step
-    payloads = [
-        (d, args.alpha, args.eta_d, args.p_d, args.e_d, args.n_rounds,
-         args.m_slices, args.p_s, args.f_ec, budget, args.mu,
-         args.optimize_ps, args.seed)
+    channels = [
+        ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
+                    distance_km=d, alpha_db_per_km=args.alpha)
         for d in distances
     ]
+    point = functools.partial(
+        _scan_point, n_rounds=args.n_rounds, m_slices=args.m_slices,
+        p_s=args.p_s, f=args.f_ec, budget=_budget_from(args), mu=args.mu,
+        optimize_ps=args.optimize_ps,
+    )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_point, payloads))
+            results = list(pool.map(point, channels))
     else:
-        results = [_scan_point(p) for p in payloads]
+        results = [point(c) for c in channels]
     lines = ["distance_km,loss_db,mu,p_s,rate"]
-    for d_km, mu, p_s, rate in results:  # map preserves submission order
+    for d_km, (mu, p_s, rate) in zip(distances, results):  # map keeps order
         lines.append(f"{d_km!r},{d_km * args.alpha!r},{mu!r},{p_s!r},{rate!r}")
     _emit("\n".join(lines), args.output)
     return 0
@@ -228,7 +232,7 @@ def cmd_deviation(args) -> int:
             mu = args.mu
         else:
             opt = optimize(channel, args.n_rounds, m, budget=budget,
-                           f=args.f_ec, fixed_p_s=args.p_s, seed=args.seed)
+                           f=args.f_ec, fixed_p_s=args.p_s)
             mu = opt.mu_opt
         res = expected_key_rate(channel, mu, m_slices=m,
                                 n_rounds=args.n_rounds, p_s=args.p_s,
@@ -250,7 +254,7 @@ def cmd_simulate(args) -> int:
     channel = _channel_from(args)
     params = ProtocolParams(
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
-        p_s=args.p_s, channel=channel, f=args.f_ec, budget=_budget_from(args),
+        p_s=args.p_s, channel=channel,
     )
     tally = simulate(params, args.seed, batch_size=args.batch_size,
                      n_jobs=args.jobs)
@@ -291,7 +295,6 @@ def cmd_optimize(args) -> int:
         channel, args.n_rounds, args.m_slices, budget=_budget_from(args),
         bounds=bounds, f=args.f_ec,
         fixed_p_s=None if args.optimize_ps else args.p_s,
-        method=args.method, seed=args.seed,
     )
     print(f"mu_opt   = {opt.mu_opt:.6e}")
     print(f"p_s_opt  = {opt.p_s_opt:.6f}")
@@ -337,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
     p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser(
@@ -350,11 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-min", type=float, default=10.0)
     p.add_argument("--loss-max", type=float, default=50.0)
     p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed")
     p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("simulate", help="Monte Carlo run; writes a tally CSV")
-    _add_channel_args(p); _add_protocol_args(p); _add_budget_args(p)
+    _add_channel_args(p); _add_protocol_args(p)
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    help="rounds per RNG batch, each one multinomial draw (part "
@@ -374,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-source", choices=("channel-model", "counts"),
                    default="channel-model",
                    help="gain entering the phase-error denominators")
-    p.add_argument("--f-ec", type=float, default=defaults.F_EC)
     p.add_argument("--eta-d", type=float, default=defaults.ETA_D)
     p.add_argument("--p-d", type=float, default=defaults.P_D)
     _add_output_args(p)
@@ -386,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", type=float, default=defaults.MU_BOUNDS[1])
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
-    p.add_argument("--method", choices=("evolution", "pattern"),
-                   default="evolution")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true",
                    help="include the evaluation trace in the JSON output")
     p.add_argument("--output", "-o", default=None, help="JSON output path")

@@ -38,4 +38,3 @@ BUNDLED_TALLIES = {
     40: "table_40db.csv",
     45: "table_45db.csv",
 }
-COMPONENT_LOSS_FILE = "measurement_station_losses.csv"

@@ -9,6 +9,7 @@ count), and feeds them through the security chain.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from importlib import resources
 
@@ -43,7 +44,6 @@ class ExperimentRecord:
     p_s: float
     tally: ObservedTally
     counts_include_test: bool = False
-    component_losses: dict[str, float] | None = None
     source: str | None = None
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def parse_tally_csv(path: str, component_losses: dict[str, float] | None = None) -> ExperimentRecord:
+def parse_tally_csv(path: str) -> ExperimentRecord:
     """Parse a tally CSV into an ExperimentRecord.
 
     The file starts with '# key=value' metadata lines (loss_db, N, mu, p_s
@@ -160,31 +160,8 @@ def parse_tally_csv(path: str, component_losses: dict[str, float] | None = None)
         p_s=float(meta["p_s"]),
         tally=tally,
         counts_include_test=bool(meta.get("counts_include_test", False)),
-        component_losses=component_losses,
         source=path,
     )
-
-
-def parse_component_losses(path: str) -> dict[str, float]:
-    """Parse a 'device,attenuation_db' CSV of measurement-station losses."""
-    losses: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().replace(" ", "") == "device,attenuation_db":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SchemaError(f"expected 'device,attenuation_db', got {line!r}", lineno)
-            try:
-                losses[parts[0].strip()] = float(parts[1])
-            except ValueError:
-                raise SchemaError(f"bad attenuation value {parts[1]!r}", lineno)
-    if not losses:
-        raise SchemaError("no component losses found")
-    return losses
 
 
 def derive_observables(record: ExperimentRecord) -> DerivedObservables:
@@ -192,13 +169,15 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
 
     E_b is the wrong-detector fraction of matched counts.  When the dataset
     does not carry the sampled error count, it is reconstructed from the
-    QBER as round(E_b * n_s) with n_s = n_mu p_s / (1 - p_s) and flagged.
+    QBER as E_b * n_s with n_s = n_mu p_s / (1 - p_s), rounded to the
+    nearest integer, and flagged.  Ties round up, toward more sampled errors.
     """
     tally = record.tally
     total = tally.total_matched()
     if total == 0:
         raise NoDataError("derive_observables: record has no matched counts")
-    e_b = tally.error_count() / total
+    errors = tally.error_count()
+    e_b = errors / total
     if record.counts_include_test:
         # Simulator-style tally: counts include the test sample.
         if tally.n_sifted is not None:
@@ -211,8 +190,9 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     if tally.m_s is not None:
         return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(tally.m_s),
                                   m_s_reconstructed=False)
-    n_s = n_mu * record.p_s / (1.0 - record.p_s)
-    return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(round(e_b * n_s)),
+    # E_b * n_s in one fixed order from the counts, so exact ties stay ties.
+    x = errors * n_mu * record.p_s / (total * (1.0 - record.p_s))
+    return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(math.floor(x + 0.5)),
                               m_s_reconstructed=True)
 
 
@@ -273,13 +253,9 @@ def bundled_tally_path(loss_db: int):
     return resources.files("pmqkd.data") / defaults.BUNDLED_TALLIES[loss_db]
 
 
-def load_bundled_record(loss_db: int, with_component_losses: bool = True) -> ExperimentRecord:
+def load_bundled_record(loss_db: int) -> ExperimentRecord:
     """Load one of the packaged reference datasets."""
-    losses = None
-    if with_component_losses:
-        comp = resources.files("pmqkd.data") / defaults.COMPONENT_LOSS_FILE
-        losses = parse_component_losses(str(comp))
-    return parse_tally_csv(str(bundled_tally_path(loss_db)), component_losses=losses)
+    return parse_tally_csv(str(bundled_tally_path(loss_db)))
 
 
 def record_to_json(record: ExperimentRecord) -> str:

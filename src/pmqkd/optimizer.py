@@ -1,11 +1,10 @@
 """Derivative-free maximization of the key rate over (mu, p_s).
 
-A fixed log-grid pre-scan guarantees a floor on solution quality; the
-default refinement is a seeded differential-evolution search (population
-based), with a deterministic Nelder-Mead pattern search as the fallback.
-The best candidate is always re-evaluated through the full pipeline before
-being returned, so ``rate_opt`` is exactly the pipeline value at
-(mu_opt, p_s_opt).
+A fixed log-grid pre-scan guarantees a floor on solution quality, and a
+Nelder-Mead search from the best grid point refines it.  Both steps are
+deterministic.  The best candidate is always re-evaluated through the full
+pipeline before being returned, so ``rate_opt`` is exactly the pipeline
+value at (mu_opt, p_s_opt).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import defaults
 from .channel import ChannelSpec
@@ -55,21 +53,20 @@ def optimize(
     bounds: SearchBounds | None = None,
     f: float = defaults.F_EC,
     fixed_p_s: float | None = None,
-    method: str = "evolution",
     seed: int = 0,
 ) -> OptimizationResult:
     """Maximize the finite-key rate at a fixed channel and budget.
 
     With ``fixed_p_s`` the search runs over mu only (the tabletop runs pin
     the sampling fraction); otherwise mu and p_s are co-optimized.  The
-    result is never worse than the best point of the grid pre-scan.
+    result is never worse than the best point of the grid pre-scan.  The
+    search is deterministic; ``seed`` is accepted for compatibility and has
+    no effect.
     """
     if budget is None:
         budget = SecurityBudget()
     if bounds is None:
         bounds = SearchBounds()
-    if method not in ("evolution", "pattern"):
-        raise DomainError(f"optimize: unknown method {method!r}")
     if fixed_p_s is not None and not 0.0 < fixed_p_s < 1.0:
         raise DomainError(f"optimize: fixed_p_s must be in (0, 1), got {fixed_p_s}")
 
@@ -116,30 +113,21 @@ def optimize(
             p_s = float(np.clip(vec[1], bounds.p_s[0], bounds.p_s[1]))
         return -rate_at(mu, p_s)
 
-    def vec_of(mu: float, p_s: float) -> list[float]:
-        if fixed_p_s is not None:
-            return [math.log10(mu)]
-        return [math.log10(mu), p_s]
+    # Imported here, not at module level: scipy.optimize adds ~50 MB and
+    # ~0.6 s to every process that imports the CLI, and most commands never
+    # optimize.
+    from scipy import optimize as sciopt
 
-    if method == "evolution":
-        de_bounds = [(lo_mu, hi_mu)]
-        if fixed_p_s is None:
-            de_bounds.append(bounds.p_s)
-        sciopt.differential_evolution(
-            neg_rate, de_bounds, seed=seed, maxiter=40, popsize=12,
-            tol=1e-10, polish=False, init="sobol",
-            x0=vec_of(best_mu, best_ps),
-        )
-    # Pattern-search polish from the best candidate seen so far.
-    seen_mu, seen_ps, _ = max(trace, key=lambda t: t[2])
+    start = [math.log10(best_mu)]
+    if fixed_p_s is None:
+        start.append(best_ps)
     sciopt.minimize(
-        neg_rate, vec_of(seen_mu, seen_ps), method="Nelder-Mead",
+        neg_rate, start, method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 400},
     )
 
-    cand_mu, cand_ps, cand_rate = max(trace, key=lambda t: t[2])
-    if cand_rate < best_rate:
-        cand_mu, cand_ps, cand_rate = best_mu, best_ps, best_rate
+    # The trace holds the grid, so its best point is never below best_rate.
+    cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
     final = expected_key_rate(
         channel, cand_mu, m_slices=m_slices, n_rounds=n_rounds, p_s=cand_ps,
         f=f, budget=budget,

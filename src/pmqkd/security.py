@@ -5,6 +5,10 @@ upper bound, continuous and discrete-phase phase-error rates, the Kato
 concentration correction lifting the analysis to coherent attacks, and the
 final key-length formula with its failure-probability composition.
 
+Each bound has one implementation: the public stage functions and the full
+chain in :func:`finite_key_rate` share the even-photon terms and the Kato
+lift.  The Chernoff parameter is beta = ln(1/eps).
+
 All operations are pure functions of their arguments; a full key-rate
 evaluation is a value-in/value-out computation that can run in parallel
 across parameter grid points.
@@ -13,7 +17,7 @@ across parameter grid points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 from . import defaults
 from .errors import DomainError, NoDataError
@@ -46,8 +50,12 @@ class SecurityBudget:
             raise DomainError(
                 f"SecurityBudget: eps_ka must be in (0, 1), got {self.eps_ka}"
             )
-        if self.xi <= 0 or self.xi_prime <= 0:
-            raise DomainError("SecurityBudget: xi and xi_prime must be positive")
+        for name in ("xi", "xi_prime"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(
+                    f"SecurityBudget: {name} must be finite and positive, got {value}"
+                )
 
     @property
     def eps_sec(self) -> float:
@@ -67,36 +75,31 @@ def compose_epsilons(budget: SecurityBudget) -> tuple[float, float, float]:
     return budget.eps_sec, budget.eps_cor, budget.eps_tot
 
 
-def _beta(eps: float, log_base: float) -> float:
+def _beta(eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise DomainError(f"Chernoff bound: eps must be in (0, 1), got {eps}")
-    beta = math.log(1.0 / eps)
-    if log_base != math.e:
-        beta /= math.log(log_base)
-    return beta
+    return math.log(1.0 / eps)
 
 
-def chernoff_expected_ub(x: float, eps: float, log_base: float = math.e) -> float:
+def chernoff_expected_ub(x: float, eps: float) -> float:
     """Upper bound on an expected value given an observed count x.
 
-    phi(x) = x + beta + sqrt(2 beta x + beta^2) with beta = log(1/eps).
-    beta uses the natural logarithm by default; log_base exists as a
-    sensitivity switch only.
+    phi(x) = x + beta + sqrt(2 beta x + beta^2) with beta = ln(1/eps).
     """
     if x < 0:
         raise DomainError(f"chernoff_expected_ub: x must be >= 0, got {x}")
-    beta = _beta(eps, log_base)
+    beta = _beta(eps)
     return x + beta + math.sqrt(2.0 * beta * x + beta * beta)
 
 
-def chernoff_observed_ub(x_star: float, eps: float, log_base: float = math.e) -> float:
+def chernoff_observed_ub(x_star: float, eps: float) -> float:
     """Upper bound on an observed count given an expected value x*.
 
     Phi(x) = x + beta/2 + sqrt(2 beta x + beta^2 / 4).
     """
     if x_star < 0:
         raise DomainError(f"chernoff_observed_ub: x_star must be >= 0, got {x_star}")
-    beta = _beta(eps, log_base)
+    beta = _beta(eps)
     return x_star + beta / 2.0 + math.sqrt(2.0 * beta * x_star + beta * beta / 4.0)
 
 
@@ -127,6 +130,15 @@ def vacuum_yield_ub(
     return min(y0, 1.0)
 
 
+def _even_photon_terms(mu: float, q_mu: float, y0_bar: float) -> tuple[float, float]:
+    """(vacuum, multiphoton) terms of the continuous-randomization bound."""
+    if q_mu <= 0:
+        raise DomainError(f"phase error: q_mu must be > 0, got {q_mu}")
+    vacuum = math.exp(-mu) * y0_bar / q_mu
+    multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * math.exp(-mu)) / (2.0 * q_mu)
+    return vacuum, multi
+
+
 def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
     """Phase error rate under continuous phase randomization.
 
@@ -134,10 +146,7 @@ def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
     case of unit yield for every even photon number >= 2.  The result is not
     clamped here; callers cap it before entropy evaluation.
     """
-    if q_mu <= 0:
-        raise DomainError(f"phase_error_continuous: q_mu must be > 0, got {q_mu}")
-    vacuum = math.exp(-mu) * y0_bar / q_mu
-    multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * math.exp(-mu)) / (2.0 * q_mu)
+    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
     return vacuum + multi
 
 
@@ -197,10 +206,7 @@ def phase_error_discrete(
         raise DomainError(
             f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
         )
-    if q_mu <= 0:
-        raise DomainError(f"phase_error_discrete: q_mu must be > 0, got {q_mu}")
-    vacuum = math.exp(-mu) * y0_bar / q_mu
-    multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * math.exp(-mu)) / (2.0 * q_mu)
+    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
     deviations = tuple(
         deviation_bound(mu, m_slices, k, q_mu) for k in range(0, m_slices, 2)
     )
@@ -279,6 +285,14 @@ def kato_epsilon(coeffs: KatoCoefficients) -> float:
     )
 
 
+def _kato_lift(
+    n_mu: float, ep_m: float, eps_ka: float
+) -> tuple[KatoCoefficients, float]:
+    """Kato coefficients at lambda = n ep (at most n), and the lifted ep_bar."""
+    coeffs = kato_correction(n_mu, min(n_mu * ep_m, n_mu), eps_ka)
+    return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
+
+
 def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
     """Lift the phase error rate to cover coherent attacks.
 
@@ -289,9 +303,7 @@ def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
         raise NoDataError(f"phase_error_final: need n_mu >= 1, got {n_mu}")
     if ep_m < 0:
         raise DomainError(f"phase_error_final: ep_m must be >= 0, got {ep_m}")
-    lambda_n = min(n_mu * ep_m, n_mu)
-    coeffs = kato_correction(n_mu, lambda_n, eps_ka)
-    return (n_mu * ep_m + coeffs.delta) / n_mu
+    return _kato_lift(n_mu, ep_m, eps_ka)[1]
 
 
 def key_length(
@@ -380,8 +392,13 @@ def finite_key_rate(
     a Monte Carlo tally, or from an ingested dataset; the chain itself does
     not care.  Degenerate inputs (no sifted data, or a phase error bound
     beyond 1) short-circuit to a zero-rate result with the breakdown kept
-    for audit.
+    for audit.  An error-correction efficiency f below the Shannon limit of
+    1 would overstate the key, so it is rejected.
     """
+    if not (math.isfinite(f) and f >= 1.0):
+        raise DomainError(
+            f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"
+        )
     if n_mu < 1:
         breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
         return KeyRateResult(
@@ -393,21 +410,13 @@ def finite_key_rate(
     y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
     breakdown = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
     if breakdown.ep_m <= 1.0:
-        kato = kato_correction(n_mu, n_mu * breakdown.ep_m, budget.eps_ka)
-        ep_m_bar = (n_mu * breakdown.ep_m + kato.delta) / n_mu
+        kato, ep_m_bar = _kato_lift(n_mu, breakdown.ep_m, budget.eps_ka)
+        breakdown = replace(breakdown, kato_delta=kato.delta, ep_m_bar=ep_m_bar)
     else:
         # No key is extractable; the Kato lift is undefined past lambda = n.
         kato = None
-        ep_m_bar = breakdown.ep_m
-    breakdown = PhaseErrorBreakdown(
-        vacuum_term=breakdown.vacuum_term,
-        multiphoton_term=breakdown.multiphoton_term,
-        deviations=breakdown.deviations,
-        ep_m=breakdown.ep_m,
-        kato_delta=kato.delta if kato is not None else 0.0,
-        ep_m_bar=ep_m_bar,
-    )
-    ell, rate = key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
+        breakdown = replace(breakdown, ep_m_bar=breakdown.ep_m)
+    ell, rate = key_length(n_mu, breakdown.ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell=ell, rate=rate, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,
         mu=mu, m_slices=m_slices, p_s=p_s, f=f, q_mu=q_mu, y0_bar=y0_bar,

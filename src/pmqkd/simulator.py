@@ -31,25 +31,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
-from .security import SecurityBudget
 
 DEFAULT_BATCH_SIZE = 10**10
 
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Everything a protocol run needs: source, channel, and postprocessing."""
+    """Everything a protocol run needs: source, channel and sampling."""
 
     mu: float
     m_slices: int
     n_rounds: int
     p_s: float
     channel: ChannelSpec
-    f: float = defaults.F_EC
-    budget: SecurityBudget = field(default_factory=SecurityBudget)
 
     def __post_init__(self):
         for name in ("mu", "p_s"):

@@ -2,6 +2,7 @@
 for the entry point)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -97,7 +98,7 @@ class TestScan:
     def test_optimized_scan_with_jobs_ordered(self, capsys, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         args = ["scan", "--d-min", "100", "--d-max", "160", "--step", "30",
-                "--n-rounds", "1e10", "--seed", "3"]
+                "--n-rounds", "1e10"]
         code1, _, _ = run_cli(capsys, *args, "--output", str(out1))
         code2, _, _ = run_cli(capsys, *args, "--jobs", "2", "--output", str(out2))
         assert code1 == code2 == 0
@@ -224,6 +225,22 @@ class TestOptimizeCommand:
         assert data["rate_opt"] > 0
 
 
+class TestNeverOptimistic:
+    @pytest.mark.parametrize("argv,field", [
+        (["keyrate", "--loss-db", "45", "--mu", "9.78e-4", "--f-ec=-5"], "f"),
+        (["keyrate", "--loss-db", "45", "--mu", "9.78e-4", "--f-ec", "nan"], "f"),
+        (["keyrate", "--loss-db", "45", "--mu", "9.78e-4", "--xi", "nan"], "xi"),
+        (["reproduce", "--bundled", "45", "--f-ec", "0.5"], "f"),
+    ])
+    def test_bad_budget_rejected(self, capsys, tmp_path, argv, field):
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, *argv, "--output", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err.startswith("pmqkd: error [domain]")
+        assert f" {field} must be finite" in err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -236,6 +253,25 @@ class TestConfigFile:
         code, out2, _ = run_cli(capsys, "keyrate", "--mu", "0")
         assert code == 0
         assert "R   = 0.000000e+00" in out2
+
+    def test_repeated_main_matches_fresh_process(self, capsys, tmp_path, monkeypatch):
+        # No state carries over between main() calls: a config-file run
+        # followed by a plain run prints what two fresh processes print.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_rounds=1e10\nf_ec=1.2\n")
+        argv = ["keyrate", "--loss-db", "45", "--mu", "9.78e-4"]
+        monkeypatch.setenv("PMQKD_CONFIG", str(cfg))
+        with_cfg = run_cli(capsys, *argv)
+        monkeypatch.delenv("PMQKD_CONFIG")
+        without = run_cli(capsys, *argv)
+        assert with_cfg[1] != without[1]
+        for env_cfg, (code, out, err) in ((str(cfg), with_cfg), (None, without)):
+            env = {k: v for k, v in os.environ.items() if k != "PMQKD_CONFIG"}
+            if env_cfg is not None:
+                env["PMQKD_CONFIG"] = env_cfg
+            fresh = subprocess.run([sys.executable, "-m", "pmqkd.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_missing_config_file(self, capsys, monkeypatch):
         monkeypatch.setenv("PMQKD_CONFIG", "/nonexistent/cfg")

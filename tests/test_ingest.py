@@ -10,7 +10,6 @@ from pmqkd.errors import NoDataError, SchemaError
 from pmqkd.ingest import (
     derive_observables,
     load_bundled_record,
-    parse_component_losses,
     parse_tally_csv,
     record_to_json,
     reproduce_key_rate,
@@ -51,12 +50,6 @@ class TestBundledDatasets:
     def test_derived_qber_matches_reported(self, loss):
         obs = derive_observables(load_bundled_record(loss))
         assert abs(obs.e_b - REPORTED[loss]["e_b"]) < 5e-5  # 0.005 pp
-
-    def test_component_losses_attached(self):
-        record = load_bundled_record(45)
-        assert record.component_losses["Cir 2->3"] == 0.77
-        assert record.component_losses["PC2"] == 0.16
-        assert len(record.component_losses) == 7
 
     def test_ms_reconstruction_flagged(self):
         obs = derive_observables(load_bundled_record(45))
@@ -209,6 +202,17 @@ class TestParser:
         with pytest.raises(SchemaError, match="out of range"):
             parse_tally_csv(path)
 
+    def test_reconstructed_m_s_tie_rounds_up(self, tmp_path):
+        # E_b * n_s = 10 * 0.2 / 0.8 = 2.5 exactly: round toward more errors
+        path = self.make_csv(
+            tmp_path, ["phase_a,phase_b,d1_count,d2_count", "0,0,90,10"],
+            meta=["# loss_db=45", "# N=1e11", "# mu=9.78e-4", "# p_s=0.2",
+                  "# n_det=100"],
+        )
+        obs = derive_observables(parse_tally_csv(path))
+        assert obs.m_s_reconstructed is True
+        assert obs.m_s == 3
+
     def test_no_matched_counts_means_no_data(self, tmp_path):
         path = self.make_csv(
             tmp_path, ["phase_a,phase_b,d1_count,d2_count", "0,0,0,0"]
@@ -216,15 +220,6 @@ class TestParser:
         record = parse_tally_csv(path)
         with pytest.raises(NoDataError):
             derive_observables(record)
-
-    def test_component_losses_parser(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("device,attenuation_db\nX,1.5\nY,0.2\n")
-        assert parse_component_losses(str(path)) == {"X": 1.5, "Y": 0.2}
-        bad = tmp_path / "bad.csv"
-        bad.write_text("device,attenuation_db\nX,abc\n")
-        with pytest.raises(SchemaError):
-            parse_component_losses(str(bad))
 
 
 class TestSimulatedRoundTrip:

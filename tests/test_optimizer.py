@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pmqkd.channel import ChannelSpec
-from pmqkd.errors import DomainError
 from pmqkd.optimizer import GRID_SHAPE, SearchBounds, optimize
 from pmqkd.pipeline import expected_key_rate
 
@@ -62,12 +61,21 @@ class TestResultConsistency:
             r2.mu_opt, r2.p_s_opt, r2.rate_opt
         )
 
-    def test_pattern_method(self):
-        channel = ChannelSpec(total_loss_db=40.0)
-        r = optimize(channel, 1e11, 8, method="pattern", fixed_p_s=0.07)
-        assert r.rate_opt > 0
-        with pytest.raises(DomainError):
-            optimize(channel, 1e11, 8, method="annealing")
+
+class TestOptimumPinned:
+    # Optima found by the differential-evolution refinement this search
+    # replaced; the grid + Nelder-Mead search must reach them with fewer
+    # evaluations.
+    def test_co_optimized_p_s_40db(self):
+        r = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, seed=0)
+        assert r.rate_opt == pytest.approx(5.581996290263715e-07, rel=1e-6)
+        assert r.evaluations < 800
+
+    def test_fixed_p_s_45db(self):
+        r = optimize(ChannelSpec(total_loss_db=45.0), 1e11, 8, fixed_p_s=0.07,
+                     seed=0)
+        assert r.rate_opt == pytest.approx(1.4065071470947588e-07, rel=1e-6)
+        assert r.evaluations < 300
 
 
 class TestPhysicalSanity:

@@ -9,11 +9,15 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError, NoDataError
+from pmqkd.ingest import load_bundled_record, reproduce_key_rate
 from pmqkd.numerics import binary_entropy
+from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
     KatoCoefficients,
     SecurityBudget,
@@ -66,11 +70,6 @@ class TestChernoff:
         ratios = [chernoff_expected_ub(x, EPS) / x for x in (1e3, 1e6, 1e9, 1e12)]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0, abs=1e-4)
-
-    def test_log_base_switch(self):
-        # base-2 beta is ln-beta / ln(2): bound grows accordingly
-        b2 = chernoff_expected_ub(0.0, 0.5, log_base=2)
-        assert b2 == pytest.approx(2.0, rel=1e-12)  # log2(1/0.5) = 1 -> 2 beta
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_domain_eps(self, eps):
@@ -351,6 +350,10 @@ class TestComposeEpsilons:
             SecurityBudget(eps_ka=1.0)
         with pytest.raises(DomainError):
             SecurityBudget(xi=-1.0)
+        for field in ("xi", "xi_prime"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=field):
+                    SecurityBudget(**{field: value})
 
 
 class TestWorstCaseSoundness:
@@ -432,3 +435,36 @@ class TestFiniteKeyRate:
         d = res.to_dict()
         assert d["eps_sec"] == res.budget.eps_sec
         assert d["ep_m_bar"] == res.ep_m_bar
+
+
+def _chain_results():
+    """The bundled records and a 10-point intensity grid at 40 dB."""
+    cases = [(f"bundled-{loss}", reproduce_key_rate(load_bundled_record(loss)))
+             for loss in (35, 40, 45)]
+    channel = ChannelSpec(total_loss_db=40.0)
+    cases += [(f"mu={mu:.3e}", expected_key_rate(channel, float(mu)))
+              for mu in np.logspace(-4, -2, 10)]
+    return cases
+
+
+CHAIN_RESULTS = _chain_results()
+
+
+class TestSharedPaths:
+    """The public stage functions and the full chain give the same floats."""
+
+    @pytest.mark.parametrize("res", [r for _, r in CHAIN_RESULTS],
+                             ids=[name for name, _ in CHAIN_RESULTS])
+    def test_final_phase_error_matches_chain(self, res):
+        assert res.ep_m <= 1.0
+        assert res.breakdown.ep_m_bar == phase_error_final(
+            res.n_mu, res.ep_m, res.budget.eps_ka
+        )
+
+    @pytest.mark.parametrize("res", [r for _, r in CHAIN_RESULTS],
+                             ids=[name for name, _ in CHAIN_RESULTS])
+    def test_even_photon_terms_match_continuous(self, res):
+        b = res.breakdown
+        assert b.vacuum_term + b.multiphoton_term == phase_error_continuous(
+            res.mu, res.q_mu, res.y0_bar
+        )
