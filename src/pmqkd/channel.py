@@ -73,8 +73,8 @@ def gain(mu: float, eta: float, p_d: float) -> float:
     Q = (1 - p_d) * [1 - (1 - 2 p_d) e^(-mu eta)], computed through expm1 so
     the small mu*eta regime keeps full relative precision.
     """
-    if mu < 0:
-        raise DomainError(f"gain: mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"gain: mu must be finite and >= 0, got {mu}")
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"gain: eta must be in (0, 1], got {eta}")
     if not 0.0 <= p_d < 1.0:
@@ -93,8 +93,8 @@ def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
     """
     if not 0.0 <= e_d <= 0.5:
         raise DomainError(f"qber: e_d must be in [0, 0.5], got {e_d}")
-    if mu < 0:
-        raise DomainError(f"qber: mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"qber: mu must be finite and >= 0, got {mu}")
     s = -math.expm1(-mu * eta)  # 1 - e^(-mu eta)
     denom = s + 2.0 * p_d * (1.0 - s)
     if denom <= 0.0:

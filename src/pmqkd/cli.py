@@ -187,8 +187,8 @@ def _scan_point(
 
 
 def cmd_scan(args) -> int:
-    if args.step <= 0:
-        raise DomainError("--step must be positive")
+    if not 0.0 < args.step < math.inf:
+        raise DomainError(f"--step must be finite and > 0, got {args.step}")
     distances = []
     d = args.d_min
     while d <= args.d_max + 1e-9:
@@ -217,8 +217,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    if args.step <= 0:
-        raise DomainError("--step must be positive")
+    if not 0.0 < args.step < math.inf:
+        raise DomainError(f"--step must be finite and > 0, got {args.step}")
     budget = _budget_from(args)
     m = args.m_slices
     header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, m, 2)]
@@ -278,7 +278,7 @@ def cmd_reproduce(args) -> int:
         record, budget=_budget_from(args), q_source=args.q_source,
         f=args.f_ec, eta_d=args.eta_d, p_d=args.p_d,
     )
-    print(f"dataset: {record.source} ({record.loss_db} dB, mu={record.mu})")
+    print(f"dataset: {record.source} ({record.loss_db} dB, mu={record.tally.mu})")
     if result.m_s_reconstructed:
         print(f"note: sampled error count reconstructed from the QBER "
               f"(m_s = {result.m_s:.0f})")
@@ -395,15 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn config-file entries into leading CLI tokens (flags override)."""
-    path = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            return argv
-        path = argv[idx + 1]
-    else:
-        path = os.environ.get("PMQKD_CONFIG")
+    """Turn config-file entries into CLI tokens after the subcommand (flags override).
+
+    A key the running subcommand does not define is skipped when another
+    subcommand defines it, so one file can serve every command.  A key that
+    no subcommand defines is a usage error.
+    """
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    at = next((i for i, tok in enumerate(argv) if tok in commands), None)
+    if at is None:
+        return argv
+    path = os.environ.get("PMQKD_CONFIG")
+    for i, tok in enumerate(argv[:at]):
+        if tok == "--config" and i + 1 < at:
+            path = argv[i + 1]
+        elif tok.startswith("--config="):
+            path = tok[len("--config="):]
     if not path:
         return argv
     if not os.path.exists(path):
@@ -416,12 +424,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
                 continue
             key, _, value = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
-            extra.extend([flag, value.strip()])
-    # Config tokens go right after the subcommand so explicit flags win.
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-") and tok != path:
-            return argv[: i + 1] + extra + argv[i + 1 :]
-    return argv + extra
+            if flag in commands[argv[at]]._option_string_actions:
+                extra.extend([flag, value.strip()])
+            elif not any(flag in p._option_string_actions for p in commands.values()):
+                parser.error(f"config key {key.strip()!r} is not an option of any command")
+    return argv[: at + 1] + extra + argv[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:

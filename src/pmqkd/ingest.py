@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from importlib import resources
 
 from . import defaults
@@ -19,29 +19,50 @@ from .errors import DomainError, NoDataError, SchemaError
 from .security import KeyRateResult, SecurityBudget, finite_key_rate
 from .simulator import ObservedTally
 
-_METADATA_REQUIRED = ("loss_db", "N", "mu", "p_s", "n_det")
-_METADATA_TYPES = {
-    "loss_db": float,
-    "N": float,
-    "mu": float,
-    "p_s": float,
-    "n_det": int,
-    "m_slices": int,
-    "n_double": int,
-    "m_s": int,
-    "n_sifted": int,
-    "seed": int,
+
+def _count(text: str) -> int:
+    """A non-negative integer; an integral float such as 1e11 is accepted."""
+    value = float(text)
+    if not (value >= 0 and value.is_integer()):
+        raise ValueError(text)
+    return int(text) if text.isdigit() else int(value)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _flag(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(text)
+    return value in ("true", "1", "yes")
+
+
+# Every metadata key a tally may carry: key -> (parser, required).
+_METADATA = {
+    "loss_db": (_finite, True),
+    "N": (_count, True),
+    "mu": (_finite, True),
+    "p_s": (_finite, True),
+    "n_det": (_count, True),
+    "m_slices": (_count, False),
+    "n_double": (_count, False),
+    "m_s": (_count, False),
+    "n_sifted": (_count, False),
+    "counts_include_test": (_flag, False),
+    "seed": (_count, False),
 }
 
 
 @dataclass
 class ExperimentRecord:
-    """One ingested dataset: counts plus the declared run metadata."""
+    """One ingested dataset: the tally (counts, N, mu, p_s) and the run metadata."""
 
     loss_db: float
-    n_rounds: float
-    mu: float
-    p_s: float
     tally: ObservedTally
     counts_include_test: bool = False
     source: str | None = None
@@ -49,8 +70,8 @@ class ExperimentRecord:
     def __post_init__(self):
         if self.loss_db <= 0:
             raise DomainError(f"ExperimentRecord: loss_db must be > 0, got {self.loss_db}")
-        if self.mu <= 0:
-            raise DomainError(f"ExperimentRecord: mu must be > 0, got {self.mu}")
+        if self.tally.mu <= 0:
+            raise DomainError(f"ExperimentRecord: mu must be > 0, got {self.tally.mu}")
 
 
 @dataclass(frozen=True)
@@ -61,105 +82,93 @@ class DerivedObservables:
     m_s_reconstructed: bool
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
-
-
 def parse_tally_csv(path: str) -> ExperimentRecord:
-    """Parse a tally CSV into an ExperimentRecord.
+    """Parse a tally CSV into an ExperimentRecord, reading each line once.
 
-    The file starts with '# key=value' metadata lines (loss_db, N, mu, p_s
-    and n_det are required), then a 'phase_a,phase_b,d1_count,d2_count'
-    header, then one row per matched phase pair.  Phases are slice indices,
-    i.e. multiples of 2 pi / M (pi/4 steps at M = 8, pi/3 steps at M = 6).
-    Malformed rows are rejected with their line number.
+    The file starts with '# key=value' metadata lines, each key of
+    _METADATA at most once, then a 'phase_a,phase_b,d1_count,d2_count'
+    header, then at most one row per matched phase pair.  Phases are slice
+    indices, i.e. multiples of 2 pi / M (pi/4 steps at M = 8, pi/3 steps at
+    M = 6).  The counts must satisfy N >= n_det >= matched total >= n_sifted.
+    A violation is rejected with its line number or the fields it involves.
     """
     meta: dict[str, object] = {}
-    rows: list[tuple[int, int, int, int]] = []
-    header_seen = False
+    matched: dict[tuple[int, int, int], int] = {}
+    pairs: set[tuple[int, int]] = set()
+    m = None  # slice count, fixed once the header is read
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise SchemaError(f"metadata line without '=': {body!r}", lineno)
-                key, _, value = body.partition("=")
-                key = key.strip()
-                caster = _METADATA_TYPES.get(key)
+                if m is not None:
+                    raise SchemaError("metadata after the column header", lineno)
+                key, eq, value = line[1:].partition("=")
+                key, value = key.strip(), value.strip()
+                if not eq:
+                    raise SchemaError(f"metadata line without '=': {line!r}", lineno)
+                if key not in _METADATA:
+                    raise SchemaError(f"unknown metadata key {key!r}", lineno)
+                if key in meta:
+                    raise SchemaError(f"repeated metadata key {key!r}", lineno)
                 try:
-                    if key == "counts_include_test":
-                        meta[key] = _parse_bool(value)
-                    elif caster is int:
-                        meta[key] = int(float(value))
-                    elif caster is float:
-                        meta[key] = float(value)
-                    else:
-                        meta[key] = value.strip()
+                    meta[key] = _METADATA[key][0](value)
                 except ValueError:
                     raise SchemaError(f"bad value for {key}: {value!r}", lineno)
                 continue
-            if not header_seen:
+            if m is None:
                 if line.replace(" ", "") != "phase_a,phase_b,d1_count,d2_count":
                     raise SchemaError(f"expected header row, got {line!r}", lineno)
-                header_seen = True
+                missing = [k for k, (_, required) in _METADATA.items()
+                           if required and k not in meta]
+                if missing:
+                    raise SchemaError(f"missing metadata: {', '.join(missing)}", lineno)
+                m = meta.get("m_slices", defaults.M_SLICES)
                 continue
             parts = line.split(",")
             if len(parts) != 4:
                 raise SchemaError(f"expected 4 columns, got {len(parts)}", lineno)
             try:
-                a, b, d1, d2 = (int(p) for p in parts)
+                a, b, d1, d2 = (_count(p) for p in parts)
             except ValueError:
-                raise SchemaError(f"non-integer field in row {line!r}", lineno)
-            if d1 < 0 or d2 < 0:
-                raise SchemaError(f"negative count in row {line!r}", lineno)
-            rows.append((a, b, d1, d2))
-
-    missing = [k for k in _METADATA_REQUIRED if k not in meta]
-    if missing:
-        raise SchemaError(f"missing metadata: {', '.join(missing)}")
-    if not header_seen or not rows:
+                raise SchemaError(f"fields must be non-negative integers: {line!r}", lineno)
+            if not (a < m and b < m):
+                raise SchemaError(f"phase index out of range for M={m}: ({a}, {b})", lineno)
+            if (a - b) % m not in (0, m // 2):
+                raise SchemaError(f"non-matched phase pair ({a}, {b}) for M={m}", lineno)
+            if (a, b) in pairs:
+                raise SchemaError(f"repeated phase pair ({a}, {b})", lineno)
+            pairs.add((a, b))
+            if d1:
+                matched[(a, b, 1)] = d1
+            if d2:
+                matched[(a, b, 2)] = d2
+    if not pairs:
         raise SchemaError("no data rows found")
-
-    m = int(meta.get("m_slices", defaults.M_SLICES))
-    half = m // 2
-    matched: dict[tuple[int, int, int], int] = {}
-    for a, b, d1, d2 in rows:
-        if not (0 <= a < m and 0 <= b < m):
-            raise SchemaError(f"phase index out of range for M={m}: ({a}, {b})")
-        if (a - b) % m not in (0, half):
-            raise SchemaError(f"non-matched phase pair ({a}, {b}) for M={m}")
-        if d1:
-            matched[(a, b, 1)] = matched.get((a, b, 1), 0) + d1
-        if d2:
-            matched[(a, b, 2)] = matched.get((a, b, 2), 0) + d2
 
     tally = ObservedTally(
         m_slices=m,
-        n_rounds=int(meta["N"]),
-        mu=float(meta["mu"]),
-        p_s=float(meta["p_s"]),
-        n_det=int(meta["n_det"]),
-        n_double=int(meta.get("n_double", 0)),
+        n_rounds=meta["N"],
+        mu=meta["mu"],
+        p_s=meta["p_s"],
+        n_det=meta["n_det"],
+        n_double=meta.get("n_double", 0),
         matched=matched,
         m_s=meta.get("m_s"),
         n_sifted=meta.get("n_sifted"),
         seed=meta.get("seed"),
     )
+    total = tally.total_matched()
+    if not tally.n_rounds >= tally.n_det >= total >= (tally.n_sifted or 0):
+        raise SchemaError(
+            "counts must satisfy N >= n_det >= matched total >= n_sifted, got "
+            f"N={tally.n_rounds}, n_det={tally.n_det}, matched total={total}, "
+            f"n_sifted={tally.n_sifted}")
     return ExperimentRecord(
-        loss_db=float(meta["loss_db"]),
-        n_rounds=float(meta["N"]),
-        mu=float(meta["mu"]),
-        p_s=float(meta["p_s"]),
+        loss_db=meta["loss_db"],
         tally=tally,
-        counts_include_test=bool(meta.get("counts_include_test", False)),
+        counts_include_test=meta.get("counts_include_test", False),
         source=path,
     )
 
@@ -183,7 +192,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
         if tally.n_sifted is not None:
             n_mu = float(tally.n_sifted)
         else:
-            n_mu = total * (1.0 - record.p_s)
+            n_mu = total * (1.0 - tally.p_s)
     else:
         # Transcribed datasets: counts are the post-sampling sifted key.
         n_mu = float(total)
@@ -191,7 +200,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
         return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(tally.m_s),
                                   m_s_reconstructed=False)
     # E_b * n_s in one fixed order from the counts, so exact ties stay ties.
-    x = errors * n_mu * record.p_s / (total * (1.0 - record.p_s))
+    x = errors * n_mu * tally.p_s / (total * (1.0 - tally.p_s))
     return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(math.floor(x + 0.5)),
                               m_s_reconstructed=True)
 
@@ -200,7 +209,6 @@ def reproduce_key_rate(
     record: ExperimentRecord,
     budget: SecurityBudget | None = None,
     q_source: str = "channel-model",
-    m_slices: int | None = None,
     f: float = defaults.F_EC,
     eta_d: float = defaults.ETA_D,
     p_d: float = defaults.P_D,
@@ -217,21 +225,21 @@ def reproduce_key_rate(
     """
     if budget is None:
         budget = SecurityBudget()
-    if m_slices is None:
-        m_slices = record.tally.m_slices
+    tally = record.tally
+    n_rounds = float(tally.n_rounds)
     obs = derive_observables(record)
     if q_source == "channel-model":
         spec = ChannelSpec(eta_d=eta_d, p_d=p_d, total_loss_db=record.loss_db)
-        q_mu = gain(record.mu, transmittance(spec), p_d)
+        q_mu = gain(tally.mu, transmittance(spec), p_d)
     elif q_source == "counts":
-        q_mu = obs.n_mu * m_slices / (2.0 * record.n_rounds * (1.0 - record.p_s))
+        q_mu = obs.n_mu * tally.m_slices / (2.0 * n_rounds * (1.0 - tally.p_s))
     else:
         raise DomainError(f"reproduce_key_rate: unknown q_source {q_source!r}")
     return finite_key_rate(
-        mu=record.mu,
-        m_slices=m_slices,
-        n_rounds=record.n_rounds,
-        p_s=record.p_s,
+        mu=tally.mu,
+        m_slices=tally.m_slices,
+        n_rounds=n_rounds,
+        p_s=tally.p_s,
         f=f,
         q_mu=q_mu,
         e_b=obs.e_b,
@@ -256,16 +264,6 @@ def bundled_tally_path(loss_db: int):
 def load_bundled_record(loss_db: int) -> ExperimentRecord:
     """Load one of the packaged reference datasets."""
     return parse_tally_csv(str(bundled_tally_path(loss_db)))
-
-
-def record_to_json(record: ExperimentRecord) -> str:
-    """JSON export of a record; matched counts become explicit row objects."""
-    data = asdict(record)
-    data["tally"]["matched"] = [
-        {"phase_a": a, "phase_b": b, "detector": det, "count": count}
-        for (a, b, det), count in sorted(record.tally.matched.items())
-    ]
-    return json.dumps(data, indent=2)
 
 
 def result_to_json(result: KeyRateResult) -> str:

@@ -40,8 +40,8 @@ def poisson_pmf(mu: float, k: int) -> float:
 
     Exact at k = 0 by construction (returns e^-mu directly).
     """
-    if mu < 0:
-        raise DomainError(f"poisson_pmf: mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"poisson_pmf: mu must be finite and >= 0, got {mu}")
     if k < 0 or int(k) != k:
         raise DomainError(f"poisson_pmf: k must be a nonnegative integer, got {k}")
     k = int(k)
@@ -91,8 +91,8 @@ def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
 
     Truncates when a term falls below 1e-18 of the running sum.
     """
-    if mu < 0:
-        raise DomainError(f"pseudo_fock_weight: mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"pseudo_fock_weight: mu must be finite and >= 0, got {mu}")
     if m_slices < 2:
         raise DomainError(f"pseudo_fock_weight: m_slices must be >= 2, got {m_slices}")
     if not 0 <= k < m_slices:
@@ -120,8 +120,8 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
     Supported for k in {0, 2, 4, 6} with even m_slices >= k + 2; the step-2
     relaxation requires every index lM + k to be even.
     """
-    if mu < 0:
-        raise DomainError(f"pseudo_fock_weight_ub: mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"pseudo_fock_weight_ub: mu must be finite and >= 0, got {mu}")
     if m_slices % 2 != 0:
         raise DomainError(
             f"pseudo_fock_weight_ub: m_slices must be even, got {m_slices}"

@@ -123,6 +123,18 @@ class TestScan:
         )
         assert code == EXIT_CODES["domain"]
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--d-min", "10", "--d-max", "20", "--mu", "1e-3"],
+        ["deviation", "--loss-min", "40", "--loss-max", "41", "--mu", "1e-3"],
+    ])
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_rejected(self, capsys, tmp_path, argv, step):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, "--step", step, "--output", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert "--step must be finite and > 0" in err
+        assert not out.exists()
+
 
 class TestDeviation:
     def test_m6_sweep_small(self, capsys, tmp_path):
@@ -241,6 +253,26 @@ class TestNeverOptimistic:
         assert not out.exists()
 
 
+class TestNonFiniteIntensity:
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--loss-db", "45", "--mu", "nan"],
+        ["keyrate", "--loss-db", "45", "--mu", "inf"],
+        ["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "nan"],
+    ])
+    def test_rejected(self, tmp_path, argv):
+        # A NaN intensity once looped forever in the residue series, so each
+        # case runs in its own process under a time limit.
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmqkd.cli", *argv, "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_CODES["domain"]
+        assert proc.stderr.startswith("pmqkd: error [domain]")
+        assert "mu must be finite" in proc.stderr
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -272,6 +304,40 @@ class TestConfigFile:
             fresh = subprocess.run([sys.executable, "-m", "pmqkd.cli", *argv],
                                    capture_output=True, text=True, env=env)
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_equals_spelling_of_config_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("f_ec=1.2\n")
+        argv = ["keyrate", "--loss-db", "45", "--mu", "1e-3"]
+        spaced = run_cli(capsys, "--config", str(cfg), *argv)
+        joined = run_cli(capsys, f"--config={cfg}", *argv)
+        plain = run_cli(capsys, *argv)
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[1] != plain[1]
+        assert "R   = 1.310" in joined[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--bundled", "45"],
+        ["simulate", "--loss-db", "20", "--n-rounds", "1e6"],
+        ["keyrate", "--loss-db", "45"],
+    ])
+    def test_shared_config_serves_every_command(self, capsys, tmp_path, argv):
+        # mu is not a reproduce option and f_ec is not a simulate option;
+        # each is skipped where the command lacks it
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("mu=1e-3\nf_ec=1.2\n")
+        if argv[0] == "simulate":
+            argv = argv + ["--output", str(tmp_path / "tally.csv")]
+        code, _, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert (code, err) == (0, "")
+
+    def test_config_key_of_no_command_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("mu=1e-3\nf_eec=1.2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "keyrate", "--loss-db", "45"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "'f_eec'" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys, monkeypatch):
         monkeypatch.setenv("PMQKD_CONFIG", "/nonexistent/cfg")

@@ -11,7 +11,6 @@ from pmqkd.ingest import (
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
-    record_to_json,
     reproduce_key_rate,
     result_to_json,
 )
@@ -71,22 +70,21 @@ class TestReproduction:
     def test_merge_never_rates_above_reconstruction(self, scale):
         # Merge the 45 dB record (no m_s) with itself, or with an empty
         # transcribed tally.  The merged m_s stays unknown, so the rate is the
-        # reconstruction from the same counts, never a measured m_s = 0.
+        # reconstruction from the same counts, never a measured m_s = 0.  N
+        # lives in the tally alone, so the merged N reaches the chain.
         record = load_bundled_record(45)
         tally = record.tally
         partner = tally if scale == 2 else ObservedTally(
             m_slices=tally.m_slices, n_rounds=0, mu=tally.mu, p_s=tally.p_s)
         merged = tally.merge(partner)
         assert merged.m_s is None and merged.n_sifted is None
-        n_rounds = float(merged.n_rounds)
         same_counts = dataclasses.replace(
             tally, n_rounds=merged.n_rounds, n_det=tally.n_det * scale,
             matched={k: v * scale for k, v in tally.matched.items()},
         )
-        got = reproduce_key_rate(dataclasses.replace(record, tally=merged,
-                                                     n_rounds=n_rounds))
-        unmerged = reproduce_key_rate(dataclasses.replace(record, tally=same_counts,
-                                                          n_rounds=n_rounds))
+        got = reproduce_key_rate(dataclasses.replace(record, tally=merged))
+        unmerged = reproduce_key_rate(dataclasses.replace(record, tally=same_counts))
+        assert got.n_rounds == unmerged.n_rounds == 1e11 * scale
         assert got.m_s_reconstructed is True
         assert got.m_s == unmerged.m_s == 49 * scale
         assert got.rate <= unmerged.rate
@@ -123,15 +121,6 @@ class TestReproduction:
         assert data["budget"]["eps"] == 0.5e-20
         assert len(data["breakdown"]["deviations"]) == 4
 
-    def test_record_json_round_trips_counts(self):
-        record = load_bundled_record(45)
-        data = json.loads(record_to_json(record))
-        counts = {
-            (r["phase_a"], r["phase_b"], r["detector"]): r["count"]
-            for r in data["tally"]["matched"]
-        }
-        assert counts == record.tally.matched
-
 
 class TestParser:
     def make_csv(self, tmp_path, body, meta=None):
@@ -166,7 +155,7 @@ class TestParser:
         path = self.make_csv(
             tmp_path, ["phase_a,phase_b,d1_count,d2_count", "0,1,5,5"]
         )
-        with pytest.raises(SchemaError, match="non-matched"):
+        with pytest.raises(SchemaError, match="line 8: non-matched"):
             parse_tally_csv(path)
 
     def test_negative_count_rejected_with_line(self, tmp_path):
@@ -199,7 +188,7 @@ class TestParser:
         path = self.make_csv(
             tmp_path, ["phase_a,phase_b,d1_count,d2_count", "8,8,5,1"]
         )
-        with pytest.raises(SchemaError, match="out of range"):
+        with pytest.raises(SchemaError, match="line 8: phase index out of range"):
             parse_tally_csv(path)
 
     def test_reconstructed_m_s_tie_rounds_up(self, tmp_path):
@@ -220,6 +209,44 @@ class TestParser:
         record = parse_tally_csv(path)
         with pytest.raises(NoDataError):
             derive_observables(record)
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        # N=1e11 in the default metadata; m_s=4.0 is integral too
+        path = self.make_csv(
+            tmp_path, ["# m_s=4.0", "phase_a,phase_b,d1_count,d2_count", "0,0,10,1"],
+        )
+        tally = parse_tally_csv(path).tally
+        assert tally.n_rounds == 10**11 and isinstance(tally.n_rounds, int)
+        assert tally.m_s == 4 and isinstance(tally.m_s, int)
+
+    @pytest.mark.parametrize("edit,match", [
+        ({6: "# m_slice=6"}, "line 7: unknown metadata key 'm_slice'"),
+        ({6: "# m_s=8", 7: "# m_s=10"}, "line 8: repeated metadata key 'm_s'"),
+        ({6: "# m_s=49.9"}, "line 7: bad value for m_s: '49.9'"),
+        ({1: "# N=nan"}, "line 2: bad value for N"),
+        ({1: "# N=inf"}, "line 2: bad value for N"),
+        ({3: "# p_s=nan"}, "line 4: bad value for p_s"),
+        ({2: "# mu=inf"}, "line 3: bad value for mu"),
+        ({4: "# n_det=-1"}, "line 5: bad value for n_det"),
+        ({6: "# counts_include_test=maybe"}, "line 7: bad value for counts_include_test"),
+        ({9: "# m_s=1"}, "line 10: metadata after the column header"),
+        ({9: "0,0,10,1"}, "line 11: repeated phase pair \\(0, 0\\)"),
+        ({9: "1,5,1.5,0"}, "line 10: fields must be non-negative integers"),
+        ({4: "# n_det=20"}, "n_det=20, matched total=24"),
+        ({1: "# N=50"}, "N=50, n_det=100"),
+        ({6: "# n_sifted=25", 7: "# counts_include_test=true"},
+         "matched total=24, n_sifted=25"),
+    ])
+    def test_schema_violation_rejected(self, tmp_path, edit, match):
+        # blank lines are skipped, so each slot keeps its line number
+        lines = ["# loss_db=45", "# N=1e11", "# mu=9.78e-4", "# p_s=0.07",
+                 "# n_det=100", "# m_slices=8", "", "",
+                 "phase_a,phase_b,d1_count,d2_count", "", "0,0,10,1", "0,4,1,12"]
+        for index, text in edit.items():
+            lines[index] = text
+        path = self.make_csv(tmp_path, lines, meta=[])
+        with pytest.raises(SchemaError, match=match):
+            parse_tally_csv(path)
 
 
 class TestSimulatedRoundTrip:

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
     binary_entropy,
@@ -199,3 +200,17 @@ class TestPseudoFockWeightUb:
     def test_domain(self, m, k):
         with pytest.raises(DomainError):
             pseudo_fock_weight_ub(1e-3, m, k)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+@pytest.mark.parametrize("func,args", [
+    (poisson_pmf, (2,)),
+    (pseudo_fock_weight, (8, 0)),
+    (pseudo_fock_weight_ub, (8, 0)),
+    (gain, (0.1, 1e-8)),
+    (qber, (0.1, 1e-8, 0.01)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_non_finite_mu_rejected(func, args, mu):
+    # NaN once sent the residue series into an endless loop
+    with pytest.raises(DomainError, match="mu must be finite"):
+        func(mu, *args)

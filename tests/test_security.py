@@ -5,6 +5,7 @@ rebuild the chains from their closed forms inside the test so the oracle
 never shares code with the implementation.
 """
 
+import dataclasses
 import math
 import random
 
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError, NoDataError
-from pmqkd.ingest import load_bundled_record, reproduce_key_rate
+from pmqkd.ingest import derive_observables, load_bundled_record, reproduce_key_rate
 from pmqkd.numerics import binary_entropy
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
@@ -468,3 +469,57 @@ class TestSharedPaths:
         assert b.vacuum_term + b.multiphoton_term == phase_error_continuous(
             res.mu, res.q_mu, res.y0_bar
         )
+
+
+class TestMoreErrorsNeverRaiseRate:
+    """Never optimistic: more observed errors never raise the key rate."""
+
+    @given(
+        base=st.sampled_from([r for name, r in CHAIN_RESULTS if name.startswith("bundled")]),
+        n_scale=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+        m_scale=st.floats(0.0, 3.0),
+        dm=st.floats(0.0, 50.0),
+        e_b=st.floats(0.0, 0.05),
+        de=st.floats(0.0, 0.05),
+    )
+    def test_finite_key_rate_non_increasing(self, base, n_scale, m_scale, dm, e_b, de):
+        # around the bundled records: n_mu scaled 1e-3 to 10, m_s up to 3x
+        # its reconstructed value at that size
+        n_mu = base.n_mu * n_scale
+        m_s = base.m_s * n_scale * m_scale
+
+        def rate(m_s, e_b):
+            return finite_key_rate(
+                mu=base.mu, m_slices=base.m_slices, n_rounds=base.n_rounds,
+                p_s=base.p_s, f=base.f, q_mu=base.q_mu, e_b=e_b, n_mu=n_mu,
+                m_s=m_s, budget=base.budget,
+            ).rate
+
+        assert rate(m_s + dm, e_b) <= rate(m_s, e_b)
+        assert rate(m_s, e_b + de) <= rate(m_s, e_b)
+
+    @given(
+        loss=st.sampled_from((35, 40, 45)),
+        pair=st.integers(0, 15),
+        moved=st.integers(1, 1000),
+        measured_m_s=st.booleans(),
+    )
+    def test_count_moved_to_wrong_detector(self, loss, pair, moved, measured_m_s):
+        # with m_s reconstructed, the move raises E_b and m_s; with m_s
+        # measured, it raises E_b alone
+        record = load_bundled_record(loss)
+        tally = record.tally
+        if measured_m_s:
+            tally = dataclasses.replace(tally, m_s=int(derive_observables(record).m_s))
+        m = tally.m_slices
+        a = pair % m
+        b = a if pair < m else (a + m // 2) % m
+        right, wrong = (1, 2) if a == b else (2, 1)
+        k = min(moved, tally.matched.get((a, b, right), 0))
+        matched = dict(tally.matched)
+        matched[(a, b, right)] -= k
+        matched[(a, b, wrong)] = matched.get((a, b, wrong), 0) + k
+        before = reproduce_key_rate(dataclasses.replace(record, tally=tally))
+        after = reproduce_key_rate(dataclasses.replace(
+            record, tally=dataclasses.replace(tally, matched=matched)))
+        assert after.rate <= before.rate
