@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 
 from . import defaults
 from .channel import ChannelSpec
@@ -41,6 +42,8 @@ EXIT_CODES = {
     "undefined-rate": 6,
     "internal": 70,
 }
+
+MAX_RANGE_POINTS = 10**6  # a scan or deviation range holds at most this many points
 
 _EPILOG = (
     "error codes: "
@@ -122,6 +125,26 @@ def _require(args, *names) -> None:
             raise DomainError(f"--{name.replace('_', '-')} is required")
 
 
+def _range_points(start: float, stop: float, step: float, flags: str) -> list[float]:
+    """start, start + step, ... up to stop, as the decimal values typed.
+
+    The point count is fixed once, from the decimal forms of the bounds, so
+    a stop of 0.3 in steps of 0.1 is reached, and each point is computed
+    from start rather than accumulated, so no rounding error builds up.  A
+    non-finite, empty or oversized range is a domain error.
+    """
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"--step must be finite and > 0, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+        raise DomainError(f"{flags} must be finite with min <= max, got {start}, {stop}")
+    lo, hi, inc = (Decimal(repr(v)) for v in (start, stop, step))
+    count = int((hi - lo) / inc) + 1
+    if count > MAX_RANGE_POINTS:
+        raise DomainError(f"{flags} in steps of {step} give {count} points, "
+                          f"more than {MAX_RANGE_POINTS}")
+    return [float(lo + i * inc) for i in range(count)]
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -187,13 +210,7 @@ def _scan_point(
 
 
 def cmd_scan(args) -> int:
-    if not 0.0 < args.step < math.inf:
-        raise DomainError(f"--step must be finite and > 0, got {args.step}")
-    distances = []
-    d = args.d_min
-    while d <= args.d_max + 1e-9:
-        distances.append(round(d, 9))
-        d += args.step
+    distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [
         ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
                     distance_km=d, alpha_db_per_km=args.alpha)
@@ -217,15 +234,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    if not 0.0 < args.step < math.inf:
-        raise DomainError(f"--step must be finite and > 0, got {args.step}")
+    losses = _range_points(args.loss_min, args.loss_max, args.step,
+                           "--loss-min/--loss-max")
     budget = _budget_from(args)
     m = args.m_slices
     header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, m, 2)]
     header += ["sum_delta", "ep_m", "sum_delta_over_ep_m"]
     lines = [",".join(header)]
-    loss = args.loss_min
-    while loss <= args.loss_max + 1e-9:
+    for loss in losses:
         channel = ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
                               total_loss_db=loss)
         if args.mu is not None:
@@ -242,7 +258,6 @@ def cmd_deviation(args) -> int:
         row = [repr(loss), repr(mu)] + [repr(v) for v in devs]
         row += [repr(total), repr(res.ep_m), repr(total / res.ep_m)]
         lines.append(",".join(row))
-        loss = round(loss + args.step, 9)
     _emit("\n".join(lines), args.output)
     return 0
 

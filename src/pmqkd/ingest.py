@@ -35,6 +35,21 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A number strictly between 0 and 1."""
+    value = _finite(text)
+    if not 0 < value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _flag(text: str) -> bool:
     value = text.lower()
     if value not in ("true", "1", "yes", "false", "0", "no"):
@@ -44,10 +59,10 @@ def _flag(text: str) -> bool:
 
 # Every metadata key a tally may carry: key -> (parser, required).
 _METADATA = {
-    "loss_db": (_finite, True),
+    "loss_db": (_positive, True),
     "N": (_count, True),
-    "mu": (_finite, True),
-    "p_s": (_finite, True),
+    "mu": (_positive, True),
+    "p_s": (_fraction, True),
     "n_det": (_count, True),
     "m_slices": (_count, False),
     "n_double": (_count, False),

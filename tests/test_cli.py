@@ -136,6 +136,52 @@ class TestScan:
         assert not out.exists()
 
 
+def _limited_memory():
+    # A run that never ends also grows without bound; 1 GiB of address space
+    # turns that into a MemoryError instead of a host-wide shortage.
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestRange:
+    @pytest.mark.parametrize("argv,flags", [
+        (["scan", "--d-min", "nan", "--d-max", "20"], "--d-min/--d-max"),
+        (["scan", "--d-min", "10", "--d-max", "nan"], "--d-min/--d-max"),
+        (["scan", "--d-min", "10", "--d-max", "inf"], "--d-min/--d-max"),
+        (["scan", "--d-min=-inf", "--d-max", "20"], "--d-min/--d-max"),
+        (["scan", "--d-min", "20", "--d-max", "10"], "--d-min/--d-max"),
+        (["scan", "--d-min", "0", "--d-max", "1e7"], "--d-min/--d-max"),
+        (["deviation", "--loss-min", "nan", "--loss-max", "41"], "--loss-min/--loss-max"),
+        (["deviation", "--loss-min", "40", "--loss-max", "inf"], "--loss-min/--loss-max"),
+        (["deviation", "--loss-min", "41", "--loss-max", "40"], "--loss-min/--loss-max"),
+    ])
+    def test_bad_range_rejected(self, tmp_path, argv, flags):
+        # An infinite range once looped forever, so each case runs in its own
+        # process under a time and memory limit.
+        out = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmqkd.cli", *argv, "--step", "1",
+             "--mu", "1e-3", "--output", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limited_memory,
+        )
+        assert proc.returncode == EXIT_CODES["domain"]
+        assert proc.stderr.startswith(f"pmqkd: error [domain] {flags}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--d-min", "0.1", "--d-max", "0.3", "--step", "0.1"],
+        ["deviation", "--loss-min", "40.1", "--loss-max", "40.3", "--step", "0.1"],
+    ])
+    def test_decimal_steps_reach_the_end(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, *argv, "--mu", "1e-3", "--output", str(out))
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        first = float(argv[2])
+        assert [row.split(",")[0] for row in rows] == [
+            repr(round(first + i * 0.1, 9)) for i in range(3)]
+
+
 class TestDeviation:
     def test_m6_sweep_small(self, capsys, tmp_path):
         out = tmp_path / "dev.csv"

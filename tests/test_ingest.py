@@ -236,6 +236,13 @@ class TestParser:
         ({1: "# N=50"}, "N=50, n_det=100"),
         ({6: "# n_sifted=25", 7: "# counts_include_test=true"},
          "matched total=24, n_sifted=25"),
+        ({3: "# p_s=1"}, "line 4: bad value for p_s: '1'"),
+        ({3: "# p_s=1.5"}, "line 4: bad value for p_s: '1.5'"),
+        ({3: "# p_s=0"}, "line 4: bad value for p_s: '0'"),
+        ({3: "# p_s=-0.07"}, "line 4: bad value for p_s: '-0.07'"),
+        ({2: "# mu=0"}, "line 3: bad value for mu: '0'"),
+        ({2: "# mu=-9.78e-4"}, "line 3: bad value for mu: '-9.78e-4'"),
+        ({0: "# loss_db=0"}, "line 1: bad value for loss_db: '0'"),
     ])
     def test_schema_violation_rejected(self, tmp_path, edit, match):
         # blank lines are skipped, so each slot keeps its line number

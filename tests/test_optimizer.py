@@ -63,9 +63,10 @@ class TestResultConsistency:
 
 
 class TestOptimumPinned:
-    # Optima found by the differential-evolution refinement this search
-    # replaced; the grid + Nelder-Mead search must reach them with fewer
-    # evaluations.
+    # Optima found by the differential-evolution refinement the current
+    # searches replaced.  The grid + Nelder-Mead co-optimization (kept for
+    # --optimize-ps only) and the grid + golden-section search at fixed p_s
+    # must reach them with fewer evaluations.
     def test_co_optimized_p_s_40db(self):
         r = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, seed=0)
         assert r.rate_opt == pytest.approx(5.581996290263715e-07, rel=1e-6)
@@ -76,6 +77,54 @@ class TestOptimumPinned:
                      seed=0)
         assert r.rate_opt == pytest.approx(1.4065071470947588e-07, rel=1e-6)
         assert r.evaluations < 300
+
+
+# Fixed-p_s optima of the rate-vs-distance curves (alpha = 0.168 dB/km,
+# p_s = 0.07, M = 8) every 50 km, as recorded in
+# benchmarks/reference_curves.json; 0.0 marks a point with no key.
+CURVE_OPTIMA = [
+    (1e10, 10.0, 0.004395035612753648),
+    (1e10, 60.0, 0.0006435298828639209),
+    (1e10, 110.0, 8.961985759175476e-05),
+    (1e10, 160.0, 1.2248631997992758e-05),
+    (1e10, 210.0, 1.458775053097099e-06),
+    (1e10, 260.0, 2.968531374149897e-08),
+    (1e10, 310.0, 0.0),
+    (1e11, 10.0, 0.00440419516553755),
+    (1e11, 60.0, 0.0006471939209610829),
+    (1e11, 110.0, 9.105963291450245e-05),
+    (1e11, 160.0, 1.286380155822776e-05),
+    (1e11, 210.0, 1.7712863484335993e-06),
+    (1e11, 260.0, 2.075291743188709e-07),
+    (1e11, 310.0, 0.0),
+    (1e12, 10.0, 0.004407067347006625),
+    (1e12, 60.0, 0.0006483312555551125),
+    (1e12, 110.0, 9.149260615417229e-05),
+    (1e12, 160.0, 1.3034079935041658e-05),
+    (1e12, 210.0, 1.843237963787474e-06),
+    (1e12, 260.0, 2.433797293397879e-07),
+    (1e12, 310.0, 1.7925663702031855e-08),
+]
+
+
+class TestCurveOptimaPinned:
+    @pytest.mark.parametrize("n_rounds,distance_km,rate", CURVE_OPTIMA)
+    def test_fixed_p_s_optimum(self, n_rounds, distance_km, rate):
+        r = optimize(ChannelSpec(distance_km=distance_km, alpha_db_per_km=0.168),
+                     n_rounds, 8, fixed_p_s=0.07)
+        if rate == 0.0:
+            assert (r.rate_opt, r.feasible) == (0.0, False)
+        else:
+            assert r.rate_opt == pytest.approx(rate, rel=1e-6)
+            assert r.feasible
+            assert r.evaluations < 100
+
+    def test_optimum_on_upper_mu_bound(self):
+        # at 10 km the rate still rises at mu = 0.1: the search must keep the
+        # bound itself, not stop an interval short of it
+        r = optimize(ChannelSpec(distance_km=10.0, alpha_db_per_km=0.168), 1e10, 8,
+                     fixed_p_s=0.07)
+        assert r.mu_opt == SearchBounds().mu[1]
 
 
 class TestPhysicalSanity:
