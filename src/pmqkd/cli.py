@@ -125,6 +125,11 @@ def _require(args, *names) -> None:
             raise DomainError(f"--{name.replace('_', '-')} is required")
 
 
+def _require_jobs(args) -> None:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def _range_points(start: float, stop: float, step: float, flags: str) -> list[float]:
     """start, start + step, ... up to stop, as the decimal values typed.
 
@@ -210,6 +215,7 @@ def _scan_point(
 
 
 def cmd_scan(args) -> int:
+    _require_jobs(args)
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [
         ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
@@ -222,7 +228,9 @@ def cmd_scan(args) -> int:
         optimize_ps=args.optimize_ps,
     )
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The fork start method launches every worker up front: never more
+        # than there are points.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(channels))) as pool:
             results = list(pool.map(point, channels))
     else:
         results = [point(c) for c in channels]
@@ -264,6 +272,7 @@ def cmd_deviation(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, "mu", "output")
+    _require_jobs(args)
     if not math.isfinite(args.n_rounds):
         raise DomainError(f"--n-rounds must be finite, got {args.n_rounds}")
     channel = _channel_from(args)

@@ -1,15 +1,19 @@
 """Derivative-free maximization of the key rate over (mu, p_s).
 
 A fixed log-grid pre-scan guarantees a floor on solution quality, and a
-local search from the best grid point refines it.  At a fixed p_s (the
-tabletop runs, ``scan`` and ``deviation``) the search is a golden-section
-search on log10(mu) between the best grid point's two neighbours, run down
-to a bracket width of 1e-9.  Only the co-optimization of mu and p_s
-(``--optimize-ps``) uses Nelder-Mead, which is why ``scipy.optimize`` is
-imported on that path alone.  Both steps are deterministic.  The best
-candidate is always re-evaluated through the full pipeline before being
-returned, so ``rate_opt`` is exactly the pipeline value at
-(mu_opt, p_s_opt).
+golden-section search from the best grid point refines it.  At a fixed p_s
+(the tabletop runs, ``scan`` and ``deviation``) the search runs on log10(mu)
+between the best grid point's two neighbours, down to a bracket width of
+1e-9.  The co-optimization of mu and p_s (``--optimize-ps``) nests two such
+searches: an outer one on p_s between the best grid p_s's neighbours, down
+to ``PS_TOL``, whose value at each p_s is an inner one on log10(mu)
+between the best grid mu's neighbours, down to ``CO_LOG_MU_TOL``; with the
+grid and the default bounds it costs at most 738 chain evaluations.  When
+the best grid point lies on a ``SearchBounds`` edge, its bracket is clipped
+there and the co-optimization evaluates that edge too, since the
+short-range optima sit on mu = 0.1 or p_s = 0.01.  Everything is deterministic.  The best candidate is always
+re-evaluated through the full pipeline before being returned, so
+``rate_opt`` is exactly the pipeline value at (mu_opt, p_s_opt).
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .security import SecurityBudget
 
 GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the guaranteed pre-scan
 LOG_MU_TOL = 1e-9      # bracket width, in log10(mu), where the 1-D search stops
+PS_TOL = 1e-4          # co-optimization: bracket width where the p_s search stops
+CO_LOG_MU_TOL = 1e-3   # co-optimization: the same for its inner log10(mu) search
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -95,30 +101,33 @@ def optimize(
     else:
         ps_grid = np.linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
 
-    best_i, best_ps, best_rate = 0, ps_grid[0], -1.0
+    best_i, best_j, best_rate = 0, 0, -1.0
     for i, mu in enumerate(mu_grid):
-        for p_s in ps_grid:
+        for j, p_s in enumerate(ps_grid):
             r = rate_at(float(mu), float(p_s))
             if r > best_rate:  # strict: the first maximum in grid order
-                best_i, best_ps, best_rate = i, float(p_s), r
-    best_mu = float(mu_grid[best_i])
+                best_i, best_j, best_rate = i, j, r
 
     if best_rate <= 0.0:
         # Nothing on the grid yields a key; refinement from a flat zero
         # plateau has no gradient to follow, so report infeasibility.
         return OptimizationResult(
-            mu_opt=best_mu, p_s_opt=best_ps, rate_opt=0.0,
-            evaluations=len(trace), trace=trace, feasible=False,
+            mu_opt=float(mu_grid[best_i]), p_s_opt=float(ps_grid[best_j]),
+            rate_opt=0.0, evaluations=len(trace), trace=trace, feasible=False,
         )
 
+    mu_lo, mu_hi, mu_ends = _bracket([math.log10(mu) for mu in mu_grid], best_i)
     if fixed_p_s is not None:
-        # The bracket is clipped at the grid ends: at short distances the
-        # optimum sits on the upper bound of mu.
-        lo = math.log10(mu_grid[max(best_i - 1, 0)])
-        hi = math.log10(mu_grid[min(best_i + 1, len(mu_grid) - 1)])
-        _golden_section_max(lambda x: rate_at(10.0 ** x, fixed_p_s), lo, hi)
+        # The grid has already evaluated a clipped end at this p_s.
+        _golden_section_max(lambda x: rate_at(10.0 ** x, fixed_p_s),
+                            mu_lo, mu_hi, LOG_MU_TOL)
     else:
-        _nelder_mead(rate_at, best_mu, best_ps, bounds)
+        def best_over_mu(p_s: float) -> float:
+            return _golden_section_max(lambda x: rate_at(10.0 ** x, p_s),
+                                       mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends)
+
+        ps_lo, ps_hi, ps_ends = _bracket([float(p) for p in ps_grid], best_j)
+        _golden_section_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
 
     # The trace holds the grid, so its best point is never below best_rate.
     cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
@@ -132,17 +141,33 @@ def optimize(
     )
 
 
-def _golden_section_max(rate_of, lo: float, hi: float) -> None:
-    """Narrow [lo, hi] around a maximum of rate_of down to LOG_MU_TOL.
+def _bracket(grid: list[float], k: int) -> tuple[float, float, tuple[float, ...]]:
+    """The neighbours of grid[k], clipped at the grid ends, and the clipped end.
 
-    Each step keeps the sub-bracket on the side of the larger of the two
-    interior values (the lower side on a tie) and costs one evaluation.  The
-    caller reads the best point off its trace, so nothing is returned.
+    At short distances the optimum sits on a bound (mu = 0.1, p_s = 0.01),
+    which a golden-section search only approaches; a search whose bracket is
+    clipped there evaluates that end as well.
     """
+    last = len(grid) - 1
+    ends = (grid[k],) if k in (0, last) else ()
+    return grid[max(k - 1, 0)], grid[min(k + 1, last)], ends
+
+
+def _golden_section_max(rate_of, lo: float, hi: float, tol: float,
+                        ends: tuple = ()) -> float:
+    """Narrow [lo, hi] around a maximum of rate_of down to a width of tol.
+
+    The points in ``ends`` are evaluated once first.  Each step keeps the
+    sub-bracket on the side of the larger of the two interior values (the
+    lower side on a tie) and costs one evaluation, so the larger interior
+    value never leaves the bracket.  Returns the largest value seen; callers
+    that need the point read it off their trace.
+    """
+    end_rates = [rate_of(x) for x in ends]
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = rate_of(c), rate_of(d)
-    while hi - lo > LOG_MU_TOL:
+    while hi - lo > tol:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
@@ -151,22 +176,4 @@ def _golden_section_max(rate_of, lo: float, hi: float) -> None:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = rate_of(d)
-
-
-def _nelder_mead(rate_at, mu0: float, p_s0: float, bounds: SearchBounds) -> None:
-    """Co-optimize (log10 mu, p_s) from a start point, clipped to the bounds."""
-    lo_mu, hi_mu = math.log10(bounds.mu[0]), math.log10(bounds.mu[1])
-
-    def neg_rate(vec) -> float:
-        mu = 10.0 ** float(np.clip(vec[0], lo_mu, hi_mu))
-        p_s = float(np.clip(vec[1], bounds.p_s[0], bounds.p_s[1]))
-        return -rate_at(mu, p_s)
-
-    # Imported here, not at module level: scipy.optimize adds ~50 MB and
-    # ~0.6 s to a process, and only the co-optimization needs it.
-    from scipy import optimize as sciopt
-
-    sciopt.minimize(
-        neg_rate, [math.log10(mu0), p_s0], method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 400},
-    )
+    return max(fc, fd, *end_rates)

@@ -8,8 +8,8 @@ Criterion 3a (the N = 1e12 positive-rate cutoff window) is implemented
 faithfully and is expected to fail: with the bound chain that reproduces the
 published key-rate table to ~2% (criterion 2), the model's positive-rate
 cutoff at N = 1e12 sits near 329 km, outside the 305 +/- 10 km window.  See
-the project decision notes for the full analysis; no parameter choice
-consistent with criteria 2 and 6 moves it inside the window.
+docs/DECISIONS.md for the per-term analysis; no parameter choice consistent
+with criteria 2 and 6 moves it inside the window.
 """
 
 import math
@@ -108,7 +108,7 @@ def test_criterion_3a_cutoff_1e12():
     assert ok, (
         f"N=1e12 cutoff {cutoff:.1f} km outside [295, 315] km: the chain "
         "validated by criterion 2 has a longer asymptotic reach than the "
-        "published curve; see decision notes"
+        "published curve; see docs/DECISIONS.md"
     )
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from pmqkd import cli
 from pmqkd.cli import EXIT_CODES, main
 
 
@@ -134,6 +135,47 @@ class TestScan:
         assert code == EXIT_CODES["domain"]
         assert "--step must be finite and > 0" in err
         assert not out.exists()
+
+    def test_jobs_capped_at_point_count(self, capsys, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and runs in this process, so
+        # the test starts no workers.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--d-min", "50", "--d-max", "100", "--step", "25",
+            "--mu", "2e-3", "--jobs", "16", "--output", str(out),
+        )
+        assert code == 0
+        assert sizes == [3]
+        assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--d-min", "10", "--d-max", "20", "--step", "5", "--mu", "1e-3"],
+    ["simulate", "--loss-db", "12", "--mu", "2e-2", "--n-rounds", "1e4"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(capsys, tmp_path, argv, jobs):
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, *argv, "--jobs", jobs, "--output", str(out))
+    assert code == EXIT_CODES["domain"]
+    assert f"pmqkd: error [domain] --jobs must be >= 1, got {jobs}" in err
+    assert not out.exists()
 
 
 def _limited_memory():

@@ -64,9 +64,9 @@ class TestResultConsistency:
 
 class TestOptimumPinned:
     # Optima found by the differential-evolution refinement the current
-    # searches replaced.  The grid + Nelder-Mead co-optimization (kept for
-    # --optimize-ps only) and the grid + golden-section search at fixed p_s
-    # must reach them with fewer evaluations.
+    # searches replaced.  The grid + nested golden-section co-optimization
+    # and the grid + golden-section search at fixed p_s must reach them with
+    # fewer evaluations.
     def test_co_optimized_p_s_40db(self):
         r = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, seed=0)
         assert r.rate_opt == pytest.approx(5.581996290263715e-07, rel=1e-6)
@@ -77,6 +77,26 @@ class TestOptimumPinned:
                      seed=0)
         assert r.rate_opt == pytest.approx(1.4065071470947588e-07, rel=1e-6)
         assert r.evaluations < 300
+
+
+# Co-optimized (mu, p_s) optima (M = 8) found by the grid + Nelder-Mead
+# search the nested golden-section search replaced.  Nelder-Mead needed 698 to
+# 1972 evaluations on these points.
+CO_OPTIMA = [
+    (1e11, 5.0, 0.002266482274848294),     # p_s on its lower bound
+    (1e12, 30.0, 6.683767410894573e-06),   # p_s on its lower bound
+    (1e11, 25.0, 2.097725930025799e-05),   # p_s = 0.0106, just above it
+    (1e12, 55.0, 2.0169734113825154e-09),  # the largest shortfall of a sweep
+    (1e10, 45.0, 4.151930403675025e-08),
+]
+
+
+class TestCoOptimumPinned:
+    @pytest.mark.parametrize("n_rounds,loss_db,rate", CO_OPTIMA)
+    def test_co_optimized_optimum(self, n_rounds, loss_db, rate):
+        r = optimize(ChannelSpec(total_loss_db=loss_db), n_rounds, 8)
+        assert r.rate_opt == pytest.approx(rate, rel=1e-6)
+        assert r.evaluations < 800
 
 
 # Fixed-p_s optima of the rate-vs-distance curves (alpha = 0.168 dB/km,

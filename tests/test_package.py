@@ -11,17 +11,17 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_cli_import_defers_scipy_optimize():
-    # scipy.optimize is loaded by the co-optimization of (mu, p_s) only;
-    # commands that never optimize (simulate, reproduce) and the fixed-p_s
-    # search behind scan and deviation do not pay for it.
+def test_runtime_loads_no_scipy():
+    # scipy is a test-only dependency: neither the CLI import nor a
+    # co-optimized search of (mu, p_s) may load any part of it.
     for code in (
         "import sys, pmqkd.cli",
         "import sys; from pmqkd.channel import ChannelSpec; "
         "from pmqkd.optimizer import optimize; "
-        "optimize(ChannelSpec(total_loss_db=45.0), 1e11, 8, fixed_p_s=0.07)",
+        "optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8)",
     ):
         proc = subprocess.run(
-            [sys.executable, "-c", code + "; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c", code + "; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
             capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False", code
+        assert proc.stdout.strip() == "[]", code
