@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 
@@ -25,13 +26,14 @@ from .channel import ChannelSpec
 from .errors import DomainError, PmqkdError
 from .ingest import (
     load_bundled_record,
+    parse_flag,
     parse_tally_csv,
     reproduce_key_rate,
     result_to_json,
 )
 from .optimizer import SearchBounds, optimize
 from .pipeline import expected_key_rate
-from .security import SecurityBudget
+from .security import KeyRateResult, SecurityBudget
 from .simulator import DEFAULT_BATCH_SIZE, ProtocolParams, simulate, write_tally_csv
 
 EXIT_CODES = {
@@ -104,12 +106,16 @@ def _add_output_args(p: argparse.ArgumentParser, fmt_default: str = "json") -> N
                    help="serialization format")
 
 
-def _channel_from(args) -> ChannelSpec:
-    if args.loss_db is None and args.distance_km is None:
-        raise DomainError("one of --loss-db / --distance-km is required")
+def _channel_from(args, loss_db: float | None = None,
+                  distance_km: float | None = None) -> ChannelSpec:
+    """The channel of args; a scan or deviation point passes its own loss."""
+    if loss_db is None and distance_km is None:
+        loss_db, distance_km = args.loss_db, args.distance_km
+        if loss_db is None and distance_km is None:
+            raise DomainError("one of --loss-db / --distance-km is required")
     return ChannelSpec(
         eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
-        total_loss_db=args.loss_db, distance_km=args.distance_km,
+        total_loss_db=loss_db, distance_km=distance_km,
         alpha_db_per_km=args.alpha,
     )
 
@@ -200,43 +206,46 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
-def _scan_point(
+def _point_result(
     channel: ChannelSpec, *, n_rounds: float, m_slices: int, p_s: float,
     f: float, budget: SecurityBudget, mu: float | None, optimize_ps: bool,
-) -> tuple[float, float, float]:
-    """(mu, p_s, rate) at one scan point: fixed mu, or optimized."""
+) -> KeyRateResult:
+    """The chain result at one scan or deviation point: fixed mu, or optimized."""
     if mu is not None:
-        res = expected_key_rate(channel, mu, m_slices=m_slices,
-                                n_rounds=n_rounds, p_s=p_s, f=f, budget=budget)
-        return mu, p_s, res.rate
-    opt = optimize(channel, n_rounds, m_slices, budget=budget, f=f,
-                   fixed_p_s=None if optimize_ps else p_s)
-    return opt.mu_opt, opt.p_s_opt, opt.rate_opt
+        return expected_key_rate(channel, mu, m_slices=m_slices,
+                                 n_rounds=n_rounds, p_s=p_s, f=f, budget=budget)
+    return optimize(channel, n_rounds, m_slices, budget=budget, f=f,
+                    fixed_p_s=None if optimize_ps else p_s).result
+
+
+def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
+                   jobs: int = 1) -> Iterator[KeyRateResult]:
+    """The chain result at each channel, in order, over at most jobs workers."""
+    point = functools.partial(
+        _point_result, n_rounds=args.n_rounds, m_slices=args.m_slices,
+        p_s=args.p_s, f=args.f_ec, budget=_budget_from(args), mu=args.mu,
+        optimize_ps=optimize_ps,
+    )
+    if jobs == 1:
+        yield from map(point, channels)
+        return
+    # The fork start method launches every worker up front: never more than
+    # there are points.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(channels))) as pool:
+        yield from pool.map(point, channels)  # map keeps order
 
 
 def cmd_scan(args) -> int:
     _require_jobs(args)
+    if args.mu is not None and args.optimize_ps:
+        raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
-    channels = [
-        ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
-                    distance_km=d, alpha_db_per_km=args.alpha)
-        for d in distances
-    ]
-    point = functools.partial(
-        _scan_point, n_rounds=args.n_rounds, m_slices=args.m_slices,
-        p_s=args.p_s, f=args.f_ec, budget=_budget_from(args), mu=args.mu,
-        optimize_ps=args.optimize_ps,
-    )
-    if args.jobs > 1:
-        # The fork start method launches every worker up front: never more
-        # than there are points.
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(channels))) as pool:
-            results = list(pool.map(point, channels))
-    else:
-        results = [point(c) for c in channels]
+    channels = [_channel_from(args, distance_km=d) for d in distances]
+    results = _point_results(args, channels, args.optimize_ps, args.jobs)
     lines = ["distance_km,loss_db,mu,p_s,rate"]
-    for d_km, (mu, p_s, rate) in zip(distances, results):  # map keeps order
-        lines.append(f"{d_km!r},{d_km * args.alpha!r},{mu!r},{p_s!r},{rate!r}")
+    for d_km, res in zip(distances, results):
+        lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
+                     f"{res.rate!r}")
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -244,26 +253,14 @@ def cmd_scan(args) -> int:
 def cmd_deviation(args) -> int:
     losses = _range_points(args.loss_min, args.loss_max, args.step,
                            "--loss-min/--loss-max")
-    budget = _budget_from(args)
-    m = args.m_slices
-    header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, m, 2)]
+    channels = [_channel_from(args, loss_db=loss) for loss in losses]
+    header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, args.m_slices, 2)]
     header += ["sum_delta", "ep_m", "sum_delta_over_ep_m"]
     lines = [",".join(header)]
-    for loss in losses:
-        channel = ChannelSpec(eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
-                              total_loss_db=loss)
-        if args.mu is not None:
-            mu = args.mu
-        else:
-            opt = optimize(channel, args.n_rounds, m, budget=budget,
-                           f=args.f_ec, fixed_p_s=args.p_s)
-            mu = opt.mu_opt
-        res = expected_key_rate(channel, mu, m_slices=m,
-                                n_rounds=args.n_rounds, p_s=args.p_s,
-                                f=args.f_ec, budget=budget)
+    for loss, res in zip(losses, _point_results(args, channels)):
         devs = res.breakdown.deviations
         total = sum(devs)
-        row = [repr(loss), repr(mu)] + [repr(v) for v in devs]
+        row = [repr(loss), repr(res.mu)] + [repr(v) for v in devs]
         row += [repr(total), repr(res.ep_m), repr(total / res.ep_m)]
         lines.append(",".join(row))
     _emit("\n".join(lines), args.output)
@@ -280,8 +277,7 @@ def cmd_simulate(args) -> int:
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
         p_s=args.p_s, channel=channel,
     )
-    tally = simulate(params, args.seed, batch_size=args.batch_size,
-                     n_jobs=args.jobs)
+    tally = simulate(params, args.seed, batch_size=args.batch_size)
     write_tally_csv(tally, args.output, loss_db=channel.loss_db())
     q = tally.n_det / tally.n_rounds
     print(f"simulated {tally.n_rounds} rounds: n_det={tally.n_det} "
@@ -418,12 +414,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _named_on_command_line(sub: argparse.ArgumentParser,
+                           tokens: list[str]) -> set[argparse.Action]:
+    """The options of sub that tokens name, in full, abbreviated or as --opt=value."""
+    options = sub._option_string_actions
+    named = set()
+    for tok in tokens:
+        if not tok.startswith("--"):
+            continue
+        name = tok.partition("=")[0]
+        hits = {options[name]} if name in options else {
+            action for opt, action in options.items() if opt.startswith(name)}
+        if len(hits) == 1:
+            named |= hits
+    return named
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Turn config-file entries into CLI tokens after the subcommand (flags override).
 
     A key the running subcommand does not define is skipped when another
     subcommand defines it, so one file can serve every command.  A key that
-    no subcommand defines is a usage error.
+    no subcommand defines is a usage error.  A switch takes true/false, 1/0
+    or yes/no.  A key whose mutually exclusive partner is on the command
+    line is skipped, so ``--distance-km`` overrides a configured ``loss_db``.
     """
     commands = next(a.choices for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
@@ -440,18 +454,35 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         return argv
     if not os.path.exists(path):
         raise DomainError(f"config file not found: {path}")
+    sub = commands[argv[at]]
+    named = _named_on_command_line(sub, argv[at + 1:])
+    overridden = {
+        partner for group in sub._mutually_exclusive_groups
+        if named.intersection(group._group_actions)
+        for partner in group._group_actions if partner not in named
+    }
     extra: list[str] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag in commands[argv[at]]._option_string_actions:
-                extra.extend([flag, value.strip()])
-            elif not any(flag in p._option_string_actions for p in commands.values()):
-                parser.error(f"config key {key.strip()!r} is not an option of any command")
+            key, _, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            action = sub._option_string_actions.get(flag)
+            if action is None:
+                if not any(flag in p._option_string_actions for p in commands.values()):
+                    parser.error(f"config key {key!r} is not an option of any command")
+            elif isinstance(action, argparse._StoreTrueAction):
+                try:
+                    on = parse_flag(value)
+                except ValueError:
+                    parser.error(f"config key {key!r} takes true/false, 1/0 or "
+                                 f"yes/no, got {value!r}")
+                if on:
+                    extra.append(flag)
+            elif action not in overridden:
+                extra.extend([flag, value])
     return argv[: at + 1] + extra + argv[at + 1 :]
 
 

@@ -50,7 +50,8 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _flag(text: str) -> bool:
+def parse_flag(text: str) -> bool:
+    """A boolean word of the tally schema: true/false, 1/0 or yes/no."""
     value = text.lower()
     if value not in ("true", "1", "yes", "false", "0", "no"):
         raise ValueError(text)
@@ -68,7 +69,7 @@ _METADATA = {
     "n_double": (_count, False),
     "m_s": (_count, False),
     "n_sifted": (_count, False),
-    "counts_include_test": (_flag, False),
+    "counts_include_test": (parse_flag, False),
     "seed": (_count, False),
 }
 

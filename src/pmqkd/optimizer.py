@@ -11,15 +11,18 @@ between the best grid mu's neighbours, down to ``CO_LOG_MU_TOL``; with the
 grid and the default bounds it costs at most 738 chain evaluations.  When
 the best grid point lies on a ``SearchBounds`` edge, its bracket is clipped
 there and the co-optimization evaluates that edge too, since the
-short-range optima sit on mu = 0.1 or p_s = 0.01.  Everything is deterministic.  The best candidate is always
-re-evaluated through the full pipeline before being returned, so
-``rate_opt`` is exactly the pipeline value at (mu_opt, p_s_opt).
+short-range optima sit on mu = 0.1 or p_s = 0.01.  Everything is
+deterministic.  The best candidate is re-evaluated through the full
+pipeline, and ``OptimizationResult.result`` is that evaluation's
+``KeyRateResult``: the rate, the per-term breakdown and the optimum
+(mu_opt, p_s_opt, rate_opt) all read off it.  When no grid point yields a
+key, ``result`` is the grid's own evaluation at the point reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from . import defaults
 from .channel import ChannelSpec
 from .errors import DomainError
 from .pipeline import expected_key_rate
-from .security import SecurityBudget
+from .security import KeyRateResult, SecurityBudget
 
 GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the guaranteed pre-scan
 LOG_MU_TOL = 1e-9      # bracket width, in log10(mu), where the 1-D search stops
@@ -48,14 +51,32 @@ class SearchBounds:
             raise DomainError(f"SearchBounds: bad p_s bounds {self.p_s}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationResult:
-    mu_opt: float
-    p_s_opt: float
-    rate_opt: float
-    evaluations: int
-    trace: list[tuple[float, float, float]] = field(default_factory=list)
-    feasible: bool = True
+    """The chain evaluation at the optimum, and every (mu, p_s, rate) tried."""
+
+    result: KeyRateResult
+    trace: list[tuple[float, float, float]]
+
+    @property
+    def mu_opt(self) -> float:
+        return self.result.mu
+
+    @property
+    def p_s_opt(self) -> float:
+        return self.result.p_s
+
+    @property
+    def rate_opt(self) -> float:
+        return self.result.rate
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def feasible(self) -> bool:
+        return self.rate_opt > 0.0
 
 
 def optimize(
@@ -85,13 +106,17 @@ def optimize(
 
     trace: list[tuple[float, float, float]] = []
 
-    def rate_at(mu: float, p_s: float) -> float:
-        r = expected_key_rate(
+    def chain(mu: float, p_s: float) -> KeyRateResult:
+        return expected_key_rate(
             channel, mu, m_slices=m_slices, n_rounds=n_rounds, p_s=p_s,
             f=f, budget=budget,
-        ).rate
-        trace.append((mu, p_s, r))
-        return r
+        )
+
+    def evaluate(mu: float, p_s: float) -> KeyRateResult:
+        """One search evaluation, recorded in the trace."""
+        res = chain(mu, p_s)
+        trace.append((mu, p_s, res.rate))
+        return res
 
     mu_grid = np.logspace(
         math.log10(bounds.mu[0]), math.log10(bounds.mu[1]), GRID_SHAPE[0]
@@ -101,44 +126,35 @@ def optimize(
     else:
         ps_grid = np.linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
 
-    best_i, best_j, best_rate = 0, 0, -1.0
+    best_i, best_j, best = 0, 0, None
     for i, mu in enumerate(mu_grid):
         for j, p_s in enumerate(ps_grid):
-            r = rate_at(float(mu), float(p_s))
-            if r > best_rate:  # strict: the first maximum in grid order
-                best_i, best_j, best_rate = i, j, r
+            res = evaluate(float(mu), float(p_s))
+            # strict: the first maximum in grid order
+            if best is None or res.rate > best.rate:
+                best_i, best_j, best = i, j, res
 
-    if best_rate <= 0.0:
+    if best.rate <= 0.0:
         # Nothing on the grid yields a key; refinement from a flat zero
         # plateau has no gradient to follow, so report infeasibility.
-        return OptimizationResult(
-            mu_opt=float(mu_grid[best_i]), p_s_opt=float(ps_grid[best_j]),
-            rate_opt=0.0, evaluations=len(trace), trace=trace, feasible=False,
-        )
+        return OptimizationResult(result=best, trace=trace)
 
     mu_lo, mu_hi, mu_ends = _bracket([math.log10(mu) for mu in mu_grid], best_i)
     if fixed_p_s is not None:
         # The grid has already evaluated a clipped end at this p_s.
-        _golden_section_max(lambda x: rate_at(10.0 ** x, fixed_p_s),
+        _golden_section_max(lambda x: evaluate(10.0 ** x, fixed_p_s).rate,
                             mu_lo, mu_hi, LOG_MU_TOL)
     else:
         def best_over_mu(p_s: float) -> float:
-            return _golden_section_max(lambda x: rate_at(10.0 ** x, p_s),
+            return _golden_section_max(lambda x: evaluate(10.0 ** x, p_s).rate,
                                        mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends)
 
         ps_lo, ps_hi, ps_ends = _bracket([float(p) for p in ps_grid], best_j)
         _golden_section_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
 
-    # The trace holds the grid, so its best point is never below best_rate.
+    # The trace holds the grid, so its best point is never below best.rate.
     cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
-    final = expected_key_rate(
-        channel, cand_mu, m_slices=m_slices, n_rounds=n_rounds, p_s=cand_ps,
-        f=f, budget=budget,
-    ).rate
-    return OptimizationResult(
-        mu_opt=cand_mu, p_s_opt=cand_ps, rate_opt=final,
-        evaluations=len(trace), trace=trace, feasible=final > 0.0,
-    )
+    return OptimizationResult(result=chain(cand_mu, cand_ps), trace=trace)
 
 
 def _bracket(grid: list[float], k: int) -> tuple[float, float, tuple[float, ...]]:

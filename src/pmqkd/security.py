@@ -399,24 +399,20 @@ def finite_key_rate(
         raise DomainError(
             f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"
         )
+    kato = None
     if n_mu < 1:
+        y0_bar, ell, rate = 0.0, 0.0, 0.0
         breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
-        return KeyRateResult(
-            ell=0.0, rate=0.0, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,
-            mu=mu, m_slices=m_slices, p_s=p_s, f=f, q_mu=q_mu, y0_bar=0.0,
-            breakdown=breakdown, kato=None, budget=budget,
-            m_s_reconstructed=m_s_reconstructed, q_source=q_source,
-        )
-    y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
-    breakdown = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
-    if breakdown.ep_m <= 1.0:
-        kato, ep_m_bar = _kato_lift(n_mu, breakdown.ep_m, budget.eps_ka)
-        breakdown = replace(breakdown, kato_delta=kato.delta, ep_m_bar=ep_m_bar)
     else:
-        # No key is extractable; the Kato lift is undefined past lambda = n.
-        kato = None
-        breakdown = replace(breakdown, ep_m_bar=breakdown.ep_m)
-    ell, rate = key_length(n_mu, breakdown.ep_m_bar, e_b, f, budget, n_rounds)
+        y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
+        breakdown = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
+        if breakdown.ep_m <= 1.0:
+            kato, ep_m_bar = _kato_lift(n_mu, breakdown.ep_m, budget.eps_ka)
+            breakdown = replace(breakdown, kato_delta=kato.delta, ep_m_bar=ep_m_bar)
+        else:
+            # No key is extractable; the Kato lift is undefined past lambda = n.
+            breakdown = replace(breakdown, ep_m_bar=breakdown.ep_m)
+        ell, rate = key_length(n_mu, breakdown.ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell=ell, rate=rate, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,
         mu=mu, m_slices=m_slices, p_s=p_s, f=f, q_mu=q_mu, y0_bar=y0_bar,

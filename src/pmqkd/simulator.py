@@ -205,13 +205,11 @@ def simulate(
     params: ProtocolParams,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    n_jobs: int = 1,
 ) -> ObservedTally:
     """Run the protocol for params.n_rounds rounds.
 
     Deterministic for fixed (params, seed, batch_size).  Batches are drawn
-    in this process; n_jobs is kept for callers that pass it and never
-    changes the result.
+    in this process, one after another.
     """
     if batch_size < 1:
         raise DomainError("simulate: batch_size must be >= 1")

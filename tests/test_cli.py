@@ -9,7 +9,10 @@ import sys
 import pytest
 
 from pmqkd import cli
+from pmqkd.channel import ChannelSpec
 from pmqkd.cli import EXIT_CODES, main
+from pmqkd.optimizer import optimize
+from pmqkd.pipeline import expected_key_rate
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +109,32 @@ class TestScan:
         assert out1.read_text() == out2.read_text()
         rates = [float(l.split(",")[4]) for l in out1.read_text().splitlines()[1:]]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    def test_co_optimized_scan_matches_optimize(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--d-min", "50", "--d-max", "150", "--step", "50",
+            "--optimize-ps", "--output", str(out),
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row, d in zip(rows, (50.0, 100.0, 150.0)):
+            opt = optimize(ChannelSpec(distance_km=d, alpha_db_per_km=0.168),
+                           1e11, 8, fixed_p_s=None)
+            assert row.split(",") == [repr(d), repr(d * 0.168), repr(opt.mu_opt),
+                                      repr(opt.p_s_opt), repr(opt.rate_opt)]
+
+    def test_fixed_mu_with_optimize_ps_rejected(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--d-min", "50", "--d-max", "50", "--step", "1",
+            "--mu", "1e-3", "--optimize-ps", "--output", str(out),
+        )
+        assert code == EXIT_CODES["domain"]
+        assert err.startswith("pmqkd: error [domain]")
+        assert "--optimize-ps" in err and "--mu" in err
+        assert not out.exists()
 
     def test_zero_rate_rows_retained(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
@@ -241,6 +270,55 @@ class TestDeviation:
         for line in lines[1:]:
             ratio = float(line.split(",")[-1])
             assert 0 < ratio < 0.01
+
+    def test_optimized_rows_match_the_chain(self, capsys, tmp_path):
+        # Each row is the chain's breakdown at the fixed-p_s optimum; 90 dB
+        # has no key and reports the lowest grid intensity.
+        out = tmp_path / "dev.csv"
+        code, _, _ = run_cli(
+            capsys, "deviation", "--m-slices", "6", "--loss-min", "10",
+            "--loss-max", "90", "--step", "20", "--output", str(out),
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for row, loss in zip(rows, (10.0, 30.0, 50.0, 70.0, 90.0)):
+            channel = ChannelSpec(total_loss_db=loss)
+            opt = optimize(channel, 1e11, 6, fixed_p_s=0.07)
+            res = expected_key_rate(channel, opt.mu_opt, m_slices=6,
+                                    n_rounds=1e11, p_s=0.07)
+            devs = res.breakdown.deviations
+            want = [repr(loss), repr(opt.mu_opt)] + [repr(v) for v in devs]
+            want += [repr(sum(devs)), repr(res.ep_m), repr(sum(devs) / res.ep_m)]
+            assert row.split(",") == want
+        assert float(rows[-1].split(",")[1]) == 1e-6
+
+    def test_one_chain_call_per_search_evaluation(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # An optimized row costs the search's evaluations plus its one
+        # re-evaluation when it finds a key; nothing is evaluated again.
+        calls, searches = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return expected_key_rate(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            opt = optimize(*args, **kwargs)
+            searches.append(opt)
+            return opt
+
+        monkeypatch.setattr("pmqkd.optimizer.expected_key_rate", counted)
+        monkeypatch.setattr(cli, "expected_key_rate", counted)
+        monkeypatch.setattr(cli, "optimize", recorded)
+        code, _, _ = run_cli(
+            capsys, "deviation", "--m-slices", "6", "--loss-min", "10",
+            "--loss-max", "90", "--step", "10",
+            "--output", str(tmp_path / "dev.csv"),
+        )
+        assert code == 0
+        assert len(searches) == 9
+        assert len(calls) == sum(o.evaluations + o.feasible for o in searches)
 
     def test_fixed_mu_deviation_ordering(self, capsys, tmp_path):
         out = tmp_path / "dev.csv"
@@ -426,6 +504,52 @@ class TestConfigFile:
             main(["--config", str(cfg), "keyrate", "--loss-db", "45"])
         assert exc.value.code == EXIT_CODES["usage"]
         assert "'f_eec'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["true", "1", "yes"])
+    def test_switch_on_from_config(self, capsys, tmp_path, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"optimize_ps={word}\n")
+        argv = ["scan", "--d-min", "100", "--d-max", "100", "--step", "1"]
+        configured, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(capsys, "--config", str(cfg), *argv,
+                       "--output", str(configured))[0] == 0
+        assert run_cli(capsys, *argv, "--optimize-ps",
+                       "--output", str(flagged))[0] == 0
+        assert configured.read_text() == flagged.read_text()
+
+    @pytest.mark.parametrize("word,traced", [
+        ("false", False), ("0", False), ("no", False), ("true", True)])
+    def test_trace_switch_from_config(self, capsys, tmp_path, word, traced):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"trace={word}\n")
+        out = tmp_path / "opt.json"
+        code, _, _ = run_cli(capsys, "--config", str(cfg), "optimize",
+                             "--loss-db", "45", "--output", str(out))
+        assert code == 0
+        assert (json.loads(out.read_text())["trace"] is not None) == traced
+
+    def test_bad_switch_word_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trace=maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "optimize", "--loss-db", "45"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "'trace'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("configured,given", [
+        ("loss_db=45", ["--distance-km", "100"]),
+        ("distance_km=100", ["--loss-db", "45"]),
+        ("distance_km=100", ["--loss-db=45"]),
+        ("loss_db=45", ["--dist", "100"]),
+    ])
+    def test_flag_overrides_its_exclusive_partner(self, capsys, tmp_path,
+                                                  configured, given):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(configured + "\nmu=1e-3\n")
+        argv = ["keyrate", *given, "--mu", "1e-3"]
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *argv)
 
     def test_missing_config_file(self, capsys, monkeypatch):
         monkeypatch.setenv("PMQKD_CONFIG", "/nonexistent/cfg")

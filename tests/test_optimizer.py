@@ -1,12 +1,13 @@
 """Optimizer tests: grid dominance, determinism, physical sanity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pmqkd.channel import ChannelSpec
-from pmqkd.optimizer import GRID_SHAPE, SearchBounds, optimize
+from pmqkd.optimizer import GRID_SHAPE, OptimizationResult, SearchBounds, optimize
 from pmqkd.pipeline import expected_key_rate
 
 
@@ -51,6 +52,27 @@ class TestResultConsistency:
             channel, result.mu_opt, m_slices=8, n_rounds=1e11, p_s=result.p_s_opt
         ).rate
         assert result.rate_opt == direct
+
+    @pytest.mark.parametrize("loss_db,n_rounds,fixed_p_s", [
+        (45.0, 1e11, 0.07),   # feasible, fixed p_s
+        (120.0, 1e8, 0.07),   # infeasible, fixed p_s
+        (40.0, 1e11, None),   # feasible, co-optimized
+        (120.0, 1e8, None),   # infeasible, co-optimized
+    ])
+    def test_reported_fields_agree(self, loss_db, n_rounds, fixed_p_s):
+        channel = ChannelSpec(total_loss_db=loss_db)
+        r = optimize(channel, n_rounds, 8, fixed_p_s=fixed_p_s)
+        direct = expected_key_rate(channel, r.mu_opt, m_slices=8,
+                                   n_rounds=n_rounds, p_s=r.p_s_opt)
+        assert r.rate_opt == direct.rate
+        assert r.evaluations == len(r.trace)
+        assert r.feasible == (r.rate_opt > 0)
+        assert r.feasible == (loss_db < 100)
+        assert r.result == direct
+
+    def test_result_is_the_only_stored_optimum(self):
+        assert [f.name for f in dataclasses.fields(OptimizationResult)] == [
+            "result", "trace"]
 
     def test_seeded_determinism(self):
         channel = ChannelSpec(total_loss_db=40.0)
