@@ -1,9 +1,12 @@
 """Command-line surface.
 
-Subcommands: keyrate, scan, deviation, simulate, reproduce, optimize.
-Flags mirror the run configuration; a key=value config file (``--config`` or
-the ``PMQKD_CONFIG`` environment variable) supplies defaults that explicit
-flags override.  Outputs are data only (CSV or JSON), never rendered plots.
+Subcommands: keyrate, scan, deviation, simulate, reproduce, optimize.  Each
+defines only the options it reads, so an option it would ignore is a usage
+error.  A key=value config file (``--config`` or the ``PMQKD_CONFIG``
+environment variable) supplies defaults that explicit flags override: the
+command line is parsed, the file's entries for the command are inserted right
+after the subcommand, and the result is parsed again.  Outputs are data only
+(CSV or JSON), never rendered plots.
 
 Every command exits nonzero on error with a one-line diagnostic of the form
 ``pmqkd: error [<code>] <message>``; codes are listed in ``--help``.
@@ -55,15 +58,19 @@ _EPILOG = (
 )
 
 
-def _add_channel_args(p: argparse.ArgumentParser) -> None:
+def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
+                      alpha: bool = True) -> None:
+    """The detector options, plus the one-point loss and the attenuation."""
     g = p.add_argument_group("channel")
-    loss = g.add_mutually_exclusive_group()
-    loss.add_argument("--loss-db", type=float, default=None,
-                      help="total channel loss in dB (split over both arms)")
-    loss.add_argument("--distance-km", type=float, default=None,
-                      help="total fiber length; converted at --alpha dB/km")
-    g.add_argument("--alpha", type=float, default=defaults.ALPHA_DB_PER_KM,
-                   help="attenuation coefficient in dB/km")
+    if loss:
+        one_of = g.add_mutually_exclusive_group()
+        one_of.add_argument("--loss-db", type=float, default=None,
+                            help="total channel loss in dB (split over both arms)")
+        one_of.add_argument("--distance-km", type=float, default=None,
+                            help="total fiber length; converted at --alpha dB/km")
+    if alpha:
+        g.add_argument("--alpha", type=float, default=defaults.ALPHA_DB_PER_KM,
+                       help="attenuation coefficient in dB/km")
     g.add_argument("--eta-d", type=float, default=defaults.ETA_D,
                    help="detector efficiency")
     g.add_argument("--p-d", type=float, default=defaults.P_D,
@@ -72,10 +79,11 @@ def _add_channel_args(p: argparse.ArgumentParser) -> None:
                    help="misalignment error probability")
 
 
-def _add_protocol_args(p: argparse.ArgumentParser) -> None:
+def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
     g = p.add_argument_group("protocol")
-    g.add_argument("--mu", type=float, default=None,
-                   help="total pulse intensity (mu_a = mu_b = mu/2)")
+    if mu:
+        g.add_argument("--mu", type=float, default=None,
+                       help="total pulse intensity (mu_a = mu_b = mu/2)")
     g.add_argument("--m-slices", type=int, default=defaults.M_SLICES,
                    help="number of random phase slices (6 or 8)")
     g.add_argument("--n-rounds", type=float, default=defaults.N_ROUNDS,
@@ -98,17 +106,21 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
                    help="error verification bits")
 
 
-def _add_output_args(p: argparse.ArgumentParser, fmt_default: str = "json") -> None:
+def _add_output_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("output")
     g.add_argument("--output", "-o", default=None,
-                   help="output path (default: stdout)")
-    g.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                   help="serialization format")
+                   help="write the full result to this path in --format "
+                        "(without it, only the summary lines are printed)")
+    g.add_argument("--format", choices=("csv", "json"), default="json",
+                   help="serialization format of --output")
 
 
 def _channel_from(args, loss_db: float | None = None,
                   distance_km: float | None = None) -> ChannelSpec:
-    """The channel of args; a scan or deviation point passes its own loss."""
+    """The channel of args; a scan or deviation point passes its own loss.
+
+    deviation has no --alpha: its points are losses, which need none.
+    """
     if loss_db is None and distance_km is None:
         loss_db, distance_km = args.loss_db, args.distance_km
         if loss_db is None and distance_km is None:
@@ -116,7 +128,7 @@ def _channel_from(args, loss_db: float | None = None,
     return ChannelSpec(
         eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
         total_loss_db=loss_db, distance_km=distance_km,
-        alpha_db_per_km=args.alpha,
+        alpha_db_per_km=getattr(args, "alpha", defaults.ALPHA_DB_PER_KM),
     )
 
 
@@ -236,6 +248,7 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
 
 
 def cmd_scan(args) -> int:
+    _require(args, "d_min", "d_max", "step")
     _require_jobs(args)
     if args.mu is not None and args.optimize_ps:
         raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
@@ -343,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="key=value config file (default: $PMQKD_CONFIG)")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.set_defaults(commands=sub.choices)  # name -> subparser, for the config
 
     p = sub.add_parser("keyrate", help="single-point finite-key rate with "
                                        "full breakdown")
@@ -352,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="rate vs distance curve "
                                     "(CSV: distance_km,loss_db,mu,p_s,rate)")
-    _add_channel_args(p); _add_protocol_args(p); _add_budget_args(p)
-    _add_output_args(p, fmt_default="csv")
-    p.add_argument("--d-min", type=float, required=True, help="start distance, km")
-    p.add_argument("--d-max", type=float, required=True, help="end distance, km")
-    p.add_argument("--step", type=float, required=True, help="distance step, km")
+    _add_channel_args(p, loss=False); _add_protocol_args(p); _add_budget_args(p)
+    p.add_argument("--output", "-o", help="CSV output path (default: stdout)")
+    p.add_argument("--d-min", type=float, help="start distance, km (required)")
+    p.add_argument("--d-max", type=float, help="end distance, km (required)")
+    p.add_argument("--step", type=float, help="distance step, km (required)")
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
     p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
@@ -367,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="discretization penalties vs loss (CSV: loss_db,mu,"
              "delta_0,delta_2,...,sum_delta,ep_m,sum_delta_over_ep_m)",
     )
-    _add_channel_args(p); _add_protocol_args(p); _add_budget_args(p)
-    _add_output_args(p, fmt_default="csv")
+    _add_channel_args(p, loss=False, alpha=False); _add_protocol_args(p)
+    _add_budget_args(p)
+    p.add_argument("--output", "-o", help="CSV output path (default: stdout)")
     p.add_argument("--loss-min", type=float, default=10.0)
     p.add_argument("--loss-max", type=float, default=50.0)
     p.add_argument("--step", type=float, default=1.0)
@@ -383,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; batches run in-process "
                         "and the output never depends on it")
-    p.add_argument("--output", "-o", required=False, default=None,
-                   help="tally CSV path")
+    p.add_argument("--output", "-o", help="tally CSV path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="key rate from an ingested tally CSV")
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("optimize", help="best (mu, p_s) at one channel point")
-    _add_channel_args(p); _add_protocol_args(p); _add_budget_args(p)
+    _add_channel_args(p); _add_protocol_args(p, mu=False); _add_budget_args(p)
     p.add_argument("--mu-min", type=float, default=defaults.MU_BOUNDS[0])
     p.add_argument("--mu-max", type=float, default=defaults.MU_BOUNDS[1])
     p.add_argument("--optimize-ps", action="store_true",
@@ -414,54 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _named_on_command_line(sub: argparse.ArgumentParser,
-                           tokens: list[str]) -> set[argparse.Action]:
-    """The options of sub that tokens name, in full, abbreviated or as --opt=value."""
-    options = sub._option_string_actions
-    named = set()
-    for tok in tokens:
-        if not tok.startswith("--"):
-            continue
-        name = tok.partition("=")[0]
-        hits = {options[name]} if name in options else {
-            action for opt, action in options.items() if opt.startswith(name)}
-        if len(hits) == 1:
-            named |= hits
-    return named
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn config-file entries into CLI tokens after the subcommand (flags override).
+def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                   path: str) -> list[str]:
+    """The config file's entries as tokens of args.cmd, the command line's parse.
 
     A key the running subcommand does not define is skipped when another
     subcommand defines it, so one file can serve every command.  A key that
     no subcommand defines is a usage error.  A switch takes true/false, 1/0
-    or yes/no.  A key whose mutually exclusive partner is on the command
-    line is skipped, so ``--distance-km`` overrides a configured ``loss_db``.
+    or yes/no.  A configured loss is skipped when the command line gave one,
+    so ``--distance-km`` overrides a configured ``loss_db``.
     """
-    commands = next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    at = next((i for i, tok in enumerate(argv) if tok in commands), None)
-    if at is None:
-        return argv
-    path = os.environ.get("PMQKD_CONFIG")
-    for i, tok in enumerate(argv[:at]):
-        if tok == "--config" and i + 1 < at:
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok[len("--config="):]
-    if not path:
-        return argv
     if not os.path.exists(path):
         raise DomainError(f"config file not found: {path}")
-    sub = commands[argv[at]]
-    named = _named_on_command_line(sub, argv[at + 1:])
-    overridden = {
-        partner for group in sub._mutually_exclusive_groups
-        if named.intersection(group._group_actions)
-        for partner in group._group_actions if partner not in named
-    }
-    extra: list[str] = []
+    commands = parser.get_default("commands")
+    options = commands[args.cmd]._option_string_actions
+    gave_loss = (getattr(args, "loss_db", None) is not None
+                 or getattr(args, "distance_km", None) is not None)
+    tokens: list[str] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -469,30 +452,36 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
                 continue
             key, _, value = (part.strip() for part in line.partition("="))
             flag = "--" + key.replace("_", "-")
-            action = sub._option_string_actions.get(flag)
+            action = options.get(flag)
             if action is None:
                 if not any(flag in p._option_string_actions for p in commands.values()):
                     parser.error(f"config key {key!r} is not an option of any command")
-            elif isinstance(action, argparse._StoreTrueAction):
+            elif action.nargs == 0:
                 try:
                     on = parse_flag(value)
                 except ValueError:
                     parser.error(f"config key {key!r} takes true/false, 1/0 or "
                                  f"yes/no, got {value!r}")
                 if on:
-                    extra.append(flag)
-            elif action not in overridden:
-                extra.extend([flag, value])
-    return argv[: at + 1] + extra + argv[at + 1 :]
+                    tokens.append(flag)
+            elif not (gave_loss and action.dest in ("loss_db", "distance_km")):
+                tokens.extend([flag, value])
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
+        path = args.config or os.environ.get("PMQKD_CONFIG")
+        if path:
+            # Only --config precedes the command (a path named like a command
+            # must be spelt --config=PATH).  The config goes right after the
+            # command, so the command line's own flags override it.
+            at = argv.index(args.cmd)
+            argv[at + 1:at + 1] = _config_tokens(parser, args, path)
+            args = parser.parse_args(argv)
         return args.func(args)
     except PmqkdError as exc:
         sys.stderr.write(f"pmqkd: error [{exc.code}] {exc}\n")

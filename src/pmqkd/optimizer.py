@@ -45,7 +45,7 @@ class SearchBounds:
     p_s: tuple[float, float] = defaults.P_S_BOUNDS
 
     def __post_init__(self):
-        if not 0 < self.mu[0] < self.mu[1]:
+        if not 0 < self.mu[0] < self.mu[1] < math.inf:
             raise DomainError(f"SearchBounds: bad mu bounds {self.mu}")
         if not 0 < self.p_s[0] < self.p_s[1] < 1:
             raise DomainError(f"SearchBounds: bad p_s bounds {self.p_s}")

@@ -393,8 +393,10 @@ def finite_key_rate(
     not care.  Degenerate inputs (no sifted data, or a phase error bound
     beyond 1) short-circuit to a zero-rate result with the breakdown kept
     for audit.  An error-correction efficiency f below the Shannon limit of
-    1 would overstate the key, so it is rejected.
+    1 would overstate the key, so it is rejected, as is a non-finite n_rounds.
     """
+    if not math.isfinite(n_rounds):
+        raise DomainError(f"finite_key_rate: n_rounds must be finite, got {n_rounds}")
     if not (math.isfinite(f) and f >= 1.0):
         raise DomainError(
             f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"

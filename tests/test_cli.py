@@ -165,6 +165,14 @@ class TestScan:
         assert "--step must be finite and > 0" in err
         assert not out.exists()
 
+    def test_missing_range_flag_is_domain_error(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(capsys, "scan", "--d-max", "60", "--step", "10",
+                               "--mu", "1e-3", "--output", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err == "pmqkd: error [domain] --d-min is required\n"
+        assert not out.exists()
+
     def test_jobs_capped_at_point_count(self, capsys, tmp_path, monkeypatch):
         # A stand-in pool that records its size and runs in this process, so
         # the test starts no workers.
@@ -391,6 +399,20 @@ class TestSimulateReproduce:
 
 
 class TestOptimizeCommand:
+    def test_non_finite_mu_bound_rejected(self, tmp_path):
+        # An infinite bound once reached the chain as a NaN intensity, after
+        # a numpy warning, with a message that named neither flag.
+        out = tmp_path / "opt.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmqkd.cli", "optimize", "--loss-db", "45",
+             "--mu-max", "inf", "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_CODES["domain"]
+        assert proc.stderr == ("pmqkd: error [domain] SearchBounds: bad mu bounds "
+                               "(1e-06, inf)\n")
+        assert not out.exists()
+
     def test_optimize_json(self, capsys, tmp_path):
         out = tmp_path / "opt.json"
         code, stdout, _ = run_cli(
@@ -417,6 +439,23 @@ class TestNeverOptimistic:
         assert err.startswith("pmqkd: error [domain]")
         assert f" {field} must be finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
+    ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
+    ["deviation", "--loss-min", "40", "--loss-max", "40"],
+    ["optimize", "--loss-db", "45"],
+])
+@pytest.mark.parametrize("n_rounds", ["nan", "inf"])
+def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--n-rounds", n_rounds,
+                           "--output", str(out))
+    assert code == EXIT_CODES["domain"]
+    assert err == (f"pmqkd: error [domain] finite_key_rate: n_rounds must be "
+                   f"finite, got {n_rounds}\n")
+    assert not out.exists()
 
 
 class TestNonFiniteIntensity:
@@ -551,11 +590,116 @@ class TestConfigFile:
         assert (code, err) == (0, "")
         assert (code, out, err) == run_cli(capsys, *argv)
 
+    @pytest.mark.parametrize("argv,read", [
+        (["scan", "--d-min", "50", "--d-max", "100", "--step", "25"],
+         ["--alpha", "0.2", "--mu", "2e-3"]),
+        (["deviation", "--loss-min", "40", "--loss-max", "41"], ["--mu", "2e-3"]),
+        (["optimize", "--loss-db", "45"], ["--alpha", "0.2"]),
+    ])
+    def test_config_serves_commands_without_its_keys(self, capsys, tmp_path,
+                                                      argv, read):
+        # Each command takes from the file only the keys it reads (read) and
+        # skips the rest; both configured losses yield to --loss-db.
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("loss_db=30\ndistance_km=100\nalpha=0.2\nformat=json\n"
+                       "mu=2e-3\n")
+        configured, flagged = tmp_path / "a.out", tmp_path / "b.out"
+        a = run_cli(capsys, "--config", str(cfg), *argv, "--output", str(configured))
+        b = run_cli(capsys, *argv, *read, "--output", str(flagged))
+        assert a == b and a[0] == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+
+    def test_range_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text("d_min=50\nd_max=100\nstep=25\nmu=2e-3\n")
+        configured, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(capsys, "--config", str(cfg), "scan",
+                       "--output", str(configured))[0] == 0
+        assert run_cli(capsys, "scan", "--d-min", "50", "--d-max", "100",
+                       "--step", "25", "--mu", "2e-3",
+                       "--output", str(flagged))[0] == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+        assert len(configured.read_text().splitlines()) == 4
+
     def test_missing_config_file(self, capsys, monkeypatch):
         monkeypatch.setenv("PMQKD_CONFIG", "/nonexistent/cfg")
         code, _, err = run_cli(capsys, "keyrate", "--loss-db", "45", "--mu", "1e-3")
         assert code == EXIT_CODES["domain"]
         assert "config" in err
+
+
+_DETECTOR = {"--eta-d", "--p-d", "--e-d"}
+_LOSS = {"--loss-db", "--distance-km", "--alpha"}
+_PROTOCOL = {"--m-slices", "--n-rounds", "--p-s"}
+_BUDGET = {"--f-ec", "--eps", "--eps-ka", "--xi", "--xi-prime"}
+COMMAND_OPTIONS = {
+    "keyrate": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
+    | {"--mu", "--output", "--format"},
+    "scan": {"--alpha"} | _DETECTOR | _PROTOCOL | _BUDGET
+    | {"--mu", "--output", "--d-min", "--d-max", "--step", "--optimize-ps", "--jobs"},
+    "deviation": _DETECTOR | _PROTOCOL | _BUDGET
+    | {"--mu", "--output", "--loss-min", "--loss-max", "--step"},
+    "simulate": _LOSS | _DETECTOR | _PROTOCOL
+    | {"--mu", "--seed", "--batch-size", "--jobs", "--output"},
+    "reproduce": _BUDGET | {"--eta-d", "--p-d", "--input", "--bundled",
+                            "--q-source", "--output", "--format"},
+    "optimize": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
+    | {"--mu-min", "--mu-max", "--optimize-ps", "--trace", "--output"},
+}
+
+
+class TestOptionSets:
+    def test_each_command_has_its_options(self):
+        commands = cli.build_parser().get_default("commands")
+        assert {name: {opt for opt in sub._option_string_actions
+                       if opt.startswith("--") and opt != "--help"}
+                for name, sub in commands.items()} == COMMAND_OPTIONS
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 97
+
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
+        ["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
+        ["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "1e-3"],
+        ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
+        ["reproduce", "--bundled", "45"],
+        ["optimize", "--loss-db", "45", "--n-rounds", "1e10"],
+    ])
+    def test_each_option_is_read(self, capsys, tmp_path, argv):
+        # The command reads every option it defines, so none is ignored.
+        class Recorder:
+            def __init__(self, namespace):
+                self.namespace, self.read = namespace, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.namespace, name)
+
+        parser = cli.build_parser()
+        args = parser.parse_args([*argv, "--output", str(tmp_path / "out")])
+        recorder = Recorder(args)
+        assert args.func(recorder) == 0
+        sub = parser.get_default("commands")[args.cmd]
+        assert {a.dest for a in sub._actions if a.dest != "help"} - recorder.read == set()
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
+         flag, value)
+        for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
+                            ("--format", "json"))
+    ] + [
+        (["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "1e-3"],
+         flag, value)
+        for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
+                            ("--alpha", "0.2"), ("--format", "json"))
+    ] + [(["optimize", "--loss-db", "45"], "--mu", "1e-3")])
+    def test_option_a_command_ignores_is_usage_error(self, capsys, tmp_path,
+                                                     argv, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value, "--output", str(out)])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_console_entry_point():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pmqkd.channel import ChannelSpec
+from pmqkd.errors import DomainError
 from pmqkd.optimizer import GRID_SHAPE, OptimizationResult, SearchBounds, optimize
 from pmqkd.pipeline import expected_key_rate
 
@@ -42,6 +43,12 @@ class TestGridDominance:
         )
         assert result.rate_opt >= best_grid
         assert result.p_s_opt == 0.07
+
+
+@pytest.mark.parametrize("mu", [(1e-6, math.inf), (math.nan, 0.1), (1e-6, math.nan)])
+def test_non_finite_mu_bound_rejected(mu):
+    with pytest.raises(DomainError, match="bad mu bounds"):
+        SearchBounds(mu=mu)
 
 
 class TestResultConsistency:

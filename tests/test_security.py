@@ -408,6 +408,13 @@ class TestFiniteKeyRate:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert all(a <= b for a, b in zip(eps_, eps_[1:]))
 
+    @pytest.mark.parametrize("n_rounds", [math.nan, math.inf])
+    def test_non_finite_rounds_rejected(self, n_rounds):
+        # Once this surfaced as a binary_entropy error that named no input.
+        with pytest.raises(DomainError, match="n_rounds must be finite"):
+            expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3,
+                              n_rounds=n_rounds)
+
     def test_degenerate_inputs_zero_rate(self):
         res = finite_key_rate(
             mu=1e-3, m_slices=8, n_rounds=1e6, p_s=0.07, f=1.16,
