@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 
 from . import defaults
@@ -241,6 +240,9 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
     if jobs == 1:
         yield from map(point, channels)
         return
+    # Only a parallel scan pays for loading multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     # The fork start method launches every worker up front: never more than
     # there are points.
     with ProcessPoolExecutor(max_workers=min(jobs, len(channels))) as pool:

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import defaults
 from .channel import ChannelSpec
 from .errors import DomainError
@@ -118,18 +116,18 @@ def optimize(
         trace.append((mu, p_s, res.rate))
         return res
 
-    mu_grid = np.logspace(
-        math.log10(bounds.mu[0]), math.log10(bounds.mu[1]), GRID_SHAPE[0]
-    )
+    # Python's pow, as at the golden-section points (see docs/DECISIONS.md).
+    mu_grid = [10.0 ** x for x in _linspace(math.log10(bounds.mu[0]),
+                                            math.log10(bounds.mu[1]), GRID_SHAPE[0])]
     if fixed_p_s is not None:
-        ps_grid = np.array([fixed_p_s])
+        ps_grid = [float(fixed_p_s)]
     else:
-        ps_grid = np.linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
+        ps_grid = _linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
 
     best_i, best_j, best = 0, 0, None
     for i, mu in enumerate(mu_grid):
         for j, p_s in enumerate(ps_grid):
-            res = evaluate(float(mu), float(p_s))
+            res = evaluate(mu, p_s)
             # strict: the first maximum in grid order
             if best is None or res.rate > best.rate:
                 best_i, best_j, best = i, j, res
@@ -149,12 +147,18 @@ def optimize(
             return _golden_section_max(lambda x: evaluate(10.0 ** x, p_s).rate,
                                        mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends)
 
-        ps_lo, ps_hi, ps_ends = _bracket([float(p) for p in ps_grid], best_j)
+        ps_lo, ps_hi, ps_ends = _bracket(ps_grid, best_j)
         _golden_section_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
 
     # The trace holds the grid, so its best point is never below best.rate.
     cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
     return OptimizationResult(result=chain(cand_mu, cand_ps), trace=trace)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, as numpy.linspace computes them."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def _bracket(grid: list[float], k: int) -> tuple[float, float, tuple[float, ...]]:

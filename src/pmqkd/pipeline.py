@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from . import defaults
 from .channel import ChannelSpec, expected_sifted, gain, qber, transmittance
+from .errors import DomainError
 from .security import KeyRateResult, SecurityBudget, finite_key_rate
 
 
@@ -24,8 +25,11 @@ def expected_key_rate(
 
     The sampled error count enters as its expectation E_b * n_s with
     n_s = n_mu p_s / (1 - p_s); nothing is rounded, so rate curves stay
-    smooth in the parameters.
+    smooth in the parameters.  p_s must lie in (0, 1): the expected sampled
+    errors divide by 1 - p_s, and the vacuum bound by p_s.
     """
+    if not 0.0 < p_s < 1.0:
+        raise DomainError(f"expected_key_rate: p_s must be in (0, 1), got {p_s}")
     if budget is None:
         budget = SecurityBudget()
     eta = transmittance(channel)

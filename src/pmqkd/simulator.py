@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
 
@@ -145,6 +143,8 @@ def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
     click takes the remainder, so the rare outcomes are drawn against
     conditional probabilities free of cancellation.
     """
+    import numpy as np  # only sampling needs numpy; tallies and CSVs do not
+
     m = params.m_slices
     channel = params.channel
     x = params.mu * transmittance(channel)
@@ -171,6 +171,8 @@ def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
 
 def _simulate_batch(params: ProtocolParams, probs: np.ndarray, seed: int,
                     batch_index: int, batch_rounds: int) -> ObservedTally:
+    import numpy as np
+
     m = params.m_slices
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))

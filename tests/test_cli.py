@@ -191,7 +191,7 @@ class TestScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         out = tmp_path / "scan.csv"
         code, _, _ = run_cli(
             capsys, "scan", "--d-min", "50", "--d-max", "100", "--step", "25",
@@ -455,6 +455,23 @@ def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
     assert code == EXIT_CODES["domain"]
     assert err == (f"pmqkd: error [domain] finite_key_rate: n_rounds must be "
                    f"finite, got {n_rounds}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
+    ["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
+    ["deviation", "--loss-min", "10", "--loss-max", "20", "--step", "10",
+     "--mu", "1e-3"],
+])
+@pytest.mark.parametrize("p_s", ["0", "1"])
+def test_sampling_fraction_outside_unit_interval_rejected(capsys, tmp_path, argv, p_s):
+    # p_s = 1 once divided by zero (exit 70); p_s = 0 named vacuum_yield_ub.
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--p-s", p_s, "--output", str(out))
+    assert code == EXIT_CODES["domain"]
+    assert err == (f"pmqkd: error [domain] expected_key_rate: p_s must be in "
+                   f"(0, 1), got {float(p_s)!r}\n")
     assert not out.exists()
 
 

@@ -44,6 +44,21 @@ class TestGridDominance:
         assert result.rate_opt >= best_grid
         assert result.p_s_opt == 0.07
 
+    @pytest.mark.parametrize("bounds", [
+        SearchBounds(), SearchBounds(mu=(3e-5, 0.02), p_s=(0.03, 0.4)),
+    ])
+    def test_grid_is_numpys_grid(self, bounds):
+        # The grid is built without numpy: the p_s values are numpy.linspace's
+        # exactly, the mu values numpy.logspace's to 1 ulp (its vectorised
+        # power may round differently from Python's pow).
+        n_mu, n_ps = GRID_SHAPE
+        grid = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8,
+                        bounds=bounds).trace[:n_mu * n_ps]
+        assert [p for _, p, _ in grid[:n_ps]] == np.linspace(*bounds.p_s, n_ps).tolist()
+        ref = np.logspace(math.log10(bounds.mu[0]), math.log10(bounds.mu[1]), n_mu)
+        mus = [mu for mu, _, _ in grid[::n_ps]]
+        assert all(abs(mu - r) <= math.ulp(r) for mu, r in zip(mus, ref.tolist()))
+
 
 @pytest.mark.parametrize("mu", [(1e-6, math.inf), (math.nan, 0.1), (1e-6, math.nan)])
 def test_non_finite_mu_bound_rejected(mu):

@@ -415,6 +415,12 @@ class TestFiniteKeyRate:
             expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3,
                               n_rounds=n_rounds)
 
+    @pytest.mark.parametrize("p_s", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_sampling_fraction_outside_unit_interval_rejected(self, p_s):
+        # p_s = 1 once divided by zero in the expected sampled errors.
+        with pytest.raises(DomainError, match=r"expected_key_rate: p_s must be in \(0, 1\)"):
+            expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3, p_s=p_s)
+
     def test_degenerate_inputs_zero_rate(self):
         res = finite_key_rate(
             mu=1e-3, m_slices=8, n_rounds=1e6, p_s=0.07, f=1.16,
