@@ -15,6 +15,7 @@ Every command exits nonzero on error with a one-line diagnostic of the form
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -167,12 +168,22 @@ def _range_points(start: float, stop: float, step: float, flags: str) -> list[fl
     return [float(lo + i * inc) for i in range(count)]
 
 
+@contextlib.contextmanager
+def _file_errors(flag: str, path: str, verb: str) -> Iterator[None]:
+    """Report an OSError on the file a flag names as a domain error naming both."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"{flag}: cannot {verb} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with _file_errors("--output", path, "write"), open(path, "w") as fh:
+            fh.write(text)
 
 
 def _result_lines(result) -> str:
@@ -211,9 +222,9 @@ def cmd_keyrate(args) -> int:
         channel, args.mu, m_slices=args.m_slices, n_rounds=args.n_rounds,
         p_s=args.p_s, f=args.f_ec, budget=_budget_from(args),
     )
-    print(_result_lines(result))
     if args.output:
         _emit(_serialize_result(result, args.format), args.output)
+    print(_result_lines(result))
     return 0
 
 
@@ -287,13 +298,16 @@ def cmd_simulate(args) -> int:
     _require_jobs(args)
     if not math.isfinite(args.n_rounds):
         raise DomainError(f"--n-rounds must be finite, got {args.n_rounds}")
+    if not args.n_rounds.is_integer():
+        raise DomainError(f"--n-rounds must be a whole number, got {args.n_rounds}")
     channel = _channel_from(args)
     params = ProtocolParams(
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
         p_s=args.p_s, channel=channel,
     )
     tally = simulate(params, args.seed, batch_size=args.batch_size)
-    write_tally_csv(tally, args.output, loss_db=channel.loss_db())
+    with _file_errors("--output", args.output, "write"):
+        write_tally_csv(tally, args.output, loss_db=channel.loss_db())
     q = tally.n_det / tally.n_rounds
     print(f"simulated {tally.n_rounds} rounds: n_det={tally.n_det} "
           f"(gain {q:.3e}), doubles={tally.n_double}, "
@@ -306,20 +320,21 @@ def cmd_reproduce(args) -> int:
     if args.input is None and args.bundled is None:
         raise DomainError("one of --input / --bundled is required")
     if args.input is not None:
-        record = parse_tally_csv(args.input)
+        with _file_errors("--input", args.input, "read"):
+            record = parse_tally_csv(args.input)
     else:
         record = load_bundled_record(args.bundled)
     result = reproduce_key_rate(
         record, budget=_budget_from(args), q_source=args.q_source,
         f=args.f_ec, eta_d=args.eta_d, p_d=args.p_d,
     )
+    if args.output:
+        _emit(_serialize_result(result, args.format), args.output)
     print(f"dataset: {record.source} ({record.loss_db} dB, mu={record.tally.mu})")
     if result.m_s_reconstructed:
         print(f"note: sampled error count reconstructed from the QBER "
               f"(m_s = {result.m_s:.0f})")
     print(_result_lines(result))
-    if args.output:
-        _emit(_serialize_result(result, args.format), args.output)
     return 0
 
 
@@ -331,10 +346,6 @@ def cmd_optimize(args) -> int:
         bounds=bounds, f=args.f_ec,
         fixed_p_s=None if args.optimize_ps else args.p_s,
     )
-    print(f"mu_opt   = {opt.mu_opt:.6e}")
-    print(f"p_s_opt  = {opt.p_s_opt:.6f}")
-    print(f"rate_opt = {opt.rate_opt:.6e}")
-    print(f"evaluations = {opt.evaluations}, feasible = {opt.feasible}")
     if args.output:
         payload = {
             "mu_opt": opt.mu_opt, "p_s_opt": opt.p_s_opt,
@@ -343,6 +354,10 @@ def cmd_optimize(args) -> int:
             "trace": [list(t) for t in opt.trace] if args.trace else None,
         }
         _emit(json.dumps(payload, indent=2), args.output)
+    print(f"mu_opt   = {opt.mu_opt:.6e}")
+    print(f"p_s_opt  = {opt.p_s_opt:.6f}")
+    print(f"rate_opt = {opt.rate_opt:.6e}")
+    print(f"evaluations = {opt.evaluations}, feasible = {opt.feasible}")
     return 0
 
 

@@ -86,6 +86,35 @@ def _residue_series(mu: float, start: int, step: int) -> float:
     return total
 
 
+def _even_poisson_tails(mu: float) -> tuple[float, float, float, float]:
+    """The even Poisson tails sum_{n >= k, n even} mu^n e^-mu / n! for k = 0, 2, 4, 6.
+
+    Each tail is bit-identical to _residue_series(mu, k, 2): the same terms,
+    summed in the same order and cut by the same two rules.  One pass
+    computes each term once and adds it to every tail that has begun.  A
+    smaller k has the larger running sum, so the tails close in order of k.
+    Needs a finite mu > 0; callers validate.
+    """
+    log_mu = math.log(mu)
+    tails: list[float] = []
+    open_sums: list[float] = []  # running sums of the tails from k = 2 * len(tails)
+    n = 0
+    while True:
+        term = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
+        if n <= 6:
+            open_sums.append(0.0)  # the tail from k = n begins with this term
+        for i in range(len(open_sums)):
+            open_sums[i] += term
+        while open_sums and (
+            (open_sums[0] > 0.0 and term < _REL_TERM_FLOOR * open_sums[0])
+            or (term == 0.0 and n > mu)
+        ):
+            tails.append(open_sums.pop(0))
+        if n >= 6 and not open_sums:
+            return tuple(tails)
+        n += 2
+
+
 def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
     """Series weight sum_{l>=0} mu^(lM+k) e^-mu / (lM+k)!.
 
@@ -136,4 +165,4 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
         )
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
-    return _residue_series(mu, k, 2)
+    return _even_poisson_tails(mu)[k // 2]

@@ -6,22 +6,31 @@ concentration correction lifting the analysis to coherent attacks, and the
 final key-length formula with its failure-probability composition.
 
 Each bound has one implementation: the public stage functions and the full
-chain in :func:`finite_key_rate` share the even-photon terms and the Kato
-lift.  The Chernoff parameter is beta = ln(1/eps).
+chain in :func:`finite_key_rate` share the even-photon terms, the
+discrete-phase deviation factors and the Kato lift.  The Chernoff parameter
+is beta = ln(1/eps).
 
-All operations are pure functions of their arguments; a full key-rate
-evaluation is a value-in/value-out computation that can run in parallel
-across parameter grid points.
+The deviation factors depend on (mu, M) alone, and a scan or an optimizer
+asks for the same mu values again and again, so they are kept in a bounded
+cache (:func:`_deviation_factors`).  A cached value is a pure function of
+its key and the cache changes no result, so every operation stays a pure
+function of its arguments; a full key-rate evaluation is a value-in/value-out
+computation that can run in parallel across parameter grid points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from . import defaults
 from .errors import DomainError, NoDataError
-from .numerics import binary_entropy, pseudo_fock_weight_ub
+from .numerics import _even_poisson_tails, binary_entropy
+
+# Holds the 50 grid mu values of the optimizer, which recur at every point
+# of a scan, with room for one point's golden-section values beside them.
+_DEVIATION_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,40 @@ def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
     return vacuum + multi
 
 
+def _require_mu(func: str, mu: float) -> None:
+    # Checked before the cache: NaN once sent the tail series into an
+    # endless loop, and NaN keys never hit.
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"{func}: mu must be finite and >= 0, got {mu}")
+
+
+@functools.lru_cache(maxsize=_DEVIATION_CACHE_SIZE)
+def _deviation_factors(mu: float, m_slices: int) -> tuple[tuple[float, float], ...]:
+    """(P_ub(k), sqrt(k! mu^M / (M+k)!)) for each even k < M, in order of k.
+
+    P_ub(k) is pseudo_fock_weight_ub(mu, M, k).  Needs a finite mu > 0 and
+    M in {6, 8}; callers validate.
+    """
+    tails = _even_poisson_tails(mu)
+    log_mu = math.log(mu)
+    return tuple(
+        (tails[k // 2], math.exp(0.5 * (
+            math.lgamma(k + 1) + m_slices * log_mu - math.lgamma(m_slices + k + 1)
+        )))
+        for k in range(0, m_slices, 2)
+    )
+
+
+def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:
+    """delta_k for each even k < M, in order of k; zeros at mu = 0."""
+    if mu == 0.0:
+        return (0.0,) * (m_slices // 2)
+    return tuple(
+        (weight_ub / q_mu) * factor
+        for weight_ub, factor in _deviation_factors(mu, m_slices)
+    )
+
+
 def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     """Discretization penalty for the even residue class k.
 
@@ -167,15 +210,8 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
         )
     if q_mu <= 0:
         raise DomainError(f"deviation_bound: q_mu must be > 0, got {q_mu}")
-    if mu < 0:
-        raise DomainError(f"deviation_bound: mu must be >= 0, got {mu}")
-    if mu == 0.0:
-        return 0.0
-    weight_ub = pseudo_fock_weight_ub(mu, m_slices, k)
-    log_factor = 0.5 * (
-        math.lgamma(k + 1) + m_slices * math.log(mu) - math.lgamma(m_slices + k + 1)
-    )
-    return (weight_ub / q_mu) * math.exp(log_factor)
+    _require_mu("deviation_bound", mu)
+    return _deviations(mu, m_slices, q_mu)[k // 2]
 
 
 @dataclass(frozen=True)
@@ -206,10 +242,9 @@ def phase_error_discrete(
         raise DomainError(
             f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
         )
+    _require_mu("phase_error_discrete", mu)
     vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
-    deviations = tuple(
-        deviation_bound(mu, m_slices, k, q_mu) for k in range(0, m_slices, 2)
-    )
+    deviations = _deviations(mu, m_slices, q_mu)
     ep_m = vacuum + multi + sum(deviations)
     return PhaseErrorBreakdown(
         vacuum_term=vacuum,
@@ -407,14 +442,18 @@ def finite_key_rate(
         breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
     else:
         y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
-        breakdown = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
-        if breakdown.ep_m <= 1.0:
-            kato, ep_m_bar = _kato_lift(n_mu, breakdown.ep_m, budget.eps_ka)
-            breakdown = replace(breakdown, kato_delta=kato.delta, ep_m_bar=ep_m_bar)
+        terms = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
+        if terms.ep_m <= 1.0:
+            kato, ep_m_bar = _kato_lift(n_mu, terms.ep_m, budget.eps_ka)
+            kato_delta = kato.delta
         else:
             # No key is extractable; the Kato lift is undefined past lambda = n.
-            breakdown = replace(breakdown, ep_m_bar=breakdown.ep_m)
-        ell, rate = key_length(n_mu, breakdown.ep_m_bar, e_b, f, budget, n_rounds)
+            kato_delta, ep_m_bar = 0.0, terms.ep_m
+        breakdown = PhaseErrorBreakdown(
+            terms.vacuum_term, terms.multiphoton_term, terms.deviations,
+            terms.ep_m, kato_delta, ep_m_bar,
+        )
+        ell, rate = key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell=ell, rate=rate, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,
         mu=mu, m_slices=m_slices, p_s=p_s, f=f, q_mu=q_mu, y0_bar=y0_bar,

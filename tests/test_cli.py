@@ -397,6 +397,35 @@ class TestSimulateReproduce:
         assert f"{field} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag,verb", [
+        (["reproduce", "--input", "{missing}"], "--input", "read"),
+        (["keyrate", "--loss-db", "45", "--mu", "1e-3", "--output", "{missing}"],
+         "--output", "write"),
+        (["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4",
+          "-o", "{missing}"], "--output", "write"),
+    ])
+    def test_file_error_names_flag_and_path(self, capsys, tmp_path, argv, flag, verb):
+        missing = str(tmp_path / "no-such-dir" / "file")
+        argv = [missing if a == "{missing}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CODES["domain"]
+        assert err == (f"pmqkd: error [domain] {flag}: cannot {verb} {missing}: "
+                       f"No such file or directory\n")
+        assert out == ""
+        assert not (tmp_path / "no-such-dir").exists()
+
+    def test_simulate_rejects_fractional_rounds(self, capsys, tmp_path):
+        out = tmp_path / "tally.csv"
+        argv = ["simulate", "--loss-db", "20", "--mu", "1e-3", "--output", str(out)]
+        code, _, err = run_cli(capsys, *argv, "--n-rounds", "1000.7")
+        assert code == EXIT_CODES["domain"]
+        assert err == "pmqkd: error [domain] --n-rounds must be a whole number, got 1000.7\n"
+        assert not out.exists()
+        # An integral float is a whole number, as in the tally schema.
+        code, _, _ = run_cli(capsys, *argv, "--n-rounds", "2.5e3")
+        assert code == 0
+        assert "# N=2500\n" in out.read_text()
+
 
 class TestOptimizeCommand:
     def test_non_finite_mu_bound_rejected(self, tmp_path):

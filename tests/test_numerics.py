@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
+    _residue_series,
     binary_entropy,
     poisson_pmf,
     pseudo_fock_weight,
@@ -195,6 +196,14 @@ class TestPseudoFockWeightUb:
                     assert pseudo_fock_weight_ub(mu, m, k) >= oracle_pseudo_fock(
                         mu, m, k
                     ) * (1 - 1e-12)
+
+    def test_equals_step_two_series_exactly(self):
+        # The four tails share one pass over the terms; each must still be
+        # the step-2 series to the last bit.
+        mus = [10 ** (-6 + 5 * i / 199) for i in range(200)]
+        for mu in mus + [0.5, 1.0, 3.0, 10.0, 40.0, 300.0]:
+            for k in (0, 2, 4, 6):
+                assert pseudo_fock_weight_ub(mu, 8, k) == _residue_series(mu, k, 2), (mu, k)
 
     @pytest.mark.parametrize("m,k", [(8, 1), (8, 3), (8, 8), (7, 0), (6, 6), (4, 4)])
     def test_domain(self, m, k):

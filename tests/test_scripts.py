@@ -2,6 +2,7 @@
 against the package sources, with small arguments."""
 
 import csv
+import json
 import os
 import pathlib
 import subprocess
@@ -45,3 +46,35 @@ def test_scan_rate_curves(tmp_path):
             rows = list(csv.DictReader(fh))
         assert [float(r["distance_km"]) for r in rows] == [100.0, 110.0, 120.0]
         assert all(float(r["rate"]) > 0 for r in rows)
+
+
+def _bench_record(out_dir, workload, seed, work, setup, rss, failed=0):
+    out_dir.mkdir(exist_ok=True)
+    metrics = {"work_per_s": work, "setup_s": setup, "peak_rss_mb": rss}
+    record = {
+        "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
+        "provenance": {"git_commit": None, "source_sha256": "x", "cores": 2,
+                       "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
+                       "python": "3", "numpy": "2", "scipy": "1"},
+        "result": {"failed": failed,
+                   "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}},
+    }
+    (out_dir / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_bench_pairs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i in range(10):
+        _bench_record(parent, "curves", i, 100.0 + i, 0.14, 40.0)
+        # The change is faster on 9 of the 10 seeds; seed 10 exists on one side only.
+        _bench_record(change, "curves", i, 100.0 if i == 9 else 140.0 + i, 0.14, 41.0)
+    _bench_record(change, "curves", 10, 1.0, 0.14, 40.0)
+    run_script("bench_pairs.py", str(parent), str(change), "-o", "bench.json", cwd=tmp_path)
+    curves = json.loads((tmp_path / "bench.json").read_text())["workloads"]["curves"]
+    assert curves["seeds"] == list(range(10))
+    work = curves["metrics"]["work_per_s"]
+    assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
+    assert work["parent"]["median"] == 104.5
+    assert curves["metrics"]["setup_s"]["pairs_won"] == 0       # ties win nothing
+    rss = curves["metrics"]["peak_rss_mb"]                       # lower is better
+    assert not rss["gain_shown"] and rss["within_bound"]         # +2.5% < 5%

@@ -8,6 +8,8 @@ never shares code with the implementation.
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -22,9 +24,11 @@ from pmqkd.ingest import (
     load_bundled_record,
     reproduce_key_rate,
 )
-from pmqkd.numerics import binary_entropy
+from pmqkd.numerics import _residue_series, binary_entropy
+from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
+    _deviation_factors,
     KatoCoefficients,
     SecurityBudget,
     chernoff_expected_ub,
@@ -178,6 +182,69 @@ class TestDeviationBound:
     def test_domain(self, m, k):
         with pytest.raises(DomainError):
             deviation_bound(1e-3, m, k, 1e-5)
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_bit_identical_to_direct_expression(self, m):
+        # The cached factors must round exactly as the bound written out does.
+        q = 3e-6
+        for i in range(60):
+            mu = 10 ** (-6 + 6.5 * i / 59)
+            direct = [
+                (_residue_series(mu, k, 2) / q) * math.exp(0.5 * (
+                    math.lgamma(k + 1) + m * math.log(mu) - math.lgamma(m + k + 1)))
+                for k in range(0, m, 2)
+            ]
+            assert [deviation_bound(mu, m, k, q) for k in range(0, m, 2)] == direct
+            assert list(phase_error_discrete(mu, m, q, 1e-6).deviations) == direct
+
+
+@pytest.mark.parametrize("call", [
+    "phase_error_discrete({mu}, 8, 1e-5, 1e-6)",
+    "deviation_bound({mu}, 8, 2, 1e-5)",
+])
+@pytest.mark.parametrize("mu", ["nan", "inf", "-1e-3"])
+def test_bad_intensity_rejected(call, mu):
+    # NaN once looped forever in the tail series, so each case runs in its
+    # own process under a time limit.
+    code = (
+        "from pmqkd.errors import DomainError\n"
+        "from pmqkd.security import deviation_bound, phase_error_discrete\n"
+        "try:\n"
+        f"    {call.format(mu=f'float({mu!r})')}\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "mu must be" in proc.stdout
+    assert f"got {float(mu)}" in proc.stdout
+
+
+class TestDeviationCache:
+    """The (mu, M) factors are cached; no result may depend on the cache."""
+
+    @staticmethod
+    def _curve_point(distance_km):
+        return optimize(ChannelSpec(distance_km=distance_km, alpha_db_per_km=0.168),
+                        1e12, 8, fixed_p_s=0.07)
+
+    def test_warm_cache_changes_no_optimum(self):
+        _deviation_factors.cache_clear()
+        cold = self._curve_point(200.0)
+        for d in range(10, 340, 10):  # a 33-point scan
+            self._curve_point(float(d))
+        warm = self._curve_point(200.0)
+        assert warm.trace == cold.trace
+        assert warm.result == cold.result
+        assert _deviation_factors.cache_info().hits > 0
+
+    def test_stays_bounded_over_a_long_scan(self):
+        _deviation_factors.cache_clear()
+        for i in range(661):  # 10-340 km in 0.5 km steps
+            self._curve_point(10.0 + 0.5 * i)
+        info = _deviation_factors.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestPhaseErrorDiscrete:
