@@ -177,6 +177,29 @@ def _file_errors(flag: str, path: str, verb: str) -> Iterator[None]:
         raise DomainError(f"{flag}: cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
+@contextlib.contextmanager
+def _output_first(path: str | None) -> Iterator[None]:
+    """Open --output for writing before the work; undo that if the work fails.
+
+    An unwritable path then fails before anything is computed.  Opening
+    appends nothing, so a file that was there is left as it was, and one
+    this created is removed: a failed command leaves no output file behind.
+    """
+    if path is None:
+        yield
+        return
+    existed = os.path.lexists(path)
+    with _file_errors("--output", path, "write"):
+        open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _emit(text: str, path: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if path is None:
@@ -267,12 +290,13 @@ def cmd_scan(args) -> int:
         raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [_channel_from(args, distance_km=d) for d in distances]
-    results = _point_results(args, channels, args.optimize_ps, args.jobs)
-    lines = ["distance_km,loss_db,mu,p_s,rate"]
-    for d_km, res in zip(distances, results):
-        lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
-                     f"{res.rate!r}")
-    _emit("\n".join(lines), args.output)
+    with _output_first(args.output):
+        results = _point_results(args, channels, args.optimize_ps, args.jobs)
+        lines = ["distance_km,loss_db,mu,p_s,rate"]
+        for d_km, res in zip(distances, results):
+            lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
+                         f"{res.rate!r}")
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -283,13 +307,14 @@ def cmd_deviation(args) -> int:
     header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, args.m_slices, 2)]
     header += ["sum_delta", "ep_m", "sum_delta_over_ep_m"]
     lines = [",".join(header)]
-    for loss, res in zip(losses, _point_results(args, channels)):
-        devs = res.breakdown.deviations
-        total = sum(devs)
-        row = [repr(loss), repr(res.mu)] + [repr(v) for v in devs]
-        row += [repr(total), repr(res.ep_m), repr(total / res.ep_m)]
-        lines.append(",".join(row))
-    _emit("\n".join(lines), args.output)
+    with _output_first(args.output):
+        for loss, res in zip(losses, _point_results(args, channels)):
+            devs = res.breakdown.deviations
+            total = sum(devs)
+            row = [repr(loss), repr(res.mu)] + [repr(v) for v in devs]
+            row += [repr(total), repr(res.ep_m), repr(total / res.ep_m)]
+            lines.append(",".join(row))
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -305,9 +330,10 @@ def cmd_simulate(args) -> int:
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
         p_s=args.p_s, channel=channel,
     )
-    tally = simulate(params, args.seed, batch_size=args.batch_size)
-    with _file_errors("--output", args.output, "write"):
-        write_tally_csv(tally, args.output, loss_db=channel.loss_db())
+    with _output_first(args.output):
+        tally = simulate(params, args.seed, batch_size=args.batch_size)
+        with _file_errors("--output", args.output, "write"):
+            write_tally_csv(tally, args.output, loss_db=channel.loss_db())
     q = tally.n_det / tally.n_rounds
     print(f"simulated {tally.n_rounds} rounds: n_det={tally.n_det} "
           f"(gain {q:.3e}), doubles={tally.n_double}, "

@@ -21,6 +21,11 @@ from .errors import DomainError
 # Relative size at which a series term is considered exhausted.
 _REL_TERM_FLOOR = 1e-18
 
+# Largest intensity the series are summed at.  They start at n = 0, whose
+# term e^-mu is a normal double only up to mu ~ 708; beyond it the leading
+# terms underflow to 0 and the loop steps ~mu/2 times before a term counts.
+MU_MAX = 700.0
+
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) = -x log2 x - (1-x) log2 (1-x), in bits.
@@ -33,6 +38,16 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _require_mu(func: str, mu: float) -> None:
+    """Reject a mu the series cannot sum: NaN, infinite, negative or above MU_MAX.
+
+    A NaN once sent the series into an endless loop, and a large finite mu
+    into one of ~mu/2 steps.
+    """
+    if not 0.0 <= mu <= MU_MAX:
+        raise DomainError(f"{func}: mu must be finite and in [0, {MU_MAX:g}], got {mu}")
 
 
 def poisson_pmf(mu: float, k: int) -> float:
@@ -120,8 +135,7 @@ def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
 
     Truncates when a term falls below 1e-18 of the running sum.
     """
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"pseudo_fock_weight: mu must be finite and >= 0, got {mu}")
+    _require_mu("pseudo_fock_weight", mu)
     if m_slices < 2:
         raise DomainError(f"pseudo_fock_weight: m_slices must be >= 2, got {m_slices}")
     if not 0 <= k < m_slices:
@@ -149,8 +163,7 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
     Supported for k in {0, 2, 4, 6} with even m_slices >= k + 2; the step-2
     relaxation requires every index lM + k to be even.
     """
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"pseudo_fock_weight_ub: mu must be finite and >= 0, got {mu}")
+    _require_mu("pseudo_fock_weight_ub", mu)
     if m_slices % 2 != 0:
         raise DomainError(
             f"pseudo_fock_weight_ub: m_slices must be even, got {m_slices}"

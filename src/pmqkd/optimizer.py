@@ -1,22 +1,24 @@
 """Derivative-free maximization of the key rate over (mu, p_s).
 
 A fixed log-grid pre-scan guarantees a floor on solution quality, and a
-golden-section search from the best grid point refines it.  At a fixed p_s
-(the tabletop runs, ``scan`` and ``deviation``) the search runs on log10(mu)
-between the best grid point's two neighbours, down to a bracket width of
-1e-9.  The co-optimization of mu and p_s (``--optimize-ps``) nests two such
-searches: an outer one on p_s between the best grid p_s's neighbours, down
-to ``PS_TOL``, whose value at each p_s is an inner one on log10(mu)
-between the best grid mu's neighbours, down to ``CO_LOG_MU_TOL``; with the
-grid and the default bounds it costs at most 738 chain evaluations.  When
-the best grid point lies on a ``SearchBounds`` edge, its bracket is clipped
-there and the co-optimization evaluates that edge too, since the
-short-range optima sit on mu = 0.1 or p_s = 0.01.  Everything is
-deterministic.  The best candidate is re-evaluated through the full
-pipeline, and ``OptimizationResult.result`` is that evaluation's
-``KeyRateResult``: the rate, the per-term breakdown and the optimum
-(mu_opt, p_s_opt, rate_opt) all read off it.  When no grid point yields a
-key, ``result`` is the grid's own evaluation at the point reported.
+bounded Brent search from the best grid point refines it: parabolic steps
+through the three best points, with golden-section steps where a parabola
+does not fit (the scheme of scipy's ``fminbound``, in pure Python).  At a
+fixed p_s (the tabletop runs, ``scan`` and ``deviation``) the search runs on
+log10(mu) between the best grid point's two neighbours, to an absolute
+tolerance of ``LOG_MU_TOL``.  The co-optimization of mu and p_s
+(``--optimize-ps``) nests two such searches: an outer one on p_s between the
+best grid p_s's neighbours, to ``PS_TOL``, whose value at each p_s is an
+inner one on log10(mu) between the best grid mu's neighbours, to
+``CO_LOG_MU_TOL``.  When the best grid point lies on a ``SearchBounds``
+edge, its bracket is clipped there and the co-optimization evaluates that
+edge too, since the short-range optima sit on mu = 0.1 or p_s = 0.01.
+Everything is deterministic; docs/DECISIONS.md has the evaluation counts.
+The best candidate is re-evaluated through the full pipeline, and
+``OptimizationResult.result`` is that evaluation's ``KeyRateResult``: the
+rate, the per-term breakdown and the optimum (mu_opt, p_s_opt, rate_opt)
+all read off it.  When no grid point yields a key, ``result`` is the grid's
+own evaluation at the point reported.
 """
 
 from __future__ import annotations
@@ -27,14 +29,16 @@ from dataclasses import dataclass
 from . import defaults
 from .channel import ChannelSpec
 from .errors import DomainError
+from .numerics import MU_MAX
 from .pipeline import expected_key_rate
 from .security import KeyRateResult, SecurityBudget
 
 GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the guaranteed pre-scan
-LOG_MU_TOL = 1e-9      # bracket width, in log10(mu), where the 1-D search stops
-PS_TOL = 1e-4          # co-optimization: bracket width where the p_s search stops
-CO_LOG_MU_TOL = 1e-3   # co-optimization: the same for its inner log10(mu) search
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+LOG_MU_TOL = 1e-9      # absolute tolerance, in log10(mu), of the 1-D search
+PS_TOL = 1e-4          # co-optimization: absolute tolerance of the p_s search
+CO_LOG_MU_TOL = 3e-4   # co-optimization: the same for its inner log10(mu) search
+_GOLDEN_MEAN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, a share of the bracket
+_SQRT_EPS = math.sqrt(2.2e-16)  # relative resolution of a search point, as in fminbound
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class SearchBounds:
     p_s: tuple[float, float] = defaults.P_S_BOUNDS
 
     def __post_init__(self):
-        if not 0 < self.mu[0] < self.mu[1] < math.inf:
+        if not 0 < self.mu[0] < self.mu[1] <= MU_MAX:
             raise DomainError(f"SearchBounds: bad mu bounds {self.mu}")
         if not 0 < self.p_s[0] < self.p_s[1] < 1:
             raise DomainError(f"SearchBounds: bad p_s bounds {self.p_s}")
@@ -116,7 +120,7 @@ def optimize(
         trace.append((mu, p_s, res.rate))
         return res
 
-    # Python's pow, as at the golden-section points (see docs/DECISIONS.md).
+    # Python's pow, as at the search points (see docs/DECISIONS.md).
     mu_grid = [10.0 ** x for x in _linspace(math.log10(bounds.mu[0]),
                                             math.log10(bounds.mu[1]), GRID_SHAPE[0])]
     if fixed_p_s is not None:
@@ -140,15 +144,15 @@ def optimize(
     mu_lo, mu_hi, mu_ends = _bracket([math.log10(mu) for mu in mu_grid], best_i)
     if fixed_p_s is not None:
         # The grid has already evaluated a clipped end at this p_s.
-        _golden_section_max(lambda x: evaluate(10.0 ** x, fixed_p_s).rate,
-                            mu_lo, mu_hi, LOG_MU_TOL)
+        _brent_max(lambda x: evaluate(10.0 ** x, fixed_p_s).rate,
+                   mu_lo, mu_hi, LOG_MU_TOL)
     else:
         def best_over_mu(p_s: float) -> float:
-            return _golden_section_max(lambda x: evaluate(10.0 ** x, p_s).rate,
-                                       mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends)
+            return _brent_max(lambda x: evaluate(10.0 ** x, p_s).rate,
+                              mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends)
 
         ps_lo, ps_hi, ps_ends = _bracket(ps_grid, best_j)
-        _golden_section_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
+        _brent_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
 
     # The trace holds the grid, so its best point is never below best.rate.
     cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
@@ -165,7 +169,7 @@ def _bracket(grid: list[float], k: int) -> tuple[float, float, tuple[float, ...]
     """The neighbours of grid[k], clipped at the grid ends, and the clipped end.
 
     At short distances the optimum sits on a bound (mu = 0.1, p_s = 0.01),
-    which a golden-section search only approaches; a search whose bracket is
+    which a bracketed search only approaches; a search whose bracket is
     clipped there evaluates that end as well.
     """
     last = len(grid) - 1
@@ -173,27 +177,72 @@ def _bracket(grid: list[float], k: int) -> tuple[float, float, tuple[float, ...]
     return grid[max(k - 1, 0)], grid[min(k + 1, last)], ends
 
 
-def _golden_section_max(rate_of, lo: float, hi: float, tol: float,
-                        ends: tuple = ()) -> float:
-    """Narrow [lo, hi] around a maximum of rate_of down to a width of tol.
+def _brent_max(rate_of, lo: float, hi: float, tol: float,
+               ends: tuple = ()) -> float:
+    """Maximize rate_of on [lo, hi] by Brent's bounded method (scipy's fminbound).
 
-    The points in ``ends`` are evaluated once first.  Each step keeps the
-    sub-bracket on the side of the larger of the two interior values (the
-    lower side on a tie) and costs one evaluation, so the larger interior
-    value never leaves the bracket.  Returns the largest value seen; callers
-    that need the point read it off their trace.
+    The points in ``ends`` are evaluated once first.  Each step fits a
+    parabola through the three best points and steps to its vertex when
+    that lies inside the bracket and moves less than half the step before
+    last; otherwise it takes a golden-section step into the larger side.
+    No step is shorter than tol1 = tol / 3 + sqrt(eps) |x|, and the search
+    stops once the best point lies within 2 tol1 of the bracket's ends.
+    Returns the largest value seen (a tie moves the best point, as in
+    fminbound); callers that need the point read it off their trace.
     """
     end_rates = [rate_of(x) for x in ends]
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = rate_of(c), rate_of(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = rate_of(c)
+    a, b = lo, hi
+    xf = a + _GOLDEN_MEAN * (b - a)
+    fx = rate_of(xf)
+    nfc, fnfc = xf, fx     # second-best point
+    fulc, ffulc = xf, fx   # third-best point
+    rat = e = 0.0          # the last step and the one before it
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # A parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc);
+            # the signs are those of minimizing -rate_of.
+            r = (xf - nfc) * (ffulc - fx)
+            q = (xf - fulc) * (fnfc - fx)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = rate_of(x)
+        if fu >= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = rate_of(d)
-    return max(fc, fd, *end_rates)
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu >= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu >= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+    return max([fx, *end_rates])

@@ -6,9 +6,9 @@ concentration correction lifting the analysis to coherent attacks, and the
 final key-length formula with its failure-probability composition.
 
 Each bound has one implementation: the public stage functions and the full
-chain in :func:`finite_key_rate` share the even-photon terms, the
-discrete-phase deviation factors and the Kato lift.  The Chernoff parameter
-is beta = ln(1/eps).
+chain in :func:`finite_key_rate` share the phase-error terms, the
+discrete-phase deviation factors and the Kato lift, so a chain evaluation
+builds one breakdown.  The Chernoff parameter is beta = ln(1/eps).
 
 The deviation factors depend on (mu, M) alone, and a scan or an optimizer
 asks for the same mu values again and again, so they are kept in a bounded
@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass
 
 from . import defaults
 from .errors import DomainError, NoDataError
-from .numerics import _even_poisson_tails, binary_entropy
+from .numerics import _even_poisson_tails, _require_mu, binary_entropy
 
 # Holds the 50 grid mu values of the optimizer, which recur at every point
-# of a scan, with room for one point's golden-section values beside them.
+# of a scan, with room for several points' refinement values beside them.
 _DEVIATION_CACHE_SIZE = 128
 
 
@@ -129,8 +129,7 @@ def vacuum_yield_ub(
         raise DomainError(f"vacuum_yield_ub: p_s must be in (0, 1), got {p_s}")
     if n_rounds <= 0:
         raise DomainError("vacuum_yield_ub: n_rounds must be positive")
-    if mu < 0:
-        raise DomainError(f"vacuum_yield_ub: mu must be >= 0, got {mu}")
+    _require_mu("vacuum_yield_ub", mu)  # e^-mu underflows to 0 past mu ~ 745
     m_s_exp = chernoff_expected_ub(m_s, eps)
     m_exp = (1.0 - p_s) / p_s * m_s_exp
     n0_exp = 2.0 * m_exp
@@ -157,13 +156,6 @@ def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
     """
     vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
     return vacuum + multi
-
-
-def _require_mu(func: str, mu: float) -> None:
-    # Checked before the cache: NaN once sent the tail series into an
-    # endless loop, and NaN keys never hit.
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"{func}: mu must be finite and >= 0, got {mu}")
 
 
 @functools.lru_cache(maxsize=_DEVIATION_CACHE_SIZE)
@@ -230,6 +222,20 @@ class PhaseErrorBreakdown:
     ep_m_bar: float = float("nan")
 
 
+def _phase_error_terms(
+    mu: float, m_slices: int, q_mu: float, y0_bar: float
+) -> tuple[float, float, tuple[float, ...], float]:
+    """(vacuum, multiphoton, deviations, ep_m) of the discrete-phase bound."""
+    if m_slices not in (6, 8):
+        raise DomainError(
+            f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
+        )
+    _require_mu("phase_error_discrete", mu)
+    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
+    deviations = _deviations(mu, m_slices, q_mu)
+    return vacuum, multi, deviations, vacuum + multi + sum(deviations)
+
+
 def phase_error_discrete(
     mu: float, m_slices: int, q_mu: float, y0_bar: float
 ) -> PhaseErrorBreakdown:
@@ -238,20 +244,7 @@ def phase_error_discrete(
     Adds the residue-class deviations for k in {0, 2, ..., M-2} to the
     continuous-randomization bound.
     """
-    if m_slices not in (6, 8):
-        raise DomainError(
-            f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
-        )
-    _require_mu("phase_error_discrete", mu)
-    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
-    deviations = _deviations(mu, m_slices, q_mu)
-    ep_m = vacuum + multi + sum(deviations)
-    return PhaseErrorBreakdown(
-        vacuum_term=vacuum,
-        multiphoton_term=multi,
-        deviations=deviations,
-        ep_m=ep_m,
-    )
+    return PhaseErrorBreakdown(*_phase_error_terms(mu, m_slices, q_mu, y0_bar))
 
 
 @dataclass(frozen=True)
@@ -442,17 +435,15 @@ def finite_key_rate(
         breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
     else:
         y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
-        terms = phase_error_discrete(mu, m_slices, q_mu, y0_bar)
-        if terms.ep_m <= 1.0:
-            kato, ep_m_bar = _kato_lift(n_mu, terms.ep_m, budget.eps_ka)
+        terms = _phase_error_terms(mu, m_slices, q_mu, y0_bar)
+        ep_m = terms[-1]
+        if ep_m <= 1.0:
+            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka)
             kato_delta = kato.delta
         else:
             # No key is extractable; the Kato lift is undefined past lambda = n.
-            kato_delta, ep_m_bar = 0.0, terms.ep_m
-        breakdown = PhaseErrorBreakdown(
-            terms.vacuum_term, terms.multiphoton_term, terms.deviations,
-            terms.ep_m, kato_delta, ep_m_bar,
-        )
+            kato_delta, ep_m_bar = 0.0, ep_m
+        breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
         ell, rate = key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell=ell, rate=rate, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,

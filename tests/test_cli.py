@@ -11,6 +11,7 @@ import pytest
 from pmqkd import cli
 from pmqkd.channel import ChannelSpec
 from pmqkd.cli import EXIT_CODES, main
+from pmqkd.errors import DomainError
 from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 
@@ -522,6 +523,73 @@ class TestNonFiniteIntensity:
         assert proc.stderr.startswith("pmqkd: error [domain]")
         assert "mu must be finite" in proc.stderr
         assert not out.exists()
+
+    def test_large_mu_rejected(self, tmp_path):
+        # e^-mu underflows to 0 past mu ~ 745; the vacuum bound divided by
+        # it and the command ended in an internal error.
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmqkd.cli", "keyrate", "--loss-db", "45",
+             "--mu", "800", "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_CODES["domain"]
+        assert proc.stderr == ("pmqkd: error [domain] vacuum_yield_ub: mu must be "
+                               "finite and in [0, 700], got 800.0\n")
+        assert not out.exists()
+
+
+class TestOutputFirst:
+    """scan, deviation and simulate open --output before they compute."""
+
+    ARGV = {
+        "scan": ["scan", "--d-min", "10", "--d-max", "40", "--step", "1",
+                 "--n-rounds", "1e12"],
+        "deviation": ["deviation", "--loss-min", "10", "--loss-max", "50"],
+        "simulate": ["simulate", "--loss-db", "20", "--mu", "1e-3",
+                     "--n-rounds", "1e4"],
+    }
+    WORK = ("expected_key_rate", "optimize", "simulate")
+
+    @pytest.mark.parametrize("cmd", sorted(ARGV))
+    def test_unwritable_output_fails_before_any_work(self, capsys, tmp_path,
+                                                     monkeypatch, cmd):
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in self.WORK:
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        missing = str(tmp_path / "no-such-dir" / "out.csv")
+        code, out, err = run_cli(capsys, *self.ARGV[cmd], "--output", missing)
+        assert code == EXIT_CODES["domain"]
+        assert err == (f"pmqkd: error [domain] --output: cannot write {missing}: "
+                       f"No such file or directory\n")
+        assert out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("cmd", sorted(ARGV))
+    def test_failed_work_leaves_no_file(self, capsys, tmp_path, monkeypatch, cmd):
+        def fail(*args, **kwargs):
+            raise DomainError("the work failed")
+
+        for name in self.WORK:
+            monkeypatch.setattr(cli, name, fail)
+        new = tmp_path / "new.csv"
+        code, _, err = run_cli(capsys, *self.ARGV[cmd], "--output", str(new))
+        assert (code, err) == (EXIT_CODES["domain"],
+                               "pmqkd: error [domain] the work failed\n")
+        assert not new.exists()
+        # A file that was there is left as it was.
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n")
+        code, _, _ = run_cli(capsys, *self.ARGV[cmd], "--output", str(old))
+        assert code == EXIT_CODES["domain"]
+        assert old.read_text() == "kept\n"
 
 
 class TestConfigFile:

@@ -6,6 +6,8 @@ module so they stay independent of the implementation under test.
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
+    MU_MAX,
     _residue_series,
     binary_entropy,
     poisson_pmf,
@@ -223,3 +226,38 @@ def test_non_finite_mu_rejected(func, args, mu):
     # NaN once sent the residue series into an endless loop
     with pytest.raises(DomainError, match="mu must be finite"):
         func(mu, *args)
+
+
+@pytest.mark.parametrize("call", [
+    "pseudo_fock_weight({mu}, 8, 0)",
+    "pseudo_fock_weight_ub({mu}, 8, 0)",
+])
+@pytest.mark.parametrize("mu", ["800.0", "1e12"])
+def test_large_mu_rejected_within_a_second(call, mu):
+    # Past mu ~ 745 the leading terms underflow and the series once stepped
+    # ~mu/2 times through zeros, so each case runs in its own process under
+    # a time limit.
+    code = (
+        "import time\n"
+        "from pmqkd.errors import DomainError\n"
+        "from pmqkd.numerics import pseudo_fock_weight, pseudo_fock_weight_ub\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        f"    {call.format(mu=mu)}\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+        "print(time.perf_counter() - t0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message, elapsed = proc.stdout.splitlines()
+    assert message.endswith(f"mu must be finite and in [0, 700], got {float(mu)}")
+    assert float(elapsed) < 1.0
+
+
+def test_largest_mu_is_still_summed():
+    assert MU_MAX == 700.0
+    for k in (0, 2, 4, 6):
+        assert pseudo_fock_weight_ub(MU_MAX, 8, k) == _residue_series(MU_MAX, k, 2)
+    assert pseudo_fock_weight(MU_MAX, 8, 3).weight == _residue_series(MU_MAX, 3, 8)

@@ -8,7 +8,13 @@ import pytest
 
 from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError
-from pmqkd.optimizer import GRID_SHAPE, OptimizationResult, SearchBounds, optimize
+from pmqkd.optimizer import (
+    GRID_SHAPE,
+    OptimizationResult,
+    SearchBounds,
+    _brent_max,
+    optimize,
+)
 from pmqkd.pipeline import expected_key_rate
 
 
@@ -66,6 +72,13 @@ def test_non_finite_mu_bound_rejected(mu):
         SearchBounds(mu=mu)
 
 
+def test_mu_bound_beyond_the_series_rejected():
+    # The residue series are summed only up to mu = 700.
+    assert SearchBounds(mu=(1e-6, 700.0)).mu[1] == 700.0
+    with pytest.raises(DomainError, match="bad mu bounds"):
+        SearchBounds(mu=(1e-6, 700.5))
+
+
 class TestResultConsistency:
     def test_rate_is_reevaluated_pipeline_value(self):
         channel = ChannelSpec(total_loss_db=35.0)
@@ -108,9 +121,9 @@ class TestResultConsistency:
 
 class TestOptimumPinned:
     # Optima found by the differential-evolution refinement the current
-    # searches replaced.  The grid + nested golden-section co-optimization
-    # and the grid + golden-section search at fixed p_s must reach them with
-    # fewer evaluations.
+    # searches replaced.  The grid + nested Brent co-optimization and the
+    # grid + Brent search at fixed p_s must reach them with fewer
+    # evaluations.
     def test_co_optimized_p_s_40db(self):
         r = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, seed=0)
         assert r.rate_opt == pytest.approx(5.581996290263715e-07, rel=1e-6)
@@ -124,8 +137,9 @@ class TestOptimumPinned:
 
 
 # Co-optimized (mu, p_s) optima (M = 8) found by the grid + Nelder-Mead
-# search the nested golden-section search replaced.  Nelder-Mead needed 698 to
-# 1972 evaluations on these points.
+# search that nested bracketed searches replaced.  Nelder-Mead needed 698 to
+# 1972 evaluations on these points, the nested golden-section search 721 to
+# 738.
 CO_OPTIMA = [
     (1e11, 5.0, 0.002266482274848294),     # p_s on its lower bound
     (1e12, 30.0, 6.683767410894573e-06),   # p_s on its lower bound
@@ -141,6 +155,20 @@ class TestCoOptimumPinned:
         r = optimize(ChannelSpec(total_loss_db=loss_db), n_rounds, 8)
         assert r.rate_opt == pytest.approx(rate, rel=1e-6)
         assert r.evaluations < 800
+
+
+class TestCoOptimizationAgainstGoldenSection:
+    @pytest.mark.parametrize("n_rounds,loss_db,rate", CO_OPTIMA)
+    def test_no_more_evaluations(self, n_rounds, loss_db, rate):
+        # 738 is the nested golden-section search's fixed cost.
+        r = optimize(ChannelSpec(total_loss_db=loss_db), n_rounds, 8)
+        assert r.evaluations <= 738
+
+    def test_hardest_point_of_the_sweep(self):
+        # Where an inner tolerance of 1e-3 lost 1.05e-6 against the nested
+        # golden-section search's rate (M = 6, N = 1e12, 55 dB).
+        r = optimize(ChannelSpec(total_loss_db=55.0), 1e12, 6)
+        assert r.rate_opt >= 1.4248297312101789e-09 * (1 - 1e-7)
 
 
 # Fixed-p_s optima of the rate-vs-distance curves (alpha = 0.168 dB/km,
@@ -181,7 +209,8 @@ class TestCurveOptimaPinned:
         else:
             assert r.rate_opt == pytest.approx(rate, rel=1e-6)
             assert r.feasible
-            assert r.evaluations < 100
+            # 50 grid points and at most 34 Brent steps (golden-section took 92)
+            assert r.evaluations < 85
 
     def test_optimum_on_upper_mu_bound(self):
         # at 10 km the rate still rises at mu = 0.1: the search must keep the
@@ -189,6 +218,71 @@ class TestCurveOptimaPinned:
         r = optimize(ChannelSpec(distance_km=10.0, alpha_db_per_km=0.168), 1e10, 8,
                      fixed_p_s=0.07)
         assert r.mu_opt == SearchBounds().mu[1]
+
+
+def _recorded(f):
+    """f, and the list of (x, f(x)) it appends each evaluation to."""
+    seen = []
+
+    def rate_of(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+    return rate_of, seen
+
+
+def _resolution(x, tol):
+    """The search's step floor at x: tol / 3 + sqrt(eps) |x|."""
+    return tol / 3.0 + math.sqrt(2.2e-16) * abs(x)
+
+
+class TestBrentMax:
+    TOL = 1e-9
+
+    def _best(self, seen):
+        return max(seen, key=lambda t: t[1])
+
+    def test_concave_quadratic(self):
+        rate_of, seen = _recorded(lambda x: 1.0 - (x - 0.7) ** 2)
+        best = _brent_max(rate_of, -1.0, 2.0, self.TOL)
+        x_best, f_best = self._best(seen)
+        assert best == f_best
+        assert abs(x_best - 0.7) <= 2.0 * _resolution(0.7, self.TOL)
+        assert len(seen) < 15  # parabolic steps: golden-section alone takes 48
+
+    def test_zero_plateau_on_one_side(self):
+        # No key below x = 0.55, as past a cutoff; the first point lies there.
+        rate_of, seen = _recorded(lambda x: max(0.0, 0.0625 - (x - 0.8) ** 2))
+        best = _brent_max(rate_of, 0.0, 1.0, self.TOL)
+        assert seen[0][1] == 0.0
+        x_best, f_best = self._best(seen)
+        assert best == f_best
+        assert abs(x_best - 0.8) <= 2.0 * _resolution(0.8, self.TOL)
+
+    def test_clipped_end_is_the_largest(self):
+        rate_of, seen = _recorded(lambda x: x)
+        best = _brent_max(rate_of, 0.0, 1.0, self.TOL, ends=(1.0,))
+        assert seen[0] == (1.0, 1.0)  # the end is evaluated first
+        assert all(x < 1.0 for x, _ in seen[1:])  # the steps only approach it
+        assert best == 1.0
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x: 1.0 - (x - 0.7) ** 2, -1.0, 2.0),
+        (lambda x: max(0.0, 0.0625 - (x - 0.8) ** 2), 0.0, 1.0),
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: math.sin(3.0 * x) * math.exp(-x), -0.5, 2.5),
+        (lambda x: -abs(x - 0.123456), 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-9, 3e-4])
+    def test_same_points_as_fminbound(self, f, lo, hi, tol):
+        # The scheme is scipy's fminbound on -f: the same points, in order.
+        from scipy.optimize import fminbound
+
+        rate_of, seen = _recorded(f)
+        best = _brent_max(rate_of, lo, hi, tol)
+        ref = []
+        fminbound(lambda x: ref.append(float(x)) or -f(float(x)), lo, hi, xtol=tol)
+        assert [x for x, _ in seen] == ref
+        assert best == max(y for _, y in seen)
 
 
 class TestPhysicalSanity:

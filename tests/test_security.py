@@ -221,6 +221,36 @@ def test_bad_intensity_rejected(call, mu):
     assert f"got {float(mu)}" in proc.stdout
 
 
+@pytest.mark.parametrize("call", [
+    "vacuum_yield_ub(100.0, 0.07, 1e11, {mu}, 1e-10)",
+    "phase_error_discrete({mu}, 8, 1e-5, 1e-6)",
+    "deviation_bound({mu}, 8, 0, 1e-5)",
+])
+@pytest.mark.parametrize("mu", ["800.0", "1e12"])
+def test_large_intensity_rejected_within_a_second(call, mu):
+    # e^-mu underflows to 0 past mu ~ 745: the vacuum bound divided by it,
+    # and the tail series stepped ~mu/2 times.  Each case runs in its own
+    # process under a time limit.
+    code = (
+        "import time\n"
+        "from pmqkd.errors import DomainError\n"
+        "from pmqkd.security import deviation_bound, phase_error_discrete, "
+        "vacuum_yield_ub\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        f"    {call.format(mu=mu)}\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+        "print(time.perf_counter() - t0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message, elapsed = proc.stdout.splitlines()
+    assert message.endswith(f"mu must be finite and in [0, 700], got {float(mu)}")
+    assert float(elapsed) < 1.0
+
+
 class TestDeviationCache:
     """The (mu, M) factors are cached; no result may depend on the cache."""
 
