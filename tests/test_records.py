@@ -1,0 +1,128 @@
+"""The chain's audit records: their serialised layout, immutability and pickling.
+
+The golden files under ``tests/data`` are the exact text the CLI wrote for
+``reproduce --bundled 45`` (JSON) and ``keyrate --loss-db 30 --mu 1e-3``
+(CSV).  They pin key order, nesting and the list form of ``deviations``, so
+a change to how the records are built must leave every output byte alone.
+"""
+
+import pickle
+from pathlib import Path
+
+import pytest
+
+from pmqkd.cli import main
+from pmqkd.ingest import load_bundled_record, reproduce_key_rate, result_to_json
+from pmqkd.security import (
+    KatoCoefficients,
+    KeyRateResult,
+    PhaseErrorBreakdown,
+    SecurityBudget,
+    finite_key_rate,
+)
+
+DATA = Path(__file__).parent / "data"
+
+# A chain that short-circuits on fewer than one sifted bit: no Kato record,
+# no deviations, and every value below is exact in binary floating point.
+SHORT_CIRCUIT_JSON = """\
+{
+  "ell": 0.0,
+  "rate": 0.0,
+  "n_rounds": 1000.0,
+  "n_mu": 0.5,
+  "e_b": 0.25,
+  "m_s": 0.0,
+  "mu": 0.125,
+  "m_slices": 8,
+  "p_s": 0.0625,
+  "f": 1.5,
+  "q_mu": 0.5,
+  "y0_bar": 0.0,
+  "breakdown": {
+    "vacuum_term": 0.0,
+    "multiphoton_term": 0.0,
+    "deviations": [],
+    "ep_m": 0.0,
+    "kato_delta": 0.0,
+    "ep_m_bar": 0.5
+  },
+  "kato": null,
+  "budget": {
+    "eps": 5e-21,
+    "eps_ka": 1e-10,
+    "xi": 66.43856189774725,
+    "xi_prime": 49.82892142331043
+  },
+  "m_s_reconstructed": false,
+  "q_source": "closed-form",
+  "eps_sec": 1.9999999999999993e-10,
+  "eps_cor": 1.0000000000000015e-15,
+  "eps_tot": 3.0000099999999995e-10,
+  "ep_m": 0.0,
+  "ep_m_bar": 0.5
+}"""
+
+
+def _bundled_45():
+    return reproduce_key_rate(load_bundled_record(45))
+
+
+def _short_circuit():
+    return finite_key_rate(
+        mu=0.125, m_slices=8, n_rounds=1000.0, p_s=0.0625, f=1.5, q_mu=0.5,
+        e_b=0.25, n_mu=0.5, m_s=0.0, budget=SecurityBudget(),
+    )
+
+
+class TestSerialisedLayout:
+    def test_bundled_45_json(self):
+        expected = (DATA / "reproduce_bundled_45.json").read_text()
+        assert result_to_json(_bundled_45()) + "\n" == expected
+
+    def test_bundled_45_cli_file(self, capsys, tmp_path):
+        out = tmp_path / "result.json"
+        assert main(["reproduce", "--bundled", "45", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == (DATA / "reproduce_bundled_45.json").read_text()
+
+    def test_short_circuit_json(self):
+        result = _short_circuit()
+        assert result.kato is None and result.breakdown.deviations == ()
+        assert result_to_json(result) == SHORT_CIRCUIT_JSON
+
+    def test_keyrate_csv_rows(self, capsys, tmp_path):
+        out = tmp_path / "result.csv"
+        code = main(["keyrate", "--loss-db", "30", "--mu", "1e-3",
+                     "--format", "csv", "--output", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        expected = (DATA / "keyrate_30db_mu1e-3.csv").read_text()
+        assert out.read_text().splitlines() == expected.splitlines()
+
+
+def _records():
+    result = _bundled_45()
+    return [result, result.breakdown, result.kato]
+
+
+@pytest.mark.parametrize("index,cls,field", [
+    (0, KeyRateResult, "rate"),
+    (1, PhaseErrorBreakdown, "ep_m"),
+    (2, KatoCoefficients, "delta"),
+])
+class TestRecordValues:
+    def test_rejects_assignment(self, index, cls, field):
+        record = _records()[index]
+        assert type(record) is cls
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1.0
+
+    def test_pickle_round_trip(self, index, cls, field):
+        record = _records()[index]
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is cls
+        assert back == record
+        assert getattr(back, field) == getattr(record, field)
