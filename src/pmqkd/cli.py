@@ -26,7 +26,7 @@ from decimal import Decimal
 
 from . import defaults
 from .channel import ChannelSpec
-from .errors import DomainError, PmqkdError
+from .errors import DomainError, NoDataError, PmqkdError
 from .ingest import (
     load_bundled_record,
     parse_flag,
@@ -309,6 +309,10 @@ def cmd_deviation(args) -> int:
     lines = [",".join(header)]
     with _output_first(args.output):
         for loss, res in zip(losses, _point_results(args, channels)):
+            if res.n_mu < 1:
+                # The chain short-circuited: no deviations, and ep_m = 0.
+                raise NoDataError(f"deviation: loss_db={loss!r} gives n_mu = "
+                                  f"{res.n_mu!r}, fewer than one sifted bit")
             devs = res.breakdown.deviations
             total = sum(devs)
             row = [repr(loss), repr(res.mu)] + [repr(v) for v in devs]

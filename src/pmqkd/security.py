@@ -16,6 +16,14 @@ cache (:func:`_deviation_factors`).  A cached value is a pure function of
 its key and the cache changes no result, so every operation stays a pure
 function of its arguments; a full key-rate evaluation is a value-in/value-out
 computation that can run in parallel across parameter grid points.
+
+A chain evaluation returns three audit records, :class:`KeyRateResult`,
+:class:`PhaseErrorBreakdown` and :class:`KatoCoefficients`.  They are
+built on every evaluation, thousands of times per curve, so they are
+NamedTuples built positionally: as immutable and picklable as a frozen
+dataclass at a fraction of the construction cost, and serialised through
+``KeyRateResult.to_dict``.  :class:`SecurityBudget`, built once per command,
+stays a frozen dataclass with its checks.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import defaults
 from .errors import DomainError, NoDataError
@@ -206,8 +215,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     return _deviations(mu, m_slices, q_mu)[k // 2]
 
 
-@dataclass(frozen=True)
-class PhaseErrorBreakdown:
+class PhaseErrorBreakdown(NamedTuple):
     """Terms composing the discrete-phase phase-error rate.
 
     ep_m = vacuum_term + multiphoton_term + sum(deviations); ep_m_bar adds
@@ -247,8 +255,7 @@ def phase_error_discrete(
     return PhaseErrorBreakdown(*_phase_error_terms(mu, m_slices, q_mu, y0_bar))
 
 
-@dataclass(frozen=True)
-class KatoCoefficients:
+class KatoCoefficients(NamedTuple):
     """Coefficients of the Kato concentration bound, kept for audit.
 
     The (a, b) pair saturates the bound's failure probability at eps_ka:
@@ -300,9 +307,7 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
         raise ArithmeticError("kato_correction: negative radicand in b")
     b = math.sqrt(rad2) / (3.0 * math.sqrt(2.0 * n))
     delta = (b + a * (2.0 * lambda_n / n - 1.0)) * sqrt_n
-    return KatoCoefficients(
-        a=a, b=b, a1=a1, n=n, lambda_n=lambda_n, eps_ka=eps_ka, delta=delta
-    )
+    return KatoCoefficients(a, b, a1, n, lambda_n, eps_ka, delta)
 
 
 def kato_epsilon(coeffs: KatoCoefficients) -> float:
@@ -359,8 +364,7 @@ def key_length(
     return ell, ell / n_rounds
 
 
-@dataclass(frozen=True)
-class KeyRateResult:
+class KeyRateResult(NamedTuple):
     """Full audit record of one key-rate evaluation."""
 
     ell: float
@@ -390,7 +394,11 @@ class KeyRateResult:
         return self.breakdown.ep_m_bar
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields in order, the nested records as dicts, then the derived values."""
+        d = self._asdict()
+        d["breakdown"] = self.breakdown._asdict()
+        d["kato"] = None if self.kato is None else self.kato._asdict()
+        d["budget"] = asdict(self.budget)
         d["eps_sec"] = self.budget.eps_sec
         d["eps_cor"] = self.budget.eps_cor
         d["eps_tot"] = self.budget.eps_tot
@@ -421,10 +429,14 @@ def finite_key_rate(
     not care.  Degenerate inputs (no sifted data, or a phase error bound
     beyond 1) short-circuit to a zero-rate result with the breakdown kept
     for audit.  An error-correction efficiency f below the Shannon limit of
-    1 would overstate the key, so it is rejected, as is a non-finite n_rounds.
+    1 would overstate the key, so it is rejected, as is an n_rounds that is
+    not finite and positive (the short-circuit would otherwise report a zero
+    rate for no rounds at all).
     """
     if not math.isfinite(n_rounds):
         raise DomainError(f"finite_key_rate: n_rounds must be finite, got {n_rounds}")
+    if n_rounds <= 0:
+        raise DomainError(f"finite_key_rate: n_rounds must be positive, got {n_rounds}")
     if not (math.isfinite(f) and f >= 1.0):
         raise DomainError(
             f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"
@@ -446,8 +458,6 @@ def finite_key_rate(
         breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
         ell, rate = key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
-        ell=ell, rate=rate, n_rounds=n_rounds, n_mu=n_mu, e_b=e_b, m_s=m_s,
-        mu=mu, m_slices=m_slices, p_s=p_s, f=f, q_mu=q_mu, y0_bar=y0_bar,
-        breakdown=breakdown, kato=kato, budget=budget,
-        m_s_reconstructed=m_s_reconstructed, q_source=q_source,
+        ell, rate, n_rounds, n_mu, e_b, m_s, mu, m_slices, p_s, f, q_mu, y0_bar,
+        breakdown, kato, budget, m_s_reconstructed, q_source,
     )

@@ -341,6 +341,23 @@ class TestDeviation:
         d0, d2, d4, d6 = map(float, row[2:6])
         assert d0 > d2 > d4 > d6 > 0
 
+    @pytest.mark.parametrize("argv,loss", [
+        (["--loss-min", "30", "--loss-max", "30", "--n-rounds", "1e3"], "30.0"),
+        (["--loss-min", "10", "--loss-max", "10", "--mu", "1e-9", "--p-d", "0",
+          "--n-rounds", "1e6"], "10.0"),
+    ])
+    def test_point_without_a_sifted_bit_is_no_data(self, capsys, tmp_path, argv,
+                                                   loss):
+        # Such a point once divided by its ep_m of 0 (exit 70), and its row,
+        # with no deviations, was shorter than the header.
+        out = tmp_path / "dev.csv"
+        code, _, err = run_cli(capsys, "deviation", *argv, "--output", str(out))
+        assert code == EXIT_CODES["no-data"]
+        assert err.startswith(f"pmqkd: error [no-data] deviation: loss_db={loss} "
+                              f"gives n_mu = ")
+        assert err.endswith(", fewer than one sifted bit\n")
+        assert not out.exists()
+
 
 class TestSimulateReproduce:
     def test_deterministic_csv_and_reproduce(self, capsys, tmp_path):
@@ -485,6 +502,21 @@ def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
     assert code == EXIT_CODES["domain"]
     assert err == (f"pmqkd: error [domain] finite_key_rate: n_rounds must be "
                    f"finite, got {n_rounds}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
+    ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
+    ["optimize", "--loss-db", "45"],
+])
+def test_zero_rounds_rejected(capsys, tmp_path, argv):
+    # keyrate once reported a rate of 0 for no rounds at all (exit 0).
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--n-rounds", "0", "--output", str(out))
+    assert code == EXIT_CODES["domain"]
+    assert err == ("pmqkd: error [domain] finite_key_rate: n_rounds must be "
+                   "positive, got 0.0\n")
     assert not out.exists()
 
 

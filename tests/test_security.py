@@ -512,6 +512,16 @@ class TestFiniteKeyRate:
             expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3,
                               n_rounds=n_rounds)
 
+    @pytest.mark.parametrize("n_rounds", [0.0, -1.0])
+    def test_non_positive_rounds_rejected(self, n_rounds):
+        # Fewer than one sifted bit short-circuits before key_length and
+        # vacuum_yield_ub check n_rounds, so the chain checks it first.
+        with pytest.raises(DomainError, match="n_rounds must be positive"):
+            finite_key_rate(
+                mu=1e-3, m_slices=8, n_rounds=n_rounds, p_s=0.07, f=1.16,
+                q_mu=3e-6, e_b=0.01, n_mu=0.0, m_s=0.0, budget=SecurityBudget(),
+            )
+
     @pytest.mark.parametrize("p_s", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_sampling_fraction_outside_unit_interval_rejected(self, p_s):
         # p_s = 1 once divided by zero in the expected sampled errors.
