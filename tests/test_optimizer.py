@@ -9,10 +9,15 @@ import pytest
 from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError
 from pmqkd.optimizer import (
+    CO_LOG_MU_TOL,
     GRID_SHAPE,
+    LOG_MU_TOL,
+    PS_TOL,
     OptimizationResult,
     SearchBounds,
+    _bracket,
     _brent_max,
+    _linspace,
     optimize,
 )
 from pmqkd.pipeline import expected_key_rate
@@ -283,6 +288,93 @@ class TestBrentMax:
         fminbound(lambda x: ref.append(float(x)) or -f(float(x)), lo, hi, xtol=tol)
         assert [x for x, _ in seen] == ref
         assert best == max(y for _, y in seen)
+
+
+def _full_grid_search(channel, n_rounds, m_slices, fixed_p_s=None):
+    """The search on the whole grid, kept here as the reference.
+
+    Every grid point in mu-major order (the first maximum wins), then the
+    bracket around it, the same Brent searches and the re-evaluation of the
+    best point of the trace.  Returns (result, trace).
+    """
+    bounds = SearchBounds()
+    trace = []
+
+    def evaluate(mu, p_s):
+        res = expected_key_rate(channel, mu, m_slices=m_slices, n_rounds=n_rounds,
+                                p_s=p_s)
+        trace.append((mu, p_s, res.rate))
+        return res
+
+    log_mu = _linspace(math.log10(bounds.mu[0]), math.log10(bounds.mu[1]),
+                       GRID_SHAPE[0])
+    mu_grid = [10.0 ** x for x in log_mu]
+    ps_grid = ([fixed_p_s] if fixed_p_s is not None
+               else _linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1]))
+    best_i, best_j, best = 0, 0, None
+    for i, mu in enumerate(mu_grid):
+        for j, p_s in enumerate(ps_grid):
+            res = evaluate(mu, p_s)
+            if best is None or res.rate > best.rate:
+                best_i, best_j, best = i, j, res
+    if best.rate <= 0.0:
+        return best, trace
+    mu_lo, mu_hi, mu_ends = _bracket([math.log10(mu) for mu in mu_grid], best_i)
+    if fixed_p_s is not None:
+        _brent_max(lambda x: evaluate(10.0 ** x, fixed_p_s).rate,
+                   mu_lo, mu_hi, LOG_MU_TOL)
+    else:
+        ps_lo, ps_hi, ps_ends = _bracket(ps_grid, best_j)
+        _brent_max(
+            lambda p: _brent_max(lambda x: evaluate(10.0 ** x, p).rate,
+                                 mu_lo, mu_hi, CO_LOG_MU_TOL, mu_ends),
+            ps_lo, ps_hi, PS_TOL, ps_ends)
+    mu, p_s, _ = max(trace, key=lambda t: t[2])
+    return expected_key_rate(channel, mu, m_slices=m_slices, n_rounds=n_rounds,
+                             p_s=p_s), trace
+
+
+# 0-70 dB in 5 dB steps: short-range optima on the mu = 0.1 bound, the
+# cutoffs of every N, and points with no key beyond them.
+SWEEP_LOSSES_DB = [5.0 * i for i in range(15)]
+
+
+class TestSameOptimumAsTheFullGrid:
+    @pytest.mark.parametrize("m_slices", [6, 8])
+    @pytest.mark.parametrize("n_rounds", [1e10, 1e12])
+    @pytest.mark.parametrize("p_s", [0.01, 0.07])
+    def test_fixed_p_s_sweep(self, m_slices, n_rounds, p_s):
+        for loss_db in SWEEP_LOSSES_DB:
+            channel = ChannelSpec(total_loss_db=loss_db)
+            ref, _ = _full_grid_search(channel, n_rounds, m_slices, fixed_p_s=p_s)
+            r = optimize(channel, n_rounds, m_slices, fixed_p_s=p_s)
+            assert r.result == ref, loss_db
+            assert r.feasible == (ref.rate > 0.0), loss_db
+
+    @pytest.mark.parametrize("m_slices,n_rounds,loss_db", [
+        (8, 1e11, 5.0),    # p_s and mu near their bounds
+        (8, 1e12, 30.0),   # p_s on its lower bound
+        (6, 1e12, 55.0),   # the hardest point of the co-optimization sweep
+        (8, 1e10, 45.0),
+        (6, 1e10, 60.0),   # no key
+        (8, 1e8, 40.0),
+    ])
+    def test_co_optimized(self, m_slices, n_rounds, loss_db):
+        channel = ChannelSpec(total_loss_db=loss_db)
+        ref, _ = _full_grid_search(channel, n_rounds, m_slices)
+        r = optimize(channel, n_rounds, m_slices)
+        assert r.result == ref
+        assert r.feasible == (ref.rate > 0.0)
+
+    @pytest.mark.parametrize("fixed_p_s", [0.07, None])
+    def test_infeasible_point_evaluates_each_grid_point_once(self, fixed_p_s):
+        channel = ChannelSpec(total_loss_db=120.0)
+        ref, grid = _full_grid_search(channel, 1e8, 8, fixed_p_s=fixed_p_s)
+        r = optimize(channel, 1e8, 8, fixed_p_s=fixed_p_s)
+        assert not r.feasible and r.result == ref
+        assert len(set(grid)) == len(grid) == GRID_SHAPE[0] * (
+            1 if fixed_p_s is not None else GRID_SHAPE[1])
+        assert sorted(r.trace) == sorted(grid)
 
 
 class TestPhysicalSanity:
