@@ -597,6 +597,152 @@ class TestSharedPaths:
         )
 
 
+def _mp_entropy(x):
+    if x <= 0 or x >= 1:
+        return mp.mpf(0)
+    return -x * mp.log(x, 2) - (1 - x) * mp.log(1 - x, 2)
+
+
+def _mp_even_tail(mu, k):
+    """sum over n = k, k+2, ... of e^-mu mu^n / n!, to 70 digits."""
+    total, n = mp.mpf(0), k
+    while True:
+        term = mp.exp(-mu) * mu**n / mp.factorial(n)
+        total += term
+        if term < mp.mpf(10) ** -70 * total:
+            return total
+        n += 2
+
+
+def _mp_chain(mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s):
+    """(y0_bar, ep_m, ep_m_bar, R) of the chain, from the formulas of
+    benchmarks/oracle.py, at 60 digits with the default budget and f = 1.16."""
+    mu, n_rounds, p_s, q_mu, e_b, n_mu, m_s = (
+        mp.mpf(v) for v in (mu, n_rounds, p_s, q_mu, e_b, n_mu, m_s))
+    eps, eps_ka, f = mp.mpf("0.5e-20"), mp.mpf("1e-10"), mp.mpf("1.16")
+    beta = mp.log(1 / eps)
+    m_s_up = m_s + beta + mp.sqrt(2 * beta * m_s + beta**2)
+    n0 = 2 * (1 - p_s) / p_s * m_s_up
+    n0_up = n0 + beta / 2 + mp.sqrt(2 * beta * n0 + beta**2 / 4)
+    y0 = min(n0_up / (n_rounds * (1 - p_s) * mp.exp(-mu)), mp.mpf(1))
+    ep = (mp.exp(-mu) * y0 + (1 - mp.exp(-mu)) ** 2 / 2) / q_mu
+    for k in range(0, m_slices, 2):
+        ep += _mp_even_tail(mu, k) / q_mu * mp.sqrt(
+            mp.factorial(k) * mu**m_slices / mp.factorial(m_slices + k))
+    n, lam, log_e = n_mu, min(n_mu * ep, n_mu), mp.log(eps_ka)
+    core = 9 * lam * (n - lam) - 2 * n * log_e
+    a1 = mp.sqrt(-(n * n) * log_e * core)
+    a = 3 * (72 * mp.sqrt(n) * lam * (n - lam) * log_e
+             - 16 * n * mp.sqrt(n) * log_e**2
+             + 9 * mp.sqrt(2) * (n - 2 * lam) * a1) / (4 * (9 * n - 8 * log_e) * core)
+    b = mp.sqrt(18 * a * a * n - (16 * a * a + 24 * a * mp.sqrt(n) + 9 * n) * log_e) / (
+        3 * mp.sqrt(2 * n))
+    ep_bar = ep + (b + a * (2 * lam / n - 1)) * mp.sqrt(n) / n
+    ell = n * (1 - _mp_entropy(min(ep_bar, mp.mpf("0.5"))) - f * _mp_entropy(e_b))
+    ell -= mp.log(mp.mpf(10) ** 20, 2) + mp.log(mp.mpf(10) ** 15, 2)
+    return y0, ep, ep_bar, max(ell, mp.mpf(0)) / n_rounds
+
+
+def _mp_gain_qber(distance_km, mu):
+    """(Q, E_b) of the closed-form channel at the default detector, 60 digits."""
+    eta = mp.mpf("0.56") * mp.power(10, -mp.mpf("0.168") * distance_km / 20)
+    p_d, e_d, mu = mp.mpf("1e-8"), mp.mpf("0.01"), mp.mpf(mu)
+    s = 1 - mp.exp(-mu * eta)
+    q = (1 - p_d) * (s + 2 * p_d * (1 - s))
+    num = e_d * (1 - p_d) * (1 - (1 - p_d) * (1 - s)) + (1 - e_d) * p_d * (1 - p_d) * (1 - s)
+    return q, num / q
+
+
+# finite_key_rate's inputs (mu, M, N, p_s, Q, E_b, n_mu, m_s) at the three
+# bundled records (reproduce --bundled) and at the 305 and 328 km rows of the
+# criterion-3a table in docs/DECISIONS.md (N = 1e12, p_s = 0.07, M = 8,
+# mu_opt), with the frozen (y0_bar, ep_m, ep_m_bar, R) of _mp_chain at 60
+# digits.
+CHAIN_POINTS = {
+    "bundled-35": ((0.0032, 8, 1e11, 0.07, 3.188625833168269e-05,
+                    0.002166059578398848, 935339.0, 152.0),
+                   ("1.036423667504798100433e-7", "0.1632978773867096150395",
+                    "0.1659025899291768815536", "3.047061871342805342198e-6")),
+    "bundled-40": ((0.00187, 8, 1e11, 0.07, 1.0491944854441044e-05,
+                    0.0033025885153228204, 302490.0, 75.0),
+                   ("7.047765219895106081719e-8", "0.173040368620437253836",
+                    "0.1777409990132426369524", "8.693919143163210245117e-7")),
+    "bundled-45": ((0.000978, 8, 1e11, 0.07, 3.0998261345331853e-06,
+                    0.007071180309650146, 91781.0, 49.0),
+                   ("5.832036328645592826845e-8", "0.1729251516658216922796",
+                    "0.1815055556396248133628", "2.248487354534266042871e-7")),
+    "305km": ((0.00039109178296655665, 8, 1e12, 0.07, 6.204357949044989e-07,
+               0.02579533949880755, 144251.32231529598, 280.0761594185464),
+              ("1.537416095982112065788e-8", "0.1479841092082719009099",
+               "0.1544034657391577218749", "2.566827967778182844839e-8")),
+    "328km": ((0.00024619363753740445, 8, 1e12, 0.07, 2.6225055803511356e-07,
+               0.04736883384107929, 60973.254743163896, 217.39380439517325),
+              ("1.295268986061619701741e-8", "0.1649098302015411988179",
+               "0.1752768410319077889701", "5.687143145341945646274e-10")),
+}
+
+
+def _chain_inputs(point):
+    mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s = point
+    return dict(mu=mu, m_slices=m_slices, n_rounds=n_rounds, p_s=p_s, f=1.16,
+                q_mu=q_mu, e_b=e_b, n_mu=n_mu, m_s=m_s, budget=SecurityBudget())
+
+
+def _assert_matches_frozen(res, frozen):
+    """res against the 60-digit values, within the rounding of the chain in doubles.
+
+    The multiphoton numerator e^-2mu + 1 - 2 e^-mu is a difference of numbers
+    near 1, so it carries an absolute error of about 1 ulp of 1 (2^-52), and
+    ep_m one of 2^-52 / Q.  That is 1e-9 relative at 305 and 328 km, where
+    Q is below 1e-6; R moves by n_mu / N times the slope of H at ep_m_bar.
+    """
+    y0, ep_m, ep_m_bar, rate = (float(v) for v in frozen)
+    ep_tol = 2.0 ** -52 / res.q_mu + 1e-14 * ep_m
+    slope = math.log2((1.0 - ep_m_bar) / ep_m_bar)
+    assert res.y0_bar == pytest.approx(y0, rel=1e-14)
+    assert abs(res.ep_m - ep_m) <= ep_tol
+    assert abs(res.ep_m_bar - ep_m_bar) <= ep_tol
+    assert abs(res.rate - rate) <= res.n_mu / res.n_rounds * slope * ep_tol + 1e-12 * rate
+
+
+class TestChainAgainstExtendedPrecision:
+    @pytest.mark.parametrize("name", CHAIN_POINTS)
+    def test_frozen_values_are_the_formulas(self, name):
+        point, frozen = CHAIN_POINTS[name]
+        mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s = point
+        got = _mp_chain(mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s)
+        for value, text in zip(got, frozen):
+            assert abs(value / mp.mpf(text) - 1) < mp.mpf(10) ** -20
+
+    @pytest.mark.parametrize("name", CHAIN_POINTS)
+    def test_finite_key_rate(self, name):
+        point, frozen = CHAIN_POINTS[name]
+        _assert_matches_frozen(finite_key_rate(**_chain_inputs(point)), frozen)
+
+    @pytest.mark.parametrize("loss_db", [35, 40, 45])
+    def test_reproduce_bundled(self, loss_db):
+        point, frozen = CHAIN_POINTS[f"bundled-{loss_db}"]
+        res = reproduce_key_rate(load_bundled_record(loss_db))
+        mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s = point
+        assert (res.mu, res.m_slices, res.n_rounds, res.p_s, res.n_mu, res.m_s) == (
+            mu, m_slices, n_rounds, p_s, n_mu, m_s)
+        assert res.e_b == e_b
+        assert res.q_mu == pytest.approx(q_mu, rel=1e-14)
+        _assert_matches_frozen(res, frozen)
+
+    @pytest.mark.parametrize("distance_km", [305, 328])
+    def test_expected_key_rate_from_the_channel(self, distance_km):
+        point, frozen = CHAIN_POINTS[f"{distance_km}km"]
+        mu = point[0]
+        res = expected_key_rate(ChannelSpec(distance_km=distance_km), mu,
+                                m_slices=8, n_rounds=1e12, p_s=0.07)
+        q_mu, e_b = _mp_gain_qber(distance_km, mu)
+        assert res.q_mu == pytest.approx(float(q_mu), rel=1e-14)
+        assert res.e_b == pytest.approx(float(e_b), rel=1e-13)
+        assert res.n_mu == pytest.approx(point[6], rel=1e-15)
+        _assert_matches_frozen(res, frozen)
+
+
 class TestMoreErrorsNeverRaiseRate:
     """Never optimistic: more observed errors never raise the key rate."""
 
