@@ -67,20 +67,39 @@ def transmittance(spec: ChannelSpec) -> float:
     return spec.eta_d * 10.0 ** (-(spec.loss_db() / 2.0) / 10.0)
 
 
-def gain(mu: float, eta: float, p_d: float) -> float:
-    """Total gain Q: probability that a round yields a single-detector click.
-
-    Q = (1 - p_d) * [1 - (1 - 2 p_d) e^(-mu eta)], computed through expm1 so
-    the small mu*eta regime keeps full relative precision.
-    """
+def _check_gain_args(mu: float, eta: float, p_d: float) -> None:
     if not 0.0 <= mu < math.inf:
         raise DomainError(f"gain: mu must be finite and >= 0, got {mu}")
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"gain: eta must be in (0, 1], got {eta}")
     if not 0.0 <= p_d < 1.0:
         raise DomainError(f"gain: p_d must be in [0, 1), got {p_d}")
+
+
+def _gain_qber(mu: float, eta: float, p_d: float, e_d: float) -> tuple[float, float]:
+    """(Q, E_b) from one expm1 and one denominator; the inputs are checked.
+
+    Raises UndefinedRateError where Q is zero (mu eta = 0 and p_d = 0).
+    """
     s = -math.expm1(-mu * eta)  # 1 - e^(-mu eta)
-    return (1.0 - p_d) * (s + 2.0 * p_d * (1.0 - s))
+    denom = s + 2.0 * p_d * (1.0 - s)  # Q / (1 - p_d)
+    if denom <= 0.0:
+        raise UndefinedRateError("qber: gain is zero (mu = 0 and p_d = 0)")
+    num = e_d * (s + p_d * (1.0 - s)) + (1.0 - e_d) * p_d * (1.0 - s)
+    return (1.0 - p_d) * denom, num / denom
+
+
+def gain(mu: float, eta: float, p_d: float) -> float:
+    """Total gain Q: probability that a round yields a single-detector click.
+
+    Q = (1 - p_d) * [1 - (1 - 2 p_d) e^(-mu eta)], computed through expm1 so
+    the small mu*eta regime keeps full relative precision.
+    """
+    _check_gain_args(mu, eta, p_d)
+    try:
+        return _gain_qber(mu, eta, p_d, 0.0)[0]
+    except UndefinedRateError:
+        return 0.0  # no clicks at all
 
 
 def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
@@ -95,12 +114,20 @@ def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
         raise DomainError(f"qber: e_d must be in [0, 0.5], got {e_d}")
     if not 0.0 <= mu < math.inf:
         raise DomainError(f"qber: mu must be finite and >= 0, got {mu}")
-    s = -math.expm1(-mu * eta)  # 1 - e^(-mu eta)
-    denom = s + 2.0 * p_d * (1.0 - s)
-    if denom <= 0.0:
-        raise UndefinedRateError("qber: gain is zero (mu = 0 and p_d = 0)")
-    num = e_d * (s + p_d * (1.0 - s)) + (1.0 - e_d) * p_d * (1.0 - s)
-    return num / denom
+    return _gain_qber(mu, eta, p_d, e_d)[1]
+
+
+def _check_sifted_args(m_slices: int, p_s: float, n_rounds: float) -> None:
+    if m_slices < 2:
+        raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
+    if not 0.0 <= p_s <= 1.0:
+        raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
+    if n_rounds < 0:
+        raise DomainError("expected_sifted: n_rounds must be nonnegative")
+
+
+def _expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> float:
+    return (2.0 / m_slices) * q_mu * n_rounds * (1.0 - p_s)
 
 
 def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> float:
@@ -108,10 +135,5 @@ def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> 
 
     Returned as a real expectation, not rounded.
     """
-    if m_slices < 2:
-        raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
-    if not 0.0 <= p_s <= 1.0:
-        raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
-    if n_rounds < 0:
-        raise DomainError("expected_sifted: n_rounds must be nonnegative")
-    return (2.0 / m_slices) * q_mu * n_rounds * (1.0 - p_s)
+    _check_sifted_args(m_slices, p_s, n_rounds)
+    return _expected_sifted(q_mu, n_rounds, m_slices, p_s)

@@ -26,6 +26,10 @@ _REL_TERM_FLOOR = 1e-18
 # terms underflow to 0 and the loop steps ~mu/2 times before a term counts.
 MU_MAX = 700.0
 
+# ln n! for n = 0 .. 170 (170! is the largest factorial a double holds).
+# Each entry is math.lgamma(n + 1), so a lookup gives the same double.
+_LOG_FACTORIAL = tuple(math.lgamma(n + 1) for n in range(171))
+
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) = -x log2 x - (1-x) log2 (1-x), in bits.
@@ -115,7 +119,8 @@ def _even_poisson_tails(mu: float) -> tuple[float, float, float, float]:
     open_sums: list[float] = []  # running sums of the tails from k = 2 * len(tails)
     n = 0
     while True:
-        term = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
+        log_n_fact = _LOG_FACTORIAL[n] if n <= 170 else math.lgamma(n + 1)
+        term = math.exp(-mu + n * log_mu - log_n_fact)
         if n <= 6:
             open_sums.append(0.0)  # the tail from k = n begins with this term
         for i in range(len(open_sums)):

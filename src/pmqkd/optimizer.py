@@ -1,20 +1,27 @@
 """Derivative-free maximization of the key rate over (mu, p_s).
 
-A fixed log-grid pre-scan guarantees a floor on solution quality, and a
-bounded Brent search from the best grid point refines it: parabolic steps
-through the three best points, with golden-section steps where a parabola
-does not fit (the scheme of scipy's ``fminbound``, in pure Python).  At a
-fixed p_s (the tabletop runs, ``scan`` and ``deviation``) the search runs on
-log10(mu) between the best grid point's two neighbours, to an absolute
-tolerance of ``LOG_MU_TOL``.  The co-optimization of mu and p_s
-(``--optimize-ps``) nests two such searches: an outer one on p_s between the
-best grid p_s's neighbours, to ``PS_TOL``, whose value at each p_s is an
-inner one on log10(mu) between the best grid mu's neighbours, to
-``CO_LOG_MU_TOL``.  When the best grid point lies on a ``SearchBounds``
-edge, its bracket is clipped there and the co-optimization evaluates that
-edge too, since the short-range optima sit on mu = 0.1 or p_s = 0.01.
-Everything is deterministic; docs/DECISIONS.md has the evaluation counts.
-The best candidate is re-evaluated through the full pipeline, and
+A pre-scan of a fixed grid (50 log-spaced mu values, times 10 p_s values
+when p_s is co-optimized) finds a starting point, and a bounded Brent search
+from it refines it: parabolic steps through the three best points, with
+golden-section steps where a parabola does not fit (the scheme of scipy's
+``fminbound``, in pure Python).  Each p_s row of the grid is scanned at
+every other mu and the last one, and then climbed from its best point to a
+strictly better neighbour until neither neighbour is better; a row where
+none of those points yields a key is evaluated in full, so feasibility is
+still decided on the whole grid.  On a row that rises to one maximum and
+falls, the climb ends on the grid's own maximum; on any row it is never
+below the best of the points scanned.  At a fixed p_s (the tabletop runs,
+``scan`` and ``deviation``) the refinement runs on log10(mu) between the
+best grid point's two neighbours, to an absolute tolerance of
+``LOG_MU_TOL``.  The co-optimization of mu and p_s (``--optimize-ps``)
+nests two such searches: an outer one on p_s between the best grid p_s's
+neighbours, to ``PS_TOL``, whose value at each p_s is an inner one on
+log10(mu) between the best grid mu's neighbours, to ``CO_LOG_MU_TOL``.
+When the best grid point lies on a ``SearchBounds`` edge, its bracket is
+clipped there and the co-optimization evaluates that edge too, since the
+short-range optima sit on mu = 0.1 or p_s = 0.01.  Everything is
+deterministic; docs/DECISIONS.md has the evaluation counts.  The best
+candidate is re-evaluated through the full pipeline, and
 ``OptimizationResult.result`` is that evaluation's ``KeyRateResult``: the
 rate, the per-term breakdown and the optimum (mu_opt, p_s_opt, rate_opt)
 all read off it.  When no grid point yields a key, ``result`` is the grid's
@@ -33,7 +40,7 @@ from .numerics import MU_MAX
 from .pipeline import expected_key_rate
 from .security import KeyRateResult, SecurityBudget
 
-GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the guaranteed pre-scan
+GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the pre-scan
 LOG_MU_TOL = 1e-9      # absolute tolerance, in log10(mu), of the 1-D search
 PS_TOL = 1e-4          # co-optimization: absolute tolerance of the p_s search
 CO_LOG_MU_TOL = 3e-4   # co-optimization: the same for its inner log10(mu) search
@@ -95,9 +102,9 @@ def optimize(
 
     With ``fixed_p_s`` the search runs over mu only (the tabletop runs pin
     the sampling fraction); otherwise mu and p_s are co-optimized.  The
-    result is never worse than the best point of the grid pre-scan.  The
-    search is deterministic; ``seed`` is accepted for compatibility and has
-    no effect.
+    result is never worse than the best grid point the pre-scan evaluated.
+    The search is deterministic; ``seed`` is accepted for compatibility and
+    has no effect.
     """
     if budget is None:
         budget = SecurityBudget()
@@ -108,33 +115,19 @@ def optimize(
 
     trace: list[tuple[float, float, float]] = []
 
-    def chain(mu: float, p_s: float) -> KeyRateResult:
-        return expected_key_rate(
-            channel, mu, m_slices=m_slices, n_rounds=n_rounds, p_s=p_s,
-            f=f, budget=budget,
-        )
-
     def evaluate(mu: float, p_s: float) -> KeyRateResult:
         """One search evaluation, recorded in the trace."""
-        res = chain(mu, p_s)
+        res = expected_key_rate(channel, mu, m_slices, n_rounds, p_s, f, budget)
         trace.append((mu, p_s, res.rate))
         return res
 
-    # Python's pow, as at the search points (see docs/DECISIONS.md).
-    mu_grid = [10.0 ** x for x in _linspace(math.log10(bounds.mu[0]),
-                                            math.log10(bounds.mu[1]), GRID_SHAPE[0])]
-    if fixed_p_s is not None:
-        ps_grid = [float(fixed_p_s)]
-    else:
-        ps_grid = _linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
-
+    mu_grid, ps_grid = _grid(bounds, fixed_p_s)
     best_i, best_j, best = 0, 0, None
-    for i, mu in enumerate(mu_grid):
-        for j, p_s in enumerate(ps_grid):
-            res = evaluate(mu, p_s)
-            # strict: the first maximum in grid order
-            if best is None or res.rate > best.rate:
-                best_i, best_j, best = i, j, res
+    for j, p_s in enumerate(ps_grid):
+        i, res = _row_max(lambda i: evaluate(mu_grid[i], p_s), len(mu_grid))
+        # strict: the first row, in p_s order, with the largest maximum
+        if best is None or res.rate > best.rate:
+            best_i, best_j, best = i, j, res
 
     if best.rate <= 0.0:
         # Nothing on the grid yields a key; refinement from a flat zero
@@ -154,9 +147,58 @@ def optimize(
         ps_lo, ps_hi, ps_ends = _bracket(ps_grid, best_j)
         _brent_max(best_over_mu, ps_lo, ps_hi, PS_TOL, ps_ends)
 
-    # The trace holds the grid, so its best point is never below best.rate.
+    # The trace holds the best grid point, so its best is never below best.rate.
     cand_mu, cand_ps, _ = max(trace, key=lambda t: t[2])
-    return OptimizationResult(result=chain(cand_mu, cand_ps), trace=trace)
+    return OptimizationResult(
+        result=expected_key_rate(channel, cand_mu, m_slices, n_rounds, cand_ps, f, budget),
+        trace=trace,
+    )
+
+
+def _grid(bounds: SearchBounds, fixed_p_s: float | None) -> tuple[list[float], list[float]]:
+    """The pre-scan's mu values (log-spaced) and p_s values (the fixed one, or evenly spaced).
+
+    The mu values use Python's pow, as at the search points (see
+    docs/DECISIONS.md).
+    """
+    mu_grid = [10.0 ** x for x in _linspace(math.log10(bounds.mu[0]),
+                                            math.log10(bounds.mu[1]), GRID_SHAPE[0])]
+    if fixed_p_s is not None:
+        return mu_grid, [float(fixed_p_s)]
+    return mu_grid, _linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
+
+
+def _row_max(evaluate_at, n: int) -> tuple[int, KeyRateResult]:
+    """The index and evaluation of a grid row's maximum, from every other point.
+
+    evaluate_at(i) evaluates the row at index i.  The even indices and the
+    last one are evaluated first; if none of them yields a key, so is the
+    rest of the row.  From the first maximum, in index order, of the points
+    evaluated, the search then steps to the better of its two neighbours
+    while that is strictly better.  On a row that rises to one maximum and
+    then falls, that is the row's first maximum; on any row it is never
+    below the best of the points evaluated first.
+    """
+    seen: dict[int, KeyRateResult] = {}
+
+    def at(i: int) -> KeyRateResult:
+        if i not in seen:
+            seen[i] = evaluate_at(i)
+        return seen[i]
+
+    for i in dict.fromkeys([*range(0, n, 2), n - 1]):
+        at(i)
+    if not any(res.rate > 0.0 for res in seen.values()):
+        for i in range(n):
+            at(i)
+    best = max(sorted(seen), key=lambda i: seen[i].rate)
+    while True:
+        # the lower neighbour wins a tie, as the first maximum in index order
+        step = max((k for k in (best - 1, best + 1) if 0 <= k < n),
+                   key=lambda k: at(k).rate)
+        if not at(step).rate > seen[best].rate:
+            return best, seen[best]
+        best = step
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

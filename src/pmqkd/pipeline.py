@@ -7,7 +7,14 @@ evaluations; ingestion-mode evaluations live in :mod:`pmqkd.ingest`.
 from __future__ import annotations
 
 from . import defaults
-from .channel import ChannelSpec, expected_sifted, gain, qber, transmittance
+from .channel import (
+    ChannelSpec,
+    _check_gain_args,
+    _check_sifted_args,
+    _expected_sifted,
+    _gain_qber,
+    transmittance,
+)
 from .errors import DomainError
 from .security import KeyRateResult, SecurityBudget, finite_key_rate
 
@@ -33,9 +40,12 @@ def expected_key_rate(
     if budget is None:
         budget = SecurityBudget()
     eta = transmittance(channel)
-    q_mu = gain(mu, eta, channel.p_d)
-    e_b = qber(mu, eta, channel.p_d, channel.e_d)
-    n_mu = expected_sifted(q_mu, n_rounds, m_slices, p_s)
+    # The checks of gain and expected_sifted; the ChannelSpec has checked
+    # e_d, which is all that qber checks beyond them.
+    _check_gain_args(mu, eta, channel.p_d)
+    q_mu, e_b = _gain_qber(mu, eta, channel.p_d, channel.e_d)
+    _check_sifted_args(m_slices, p_s, n_rounds)
+    n_mu = _expected_sifted(q_mu, n_rounds, m_slices, p_s)
     m_s = e_b * n_mu * p_s / (1.0 - p_s)
     return finite_key_rate(
         mu=mu,

@@ -5,10 +5,12 @@ upper bound, continuous and discrete-phase phase-error rates, the Kato
 concentration correction lifting the analysis to coherent attacks, and the
 final key-length formula with its failure-probability composition.
 
-Each bound has one implementation: the public stage functions and the full
-chain in :func:`finite_key_rate` share the phase-error terms, the
-discrete-phase deviation factors and the Kato lift, so a chain evaluation
-builds one breakdown.  The Chernoff parameter is beta = ln(1/eps).
+Each bound has one implementation, a private kernel that computes it on
+checked inputs.  The public stage functions check their inputs and call
+their kernel; :func:`finite_key_rate` checks each of its inputs once, with
+the stages' messages and in the order the stages would reach them, and then
+calls the same kernels.  So a chain evaluation computes the Chernoff
+parameter beta = ln(1/eps) and e^-mu once each, and builds one breakdown.
 
 The deviation factors depend on (mu, M) alone, and a scan or an optimizer
 asks for the same mu values again and again, so they are kept in a bounded
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 from . import defaults
 from .errors import DomainError, NoDataError
-from .numerics import _even_poisson_tails, _require_mu, binary_entropy
+from .numerics import _LOG_FACTORIAL, _even_poisson_tails, _require_mu, binary_entropy
 
 # Holds the 50 grid mu values of the optimizer, which recur at every point
 # of a scan, with room for several points' refinement values beside them.
@@ -99,6 +101,14 @@ def _beta(eps: float) -> float:
     return math.log(1.0 / eps)
 
 
+def _expected_ub(x: float, beta: float) -> float:
+    return x + beta + math.sqrt(2.0 * beta * x + beta * beta)
+
+
+def _observed_ub(x_star: float, beta: float) -> float:
+    return x_star + beta / 2.0 + math.sqrt(2.0 * beta * x_star + beta * beta / 4.0)
+
+
 def chernoff_expected_ub(x: float, eps: float) -> float:
     """Upper bound on an expected value given an observed count x.
 
@@ -106,8 +116,7 @@ def chernoff_expected_ub(x: float, eps: float) -> float:
     """
     if x < 0:
         raise DomainError(f"chernoff_expected_ub: x must be >= 0, got {x}")
-    beta = _beta(eps)
-    return x + beta + math.sqrt(2.0 * beta * x + beta * beta)
+    return _expected_ub(x, _beta(eps))
 
 
 def chernoff_observed_ub(x_star: float, eps: float) -> float:
@@ -117,8 +126,22 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
     """
     if x_star < 0:
         raise DomainError(f"chernoff_observed_ub: x_star must be >= 0, got {x_star}")
-    beta = _beta(eps)
-    return x_star + beta / 2.0 + math.sqrt(2.0 * beta * x_star + beta * beta / 4.0)
+    return _observed_ub(x_star, _beta(eps))
+
+
+def _check_sampled(m_s: float, p_s: float) -> None:
+    if m_s < 0:
+        raise DomainError(f"vacuum_yield_ub: m_s must be >= 0, got {m_s}")
+    if not 0.0 < p_s < 1.0:
+        raise DomainError(f"vacuum_yield_ub: p_s must be in (0, 1), got {p_s}")
+
+
+def _vacuum_yield(m_s: float, p_s: float, n_rounds: float, e_mu: float,
+                  beta: float) -> float:
+    """vacuum_yield_ub on checked inputs, with e_mu = e^-mu and beta = ln(1/eps)."""
+    m_exp = (1.0 - p_s) / p_s * _expected_ub(m_s, beta)
+    n0_obs = _observed_ub(2.0 * m_exp, beta)
+    return min(n0_obs / (n_rounds * (1.0 - p_s) * e_mu), 1.0)
 
 
 def vacuum_yield_ub(
@@ -132,27 +155,27 @@ def vacuum_yield_ub(
     observed bound, and normalized by N (1-p_s) e^-mu.  Worst case: every
     error is attributed to vacuum.  Result is clamped to <= 1.
     """
-    if m_s < 0:
-        raise DomainError(f"vacuum_yield_ub: m_s must be >= 0, got {m_s}")
-    if not 0.0 < p_s < 1.0:
-        raise DomainError(f"vacuum_yield_ub: p_s must be in (0, 1), got {p_s}")
+    _check_sampled(m_s, p_s)
     if n_rounds <= 0:
         raise DomainError("vacuum_yield_ub: n_rounds must be positive")
     _require_mu("vacuum_yield_ub", mu)  # e^-mu underflows to 0 past mu ~ 745
-    m_s_exp = chernoff_expected_ub(m_s, eps)
-    m_exp = (1.0 - p_s) / p_s * m_s_exp
-    n0_exp = 2.0 * m_exp
-    n0_obs = chernoff_observed_ub(n0_exp, eps)
-    y0 = n0_obs / (n_rounds * (1.0 - p_s) * math.exp(-mu))
-    return min(y0, 1.0)
+    return _vacuum_yield(m_s, p_s, n_rounds, math.exp(-mu), _beta(eps))
 
 
-def _even_photon_terms(mu: float, q_mu: float, y0_bar: float) -> tuple[float, float]:
-    """(vacuum, multiphoton) terms of the continuous-randomization bound."""
+def _check_gain(q_mu: float) -> None:
     if q_mu <= 0:
         raise DomainError(f"phase error: q_mu must be > 0, got {q_mu}")
-    vacuum = math.exp(-mu) * y0_bar / q_mu
-    multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * math.exp(-mu)) / (2.0 * q_mu)
+
+
+def _even_photon_terms(
+    mu: float, e_mu: float, q_mu: float, y0_bar: float
+) -> tuple[float, float]:
+    """(vacuum, multiphoton) terms of the continuous-randomization bound.
+
+    On checked inputs, with e_mu = e^-mu.
+    """
+    vacuum = e_mu * y0_bar / q_mu
+    multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * e_mu) / (2.0 * q_mu)
     return vacuum, multi
 
 
@@ -163,7 +186,8 @@ def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
     case of unit yield for every even photon number >= 2.  The result is not
     clamped here; callers cap it before entropy evaluation.
     """
-    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
+    _check_gain(q_mu)
+    vacuum, multi = _even_photon_terms(mu, math.exp(-mu), q_mu, y0_bar)
     return vacuum + multi
 
 
@@ -178,7 +202,7 @@ def _deviation_factors(mu: float, m_slices: int) -> tuple[tuple[float, float], .
     log_mu = math.log(mu)
     return tuple(
         (tails[k // 2], math.exp(0.5 * (
-            math.lgamma(k + 1) + m_slices * log_mu - math.lgamma(m_slices + k + 1)
+            _LOG_FACTORIAL[k] + m_slices * log_mu - _LOG_FACTORIAL[m_slices + k]
         )))
         for k in range(0, m_slices, 2)
     )
@@ -188,10 +212,10 @@ def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:
     """delta_k for each even k < M, in order of k; zeros at mu = 0."""
     if mu == 0.0:
         return (0.0,) * (m_slices // 2)
-    return tuple(
+    return tuple([
         (weight_ub / q_mu) * factor
         for weight_ub, factor in _deviation_factors(mu, m_slices)
-    )
+    ])
 
 
 def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
@@ -230,16 +254,21 @@ class PhaseErrorBreakdown(NamedTuple):
     ep_m_bar: float = float("nan")
 
 
-def _phase_error_terms(
-    mu: float, m_slices: int, q_mu: float, y0_bar: float
-) -> tuple[float, float, tuple[float, ...], float]:
-    """(vacuum, multiphoton, deviations, ep_m) of the discrete-phase bound."""
+def _check_slices(m_slices: int) -> None:
     if m_slices not in (6, 8):
         raise DomainError(
             f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
         )
-    _require_mu("phase_error_discrete", mu)
-    vacuum, multi = _even_photon_terms(mu, q_mu, y0_bar)
+
+
+def _phase_error_terms(
+    mu: float, e_mu: float, m_slices: int, q_mu: float, y0_bar: float
+) -> tuple[float, float, tuple[float, ...], float]:
+    """(vacuum, multiphoton, deviations, ep_m) of the discrete-phase bound.
+
+    On checked inputs, with e_mu = e^-mu.
+    """
+    vacuum, multi = _even_photon_terms(mu, e_mu, q_mu, y0_bar)
     deviations = _deviations(mu, m_slices, q_mu)
     return vacuum, multi, deviations, vacuum + multi + sum(deviations)
 
@@ -252,7 +281,11 @@ def phase_error_discrete(
     Adds the residue-class deviations for k in {0, 2, ..., M-2} to the
     continuous-randomization bound.
     """
-    return PhaseErrorBreakdown(*_phase_error_terms(mu, m_slices, q_mu, y0_bar))
+    _check_slices(m_slices)
+    _require_mu("phase_error_discrete", mu)
+    _check_gain(q_mu)
+    return PhaseErrorBreakdown(
+        *_phase_error_terms(mu, math.exp(-mu), m_slices, q_mu, y0_bar))
 
 
 class KatoCoefficients(NamedTuple):
@@ -281,12 +314,21 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     """
     if n < 1:
         raise DomainError(f"kato_correction: n must be >= 1, got {n}")
+    _check_successes(n, lambda_n)
+    if not 0.0 < eps_ka < 1.0:
+        raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
+    return _kato(n, lambda_n, eps_ka)
+
+
+def _check_successes(n: float, lambda_n: float) -> None:
     if not 0.0 <= lambda_n <= n:
         raise DomainError(
             f"kato_correction: lambda_n must be in [0, n], got {lambda_n} (n={n})"
         )
-    if not 0.0 < eps_ka < 1.0:
-        raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
+
+
+def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
+    """kato_correction on checked inputs."""
     log_e = math.log(eps_ka)  # negative
     sqrt_n = math.sqrt(n)
     rad1 = -(n * n) * log_e * (9.0 * lambda_n * (n - lambda_n) - 2.0 * n * log_e)
@@ -319,11 +361,20 @@ def kato_epsilon(coeffs: KatoCoefficients) -> float:
 
 
 def _kato_lift(
-    n_mu: float, ep_m: float, eps_ka: float
+    n_mu: float, ep_m: float, eps_ka: float, correction
 ) -> tuple[KatoCoefficients, float]:
-    """Kato coefficients at lambda = n ep (at most n), and the lifted ep_bar."""
-    coeffs = kato_correction(n_mu, min(n_mu * ep_m, n_mu), eps_ka)
+    """Kato coefficients at lambda = n ep (at most n), and the lifted ep_bar.
+
+    correction is kato_correction, or the chain's _chain_kato where n >= 1
+    and eps_ka are already checked.
+    """
+    coeffs = correction(n_mu, min(n_mu * ep_m, n_mu), eps_ka)
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
+
+
+def _chain_kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
+    _check_successes(n, lambda_n)
+    return _kato(n, lambda_n, eps_ka)
 
 
 def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
@@ -336,7 +387,7 @@ def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
         raise NoDataError(f"phase_error_final: need n_mu >= 1, got {n_mu}")
     if ep_m < 0:
         raise DomainError(f"phase_error_final: ep_m must be >= 0, got {ep_m}")
-    return _kato_lift(n_mu, ep_m, eps_ka)[1]
+    return _kato_lift(n_mu, ep_m, eps_ka, kato_correction)[1]
 
 
 def key_length(
@@ -356,6 +407,18 @@ def key_length(
         raise DomainError(f"key_length: n_mu must be >= 0, got {n_mu}")
     if n_rounds <= 0:
         raise DomainError("key_length: n_rounds must be positive")
+    return _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
+
+
+def _key_length(
+    n_mu: float,
+    ep_m_bar: float,
+    e_b: float,
+    f: float,
+    budget: SecurityBudget,
+    n_rounds: float,
+) -> tuple[float, float]:
+    """key_length on checked n_mu and n_rounds."""
     ep = min(ep_m_bar, 0.5)
     eb = min(e_b, 0.5)
     ell = n_mu * (1.0 - binary_entropy(ep) - f * binary_entropy(eb))
@@ -446,17 +509,25 @@ def finite_key_rate(
         y0_bar, ell, rate = 0.0, 0.0, 0.0
         breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
     else:
-        y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
-        terms = _phase_error_terms(mu, m_slices, q_mu, y0_bar)
+        # The stage functions' checks, each once and in the order the
+        # stages would make them (a SecurityBudget has checked eps_ka).
+        _check_sampled(m_s, p_s)
+        _require_mu("vacuum_yield_ub", mu)
+        beta = _beta(budget.eps)
+        _check_slices(m_slices)
+        _check_gain(q_mu)
+        e_mu = math.exp(-mu)
+        y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)
+        terms = _phase_error_terms(mu, e_mu, m_slices, q_mu, y0_bar)
         ep_m = terms[-1]
         if ep_m <= 1.0:
-            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka)
+            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka, _chain_kato)
             kato_delta = kato.delta
         else:
             # No key is extractable; the Kato lift is undefined past lambda = n.
             kato_delta, ep_m_bar = 0.0, ep_m
         breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
-        ell, rate = key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
+        ell, rate = _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell, rate, n_rounds, n_mu, e_b, m_s, mu, m_slices, p_s, f, q_mu, y0_bar,
         breakdown, kato, budget, m_s_reconstructed, q_source,

@@ -17,6 +17,8 @@ from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
     MU_MAX,
+    _LOG_FACTORIAL,
+    _even_poisson_tails,
     _residue_series,
     binary_entropy,
     poisson_pmf,
@@ -261,3 +263,15 @@ def test_largest_mu_is_still_summed():
     for k in (0, 2, 4, 6):
         assert pseudo_fock_weight_ub(MU_MAX, 8, k) == _residue_series(MU_MAX, k, 2)
     assert pseudo_fock_weight(MU_MAX, 8, 3).weight == _residue_series(MU_MAX, 3, 8)
+
+
+class TestLogFactorialTable:
+    def test_entries_are_lgamma(self):
+        assert len(_LOG_FACTORIAL) == 171
+        assert all(v == math.lgamma(n + 1) for n, v in enumerate(_LOG_FACTORIAL))
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 10.0, 150.0, 400.0, MU_MAX])
+    def test_even_tails_match_the_series(self, mu):
+        # From mu ~ 150 the terms run past n = 170, beyond the table.
+        assert list(_even_poisson_tails(mu)) == [
+            _residue_series(mu, k, 2) for k in (0, 2, 4, 6)]

@@ -17,6 +17,7 @@ from pmqkd.optimizer import (
     SearchBounds,
     _bracket,
     _brent_max,
+    _grid,
     _linspace,
     optimize,
 )
@@ -63,12 +64,12 @@ class TestGridDominance:
         # exactly, the mu values numpy.logspace's to 1 ulp (its vectorised
         # power may round differently from Python's pow).
         n_mu, n_ps = GRID_SHAPE
-        grid = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8,
-                        bounds=bounds).trace[:n_mu * n_ps]
-        assert [p for _, p, _ in grid[:n_ps]] == np.linspace(*bounds.p_s, n_ps).tolist()
+        mus, ps = _grid(bounds, None)
+        assert ps == np.linspace(*bounds.p_s, n_ps).tolist()
         ref = np.logspace(math.log10(bounds.mu[0]), math.log10(bounds.mu[1]), n_mu)
-        mus = [mu for mu, _, _ in grid[::n_ps]]
+        assert len(mus) == n_mu
         assert all(abs(mu - r) <= math.ulp(r) for mu, r in zip(mus, ref.tolist()))
+        assert _grid(bounds, 0.07) == (mus, [0.07])
 
 
 @pytest.mark.parametrize("mu", [(1e-6, math.inf), (math.nan, 0.1), (1e-6, math.nan)])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmqkd.channel import ChannelSpec
+from pmqkd.channel import ChannelSpec, expected_sifted, gain, qber, transmittance
 from pmqkd.errors import DomainError, NoDataError
 from pmqkd.ingest import (
     ExperimentRecord,
@@ -595,6 +595,30 @@ class TestSharedPaths:
         assert b.vacuum_term + b.multiphoton_term == phase_error_continuous(
             res.mu, res.q_mu, res.y0_bar
         )
+
+    @pytest.mark.parametrize("res", [r for _, r in CHAIN_RESULTS],
+                             ids=[name for name, _ in CHAIN_RESULTS])
+    def test_stages_match_chain(self, res):
+        # The chain calls the stages' kernels; the stages check, then call them.
+        budget = res.budget
+        assert res.y0_bar == vacuum_yield_ub(res.m_s, res.p_s, res.n_rounds, res.mu,
+                                             budget.eps)
+        assert res.breakdown[:4] == phase_error_discrete(res.mu, res.m_slices,
+                                                         res.q_mu, res.y0_bar)[:4]
+        assert res.kato == kato_correction(
+            res.n_mu, min(res.n_mu * res.ep_m, res.n_mu), budget.eps_ka)
+        assert (res.ell, res.rate) == key_length(res.n_mu, res.ep_m_bar, res.e_b,
+                                                 res.f, budget, res.n_rounds)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-4, 1e-3, 0.1, 5.0])
+    @pytest.mark.parametrize("loss_db", [0.0, 40.0, 90.0])
+    def test_pipeline_matches_channel_stages(self, mu, loss_db):
+        channel = ChannelSpec(total_loss_db=loss_db)
+        res = expected_key_rate(channel, mu, m_slices=6, n_rounds=1e10, p_s=0.3)
+        eta = transmittance(channel)
+        assert res.q_mu == gain(mu, eta, channel.p_d)
+        assert res.e_b == qber(mu, eta, channel.p_d, channel.e_d)
+        assert res.n_mu == expected_sifted(res.q_mu, 1e10, 6, 0.3)
 
 
 def _mp_entropy(x):
