@@ -79,6 +79,14 @@ def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
                    help="misalignment error probability")
 
 
+class _StoreFixedPs(argparse.Action):
+    """Stores --p-s and notes that it was given, which --optimize-ps refuses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.p_s_given = True
+
+
 def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
     g = p.add_argument_group("protocol")
     if mu:
@@ -88,7 +96,7 @@ def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
                    help="number of random phase slices (6 or 8)")
     g.add_argument("--n-rounds", type=float, default=defaults.N_ROUNDS,
                    help="number of rounds N")
-    g.add_argument("--p-s", type=float, default=defaults.P_S,
+    g.add_argument("--p-s", type=float, default=defaults.P_S, action=_StoreFixedPs,
                    help="sampling fraction for parameter estimation")
 
 
@@ -141,6 +149,13 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise DomainError(f"--{name.replace('_', '-')} is required")
+
+
+def _require_slices(args) -> None:
+    """The chain's bounds cover 6 and 8 slices; simulate takes any even count."""
+    if args.m_slices not in defaults.SUPPORTED_M_SLICES:
+        raise DomainError(f"--m-slices must be 6 or 8 (the slice counts the bound "
+                          f"chain supports), got {args.m_slices}")
 
 
 def _require_jobs(args) -> None:
@@ -240,6 +255,7 @@ def _serialize_result(result, fmt: str) -> str:
 
 def cmd_keyrate(args) -> int:
     _require(args, "mu")
+    _require_slices(args)
     channel = _channel_from(args)
     result = expected_key_rate(
         channel, args.mu, m_slices=args.m_slices, n_rounds=args.n_rounds,
@@ -286,6 +302,7 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
 def cmd_scan(args) -> int:
     _require(args, "d_min", "d_max", "step")
     _require_jobs(args)
+    _require_slices(args)
     if args.mu is not None and args.optimize_ps:
         raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
@@ -301,6 +318,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_deviation(args) -> int:
+    _require_slices(args)
     losses = _range_points(args.loss_min, args.loss_max, args.step,
                            "--loss-min/--loss-max")
     channels = [_channel_from(args, loss_db=loss) for loss in losses]
@@ -369,6 +387,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _require_slices(args)
     channel = _channel_from(args)
     bounds = SearchBounds(mu=(args.mu_min, args.mu_max))
     opt = optimize(
@@ -521,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        # A configured p_s is a default, which --optimize-ps replaces; a
+        # --p-s on the command line is a choice it would ignore.
+        p_s_flag = getattr(args, "p_s_given", False)
         path = args.config or os.environ.get("PMQKD_CONFIG")
         if path:
             # Only --config precedes the command (a path named like a command
@@ -529,6 +551,8 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.cmd)
             argv[at + 1:at + 1] = _config_tokens(parser, args, path)
             args = parser.parse_args(argv)
+        if p_s_flag and getattr(args, "optimize_ps", False):
+            raise DomainError("--optimize-ps cannot be combined with a fixed --p-s")
         return args.func(args)
     except PmqkdError as exc:
         sys.stderr.write(f"pmqkd: error [{exc.code}] {exc}\n")

@@ -16,7 +16,8 @@ ETA_D = 0.56          # detector efficiency
 ALPHA_DB_PER_KM = 0.168  # fiber attenuation coefficient
 
 # Protocol shape.
-M_SLICES = 8          # phase slice count (6 and 8 are the supported analyses)
+M_SLICES = 8          # phase slice count
+SUPPORTED_M_SLICES = (6, 8)  # the slice counts the bound chain's closed forms cover
 P_S = 0.07            # sampling fraction for parameter estimation
 N_ROUNDS = 1e11       # default data size (pulse pairs sent)
 

@@ -242,6 +242,9 @@ def reproduce_key_rate(
     if budget is None:
         budget = SecurityBudget()
     tally = record.tally
+    if tally.m_slices not in defaults.SUPPORTED_M_SLICES:
+        raise DomainError(f"tally m_slices={tally.m_slices}: the bound chain "
+                          f"supports m_slices 6 or 8 only")
     n_rounds = float(tally.n_rounds)
     obs = derive_observables(record)
     if q_source == "channel-model":

@@ -225,7 +225,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     closed-form residue-weight bound.  Supported for M in {6, 8} and even
     k < M, matching the cases the closed-form bounds cover.
     """
-    if m_slices not in (6, 8):
+    if m_slices not in defaults.SUPPORTED_M_SLICES:
         raise DomainError(
             f"deviation_bound: m_slices must be 6 or 8, got {m_slices}"
         )
@@ -255,7 +255,7 @@ class PhaseErrorBreakdown(NamedTuple):
 
 
 def _check_slices(m_slices: int) -> None:
-    if m_slices not in (6, 8):
+    if m_slices not in defaults.SUPPORTED_M_SLICES:
         raise DomainError(
             f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
         )

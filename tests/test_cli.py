@@ -472,6 +472,73 @@ class TestOptimizeCommand:
         assert data["rate_opt"] > 0
 
 
+class TestFixedPsWithOptimizePs:
+    # --optimize-ps searches p_s, so a --p-s beside it would be ignored.
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--loss-db", "30", "--optimize-ps", "--p-s", "0.3"],
+        ["scan", "--d-min", "50", "--d-max", "60", "--step", "10", "--p-s", "0.3",
+         "--optimize-ps"],
+    ])
+    def test_rejected(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--output", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err.startswith("pmqkd: error [domain]")
+        assert "--optimize-ps" in err and "--p-s" in err
+        assert not out.exists()
+
+    def test_configured_p_s_is_a_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p_s=0.3\n")
+        configured, plain = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["optimize", "--loss-db", "30", "--optimize-ps"]
+        assert run_cli(capsys, "--config", str(cfg), *argv,
+                       "--output", str(configured))[0] == 0
+        assert run_cli(capsys, *argv, "--output", str(plain))[0] == 0
+        assert configured.read_text() == plain.read_text()
+
+    def test_configured_switch_with_p_s_flag_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("optimize_ps=true\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "scan", "--d-min", "50",
+                               "--d-max", "50", "--step", "1", "--p-s", "0.3")
+        assert code == EXIT_CODES["domain"]
+        assert "--optimize-ps" in err and "--p-s" in err
+
+
+class TestUnsupportedSliceCount:
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
+        ["scan", "--d-min", "50", "--d-max", "60", "--step", "10"],
+        ["optimize", "--loss-db", "30"],
+        ["deviation", "--loss-min", "30", "--loss-max", "31"],
+    ])
+    @pytest.mark.parametrize("m", ["7", "4", "10"])
+    def test_named_before_any_evaluation(self, capsys, tmp_path, monkeypatch, argv, m):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran")
+        monkeypatch.setattr(cli, "expected_key_rate", no_chain)
+        monkeypatch.setattr(cli, "optimize", no_chain)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--m-slices", m, "--output", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err == (f"pmqkd: error [domain] --m-slices must be 6 or 8 (the slice "
+                       f"counts the bound chain supports), got {m}\n")
+        assert not out.exists()
+
+    def test_simulate_keeps_any_even_count(self, capsys, tmp_path):
+        tally = tmp_path / "t4.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--loss-db", "20", "--mu", "1e-2",
+                             "--m-slices", "4", "--n-rounds", "1e5",
+                             "--output", str(tally))
+        assert code == 0
+        assert "# m_slices=4" in tally.read_text()
+        code, _, err = run_cli(capsys, "reproduce", "--input", str(tally))
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] tally m_slices=4: the bound chain "
+                       "supports m_slices 6 or 8 only\n")
+
+
 class TestNeverOptimistic:
     @pytest.mark.parametrize("argv,field", [
         (["keyrate", "--loss-db", "45", "--mu", "9.78e-4", "--f-ec=-5"], "f"),
