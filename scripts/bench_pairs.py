@@ -1,17 +1,29 @@
-"""Summarise parent/change benchmark pairs into one BENCH_*.json.
+"""Run or summarise parent/change benchmark pairs into one BENCH_*.json.
 
-    python scripts/bench_pairs.py PARENT_OUT CHANGE_OUT --output BENCH_<commit>.json
+    python scripts/bench_pairs.py --run PARENT CHANGE --workloads curves ingest \
+        --seeds 511-520 [--seconds 30] [--output BENCH_<commit>.json]
+    python scripts/bench_pairs.py PARENT_OUT CHANGE_OUT [--output BENCH_<commit>.json]
 
-PARENT_OUT and CHANGE_OUT are the `.bench_out/` directories that
-`benchmarks/run.py --trace 0` filled in a checkout of each side.  Runs are
-paired by workload and seed; a seed measured on one side only is ignored.
+With --run, PARENT and CHANGE are checkouts.  For each workload and seed,
+`benchmarks/run.py --trace 0` runs once in each checkout, the two sides
+alternating: the parent first on the odd pairs (the first, the third, ...)
+and the change first on the even ones.  Each result is read from the
+checkout's `.bench_out/` as soon as its run ends, so one checkout may stand
+on both sides.  The summary records the order the pairs were run in.
+
+Without --run, PARENT_OUT and CHANGE_OUT are the `.bench_out/` directories
+that `benchmarks/run.py --trace 0` filled in a checkout of each side, and
+the order of each pair is read from the result files' modification times.
+
+Runs are paired by workload and seed; a seed measured on one side only is
+ignored.
 For each end-to-end metric of BENCHMARK.json the summary holds both sides'
 runs, medians and quartiles, the pairs the change won (ties count for
 neither), the relative change of the median, whether the change stays
 within the metric's bound, and whether it shows a gain: won at least nine
 tenths of the pairs, with the medians further apart than the parent's
-quartiles.  Each pair records which side ran first, read from the result
-files' modification times.
+quartiles.  The output defaults to BENCH_<change commit>.json in the
+current directory.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,7 +48,48 @@ def load_runs(out_dir: Path) -> dict[tuple[str, int], dict]:
     return runs
 
 
+def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `benchmarks/run.py --trace 0` run in checkout, and its result record."""
+    argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv[1:])} failed in {checkout} "
+                         f"(exit {proc.returncode}):\n{proc.stdout}{proc.stderr}")
+    path = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text())
+
+
+def run_pairs(parent: Path, change: Path, workloads: list[str], seeds: list[int],
+              seconds: float) -> tuple[dict, dict, dict]:
+    """Both sides' records, keyed by (workload, seed), and which side ran first."""
+    runs: tuple[dict, dict] = ({}, {})
+    parent_first = {}
+    for workload in workloads:
+        for pair, seed in enumerate(seeds, start=1):
+            key = (workload, seed)
+            parent_first[key] = pair % 2 == 1
+            order = (0, 1) if parent_first[key] else (1, 0)
+            for side in order:
+                runs[side][key] = record = run_one((parent, change)[side], workload,
+                                                   seed, seconds)
+                work = record["result"]["metrics"]["work_per_s"]["value"]
+                print(f"{workload} seed {seed} {('parent', 'change')[side]}: "
+                      f"work_per_s {work:.6g}", flush=True)
+    return runs[0], runs[1], parent_first
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'511-520' or '511,515,519'."""
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
 def spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
@@ -52,19 +107,21 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
-def summarise(parent_out: Path, change_out: Path) -> dict:
+def summarise(parent: dict, change: dict, parent_first: dict | None = None) -> dict:
+    """The summary of both sides' records; parent_first defaults to the files' times."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent, change = load_runs(parent_out), load_runs(change_out)
     keys = sorted(parent.keys() & change.keys())
     if not keys:
         raise SystemExit("no workload and seed was measured on both sides")
+    if parent_first is None:
+        parent_first = {k: parent[k]["mtime"] < change[k]["mtime"] for k in keys}
     workloads: dict[str, dict] = {}
     for name in dict.fromkeys(wl for wl, _ in keys):
         pairs = [(parent[k], change[k]) for k in keys if k[0] == name]
         entry = {
             "seeds": [p["seed"] for p, _ in pairs],
             "seconds": sorted({r["seconds"] for pair in pairs for r in pair}),
-            "parent_first": [p["mtime"] < c["mtime"] for p, c in pairs],
+            "parent_first": [parent_first[k] for k in keys if k[0] == name],
             "failed": {"parent": sum(p["result"]["failed"] for p, _ in pairs),
                        "change": sum(c["result"]["failed"] for _, c in pairs)},
             "metrics": {},
@@ -89,12 +146,26 @@ def summarise(parent_out: Path, change_out: Path) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_out", type=Path)
-    parser.add_argument("change_out", type=Path)
-    parser.add_argument("--output", "-o", type=Path, required=True)
+    parser.add_argument("parent", type=Path, help="a checkout with --run, else its .bench_out/")
+    parser.add_argument("change", type=Path, help="a checkout with --run, else its .bench_out/")
+    parser.add_argument("--run", action="store_true",
+                        help="run the pairs in the two checkouts, then summarise")
+    parser.add_argument("--workloads", nargs="+", default=[])
+    parser.add_argument("--seeds", type=parse_seeds, default=[],
+                        help="with --run: 511-520 or 511,515,519")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--output", "-o", type=Path, default=None,
+                        help="default: BENCH_<change commit>.json")
     args = parser.parse_args(argv)
-    summary = summarise(args.parent_out, args.change_out)
-    args.output.write_text(json.dumps(summary, indent=1) + "\n")
+    if args.run:
+        if not (args.workloads and args.seeds):
+            parser.error("--run needs --workloads and --seeds")
+        summary = summarise(*run_pairs(args.parent.resolve(), args.change.resolve(),
+                                       args.workloads, args.seeds, args.seconds))
+    else:
+        summary = summarise(load_runs(args.parent), load_runs(args.change))
+    output = args.output or Path(f"BENCH_{(summary['change']['git_commit'] or 'unknown')[:7]}.json")
+    output.write_text(json.dumps(summary, indent=1) + "\n")
     for name, entry in summary["workloads"].items():
         for metric, m in entry["metrics"].items():
             print(f"{name}.{metric}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "

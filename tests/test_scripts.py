@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -78,3 +79,65 @@ def test_bench_pairs(tmp_path):
     assert curves["metrics"]["setup_s"]["pairs_won"] == 0       # ties win nothing
     rss = curves["metrics"]["peak_rss_mb"]                       # lower is better
     assert not rss["gain_shown"] and rss["within_bound"]         # +2.5% < 5%
+
+
+_STUB_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+checkout = Path.cwd()
+with open(checkout.parent / "order.log", "a") as log:
+    log.write(checkout.name + "\\n")
+work = {"parent": 100.0, "change": 150.0}[checkout.name] + int(args["--seed"])
+out = checkout / ".bench_out"
+out.mkdir(exist_ok=True)
+record = {
+    "workload": args["--workload"], "seed": int(args["--seed"]),
+    "seconds": float(args["--seconds"]), "trace": int(args["--trace"]),
+    "provenance": {"git_commit": {"parent": "1111111aa", "change": "2222222bb"}[checkout.name],
+                   "source_sha256": checkout.name,
+                   "cores": 2, "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
+                   "python": "3", "numpy": "2", "scipy": "1"},
+    "result": {"failed": 0, "metrics": {
+        "work_per_s": {"value": work, "unit": "1/s"},
+        "setup_s": {"value": 0.14, "unit": "s"},
+        "peak_rss_mb": {"value": 40.0, "unit": "MB"}}},
+}
+(out / f"{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps(record))
+"""
+
+
+def test_bench_pairs_runs_the_pairs_alternately(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(_STUB_RUN)
+    out = run_script("bench_pairs.py", "--run", "parent", "change", "--workloads",
+                     "curves", "ingest", "--seeds", "1-3", "--seconds", "2", cwd=tmp_path)
+    assert out.splitlines()[:2] == ["curves seed 1 parent: work_per_s 101",
+                                    "curves seed 1 change: work_per_s 151"]
+    # The parent runs first on the odd pairs, the change on the even ones.
+    assert (tmp_path / "order.log").read_text().split() == [
+        "parent", "change", "change", "parent", "parent", "change"] * 2
+    summary = json.loads((tmp_path / "BENCH_2222222.json").read_text())
+    assert summary["parent"]["git_commit"] == "1111111aa"
+    for name in ("curves", "ingest"):
+        entry = summary["workloads"][name]
+        assert entry["seeds"] == [1, 2, 3] and entry["seconds"] == [2.0]
+        assert entry["parent_first"] == [True, False, True]
+        assert entry["metrics"]["work_per_s"]["pairs_won"] == 3
+
+
+def test_bench_pairs_runs_the_benchmark(tmp_path):
+    # One real pair of a one-second ingest run; one checkout on both sides.
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    for part in ("src", "benchmarks"):
+        shutil.copytree(ROOT / part, checkout / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", checkout)
+    run_script("bench_pairs.py", "--run", "checkout", "checkout", "--workloads", "ingest",
+               "--seeds", "1", "--seconds", "1", "-o", "bench.json", cwd=tmp_path)
+    entry = json.loads((tmp_path / "bench.json").read_text())["workloads"]["ingest"]
+    assert entry["seeds"] == [1] and entry["parent_first"] == [True]
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert entry["metrics"]["work_per_s"]["parent"]["median"] > 0
