@@ -4,6 +4,9 @@ The golden files under ``tests/data`` are the exact text the CLI wrote for
 ``reproduce --bundled 45`` (JSON) and ``keyrate --loss-db 30 --mu 1e-3``
 (CSV).  They pin key order, nesting and the list form of ``deviations``, so
 a change to how the records are built must leave every output byte alone.
+Two more pin the optimized outputs to the last bit: a ``scan`` at
+N = 1e12 and a ``deviation`` at M = 6, so a change to the search or to how
+the chain computes its terms must leave them alone too.
 """
 
 import pickle
@@ -99,6 +102,19 @@ class TestSerialisedLayout:
         assert code == 0
         expected = (DATA / "keyrate_30db_mu1e-3.csv").read_text()
         assert out.read_text().splitlines() == expected.splitlines()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["scan", "--d-min", "10", "--d-max", "330", "--step", "40", "--n-rounds", "1e12"],
+     "scan_1e12_10-330km.csv"),
+    (["deviation", "--m-slices", "6", "--loss-min", "20", "--loss-max", "50",
+      "--step", "10"], "deviation_m6_20-50db.csv"),
+])
+def test_optimized_output_bytes(capsys, tmp_path, argv, golden):
+    out = tmp_path / golden
+    assert main([*argv, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == (DATA / golden).read_text()
 
 
 def _records():

@@ -767,6 +767,48 @@ class TestChainAgainstExtendedPrecision:
         _assert_matches_frozen(res, frozen)
 
 
+def _staged_rate(mu, m_slices, n_rounds, p_s, f, q_mu, e_b, n_mu, m_s, budget):
+    """The chain composed from the public stage functions, for n_mu >= 1."""
+    y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
+    ep_m = phase_error_discrete(mu, m_slices, q_mu, y0_bar).ep_m
+    ep_m_bar = ep_m
+    if ep_m <= 1.0:
+        kato = kato_correction(n_mu, min(n_mu * ep_m, n_mu), budget.eps_ka)
+        ep_m_bar = (n_mu * ep_m + kato.delta) / n_mu
+    return key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)[1]
+
+
+def _outcome(call):
+    try:
+        return ("rate", call())
+    except (DomainError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_BAD = [math.nan, math.inf, -1.0, 0.0, 0.5, 1.0, 1e-300, 2e3]
+_GOOD = dict(mu=1e-3, m_slices=8, n_rounds=1e11, p_s=0.07, f=1.16, q_mu=3e-6,
+             e_b=0.01, n_mu=7e4, m_s=49.0)
+
+
+class TestChecksOnce:
+    @pytest.mark.parametrize("first,second", [
+        (a, b) for i, a in enumerate(["mu", "m_slices", "p_s", "q_mu", "e_b", "n_mu", "m_s"])
+        for b in ["mu", "m_slices", "p_s", "q_mu", "e_b", "n_mu", "m_s"][i + 1:]
+    ])
+    def test_same_error_as_the_stages_in_order(self, first, second):
+        # finite_key_rate makes each stage's check once, before its kernels;
+        # two bad inputs must raise what the first stage to see one raises.
+        values = {k: _BAD + [_GOOD[k]] for k in _GOOD}
+        values["m_slices"] = [1, 4, 6, 7, 8]
+        values["n_mu"] = [v for v in values["n_mu"] if not v < 1]  # the chain's range
+        budget = SecurityBudget()
+        for a in values[first]:
+            for b in values[second]:
+                kw = dict(_GOOD, **{first: a, second: b})
+                assert _outcome(lambda: finite_key_rate(**kw, budget=budget).rate) == \
+                    _outcome(lambda: _staged_rate(**kw, budget=budget)), kw
+
+
 class TestMoreErrorsNeverRaiseRate:
     """Never optimistic: more observed errors never raise the key rate."""
 
