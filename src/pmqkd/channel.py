@@ -67,13 +67,13 @@ def transmittance(spec: ChannelSpec) -> float:
     return spec.eta_d * 10.0 ** (-(spec.loss_db() / 2.0) / 10.0)
 
 
-def _check_gain_args(mu: float, eta: float, p_d: float) -> None:
+def _check_gain_args(mu: float, eta: float, p_d: float, stage: str = "gain") -> None:
     if not 0.0 <= mu < math.inf:
-        raise DomainError(f"gain: mu must be finite and >= 0, got {mu}")
+        raise DomainError(f"{stage}: mu must be finite and >= 0, got {mu}")
     if not 0.0 < eta <= 1.0:
-        raise DomainError(f"gain: eta must be in (0, 1], got {eta}")
+        raise DomainError(f"{stage}: eta must be in (0, 1], got {eta}")
     if not 0.0 <= p_d < 1.0:
-        raise DomainError(f"gain: p_d must be in [0, 1), got {p_d}")
+        raise DomainError(f"{stage}: p_d must be in [0, 1), got {p_d}")
 
 
 def _gain_qber(mu: float, eta: float, p_d: float, e_d: float) -> tuple[float, float]:
@@ -112,8 +112,7 @@ def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
     """
     if not 0.0 <= e_d <= 0.5:
         raise DomainError(f"qber: e_d must be in [0, 0.5], got {e_d}")
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"qber: mu must be finite and >= 0, got {mu}")
+    _check_gain_args(mu, eta, p_d, "qber")
     return _gain_qber(mu, eta, p_d, e_d)[1]
 
 

@@ -373,8 +373,7 @@ def cmd_reproduce(args) -> int:
     else:
         record = load_bundled_record(args.bundled)
     result = reproduce_key_rate(
-        record, budget=_budget_from(args), q_source=args.q_source,
-        f=args.f_ec, eta_d=args.eta_d, p_d=args.p_d,
+        record, budget=_budget_from(args), f=args.f_ec, eta_d=args.eta_d, p_d=args.p_d,
     )
     if args.output:
         _emit(_serialize_result(result, args.format), args.output)
@@ -472,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", default=None, help="tally CSV path")
     p.add_argument("--bundled", type=int, choices=sorted(defaults.BUNDLED_TALLIES),
                    default=None, help="use a packaged reference dataset (dB)")
-    p.add_argument("--q-source", choices=("channel-model", "counts"),
-                   default="channel-model",
-                   help="gain entering the phase-error denominators")
     p.add_argument("--eta-d", type=float, default=defaults.ETA_D)
     p.add_argument("--p-d", type=float, default=defaults.P_D)
     _add_output_args(p)

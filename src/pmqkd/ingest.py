@@ -224,20 +224,17 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
 def reproduce_key_rate(
     record: ExperimentRecord,
     budget: SecurityBudget | None = None,
-    q_source: str = "channel-model",
     f: float = defaults.F_EC,
     eta_d: float = defaults.ETA_D,
     p_d: float = defaults.P_D,
 ) -> KeyRateResult:
     """Key rate from an ingested dataset.
 
-    q_source selects the gain entering the phase-error denominators:
-
-    * ``channel-model`` (default): Q from the closed-form detection model at
-      the record's declared loss and intensity.  This is the convention that
-      reproduces the published key rates; the measured click rate exceeds
-      the model's, so using it would loosen the phase-error bound.
-    * ``counts``: Q inferred from the counts as n_mu M / (2 N (1 - p_s)).
+    The gain Q in the phase-error denominators comes from the closed-form
+    detection model at the record's declared loss and intensity, the
+    convention that reproduces the published key rates.  The counts give
+    only a point estimate of Q with no confidence bound, and the measured
+    click rate exceeds the model's, so using it would loosen the bound.
     """
     if budget is None:
         budget = SecurityBudget()
@@ -245,28 +242,21 @@ def reproduce_key_rate(
     if tally.m_slices not in defaults.SUPPORTED_M_SLICES:
         raise DomainError(f"tally m_slices={tally.m_slices}: the bound chain "
                           f"supports m_slices 6 or 8 only")
-    n_rounds = float(tally.n_rounds)
     obs = derive_observables(record)
-    if q_source == "channel-model":
-        spec = ChannelSpec(eta_d=eta_d, p_d=p_d, total_loss_db=record.loss_db)
-        q_mu = gain(tally.mu, transmittance(spec), p_d)
-    elif q_source == "counts":
-        q_mu = obs.n_mu * tally.m_slices / (2.0 * n_rounds * (1.0 - tally.p_s))
-    else:
-        raise DomainError(f"reproduce_key_rate: unknown q_source {q_source!r}")
+    spec = ChannelSpec(eta_d=eta_d, p_d=p_d, total_loss_db=record.loss_db)
     return finite_key_rate(
         mu=tally.mu,
         m_slices=tally.m_slices,
-        n_rounds=n_rounds,
+        n_rounds=float(tally.n_rounds),
         p_s=tally.p_s,
         f=f,
-        q_mu=q_mu,
+        q_mu=gain(tally.mu, transmittance(spec), p_d),
         e_b=obs.e_b,
         n_mu=obs.n_mu,
         m_s=obs.m_s,
         budget=budget,
         m_s_reconstructed=obs.m_s_reconstructed,
-        q_source=q_source,
+        q_source="channel-model",
     )
 
 

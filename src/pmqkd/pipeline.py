@@ -1,6 +1,6 @@
 """Analytic key-rate pipeline: closed-form channel model into the bound chain.
 
-Used by the CLI, the optimizer and the experiment scripts for simulation-mode
+Used by the CLI and the optimizer for simulation-mode
 evaluations; ingestion-mode evaluations live in :mod:`pmqkd.ingest`.
 """
 
@@ -58,5 +58,4 @@ def expected_key_rate(
         n_mu=n_mu,
         m_s=m_s,
         budget=budget,
-        q_source="closed-form",
     )

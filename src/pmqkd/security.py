@@ -130,8 +130,8 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 
 
 def _check_sampled(m_s: float, p_s: float) -> None:
-    if m_s < 0:
-        raise DomainError(f"vacuum_yield_ub: m_s must be >= 0, got {m_s}")
+    if not 0.0 <= m_s < math.inf:
+        raise DomainError(f"vacuum_yield_ub: m_s must be finite and >= 0, got {m_s}")
     if not 0.0 < p_s < 1.0:
         raise DomainError(f"vacuum_yield_ub: p_s must be in (0, 1), got {p_s}")
 
@@ -162,9 +162,9 @@ def vacuum_yield_ub(
     return _vacuum_yield(m_s, p_s, n_rounds, math.exp(-mu), _beta(eps))
 
 
-def _check_gain(q_mu: float) -> None:
-    if q_mu <= 0:
-        raise DomainError(f"phase error: q_mu must be > 0, got {q_mu}")
+def _check_gain(q_mu: float, stage: str = "phase error") -> None:
+    if not 0.0 < q_mu < math.inf:
+        raise DomainError(f"{stage}: q_mu must be finite and > 0, got {q_mu}")
 
 
 def _even_photon_terms(
@@ -233,8 +233,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
         raise DomainError(
             f"deviation_bound: k must be even with 0 <= k < m_slices, got k={k}"
         )
-    if q_mu <= 0:
-        raise DomainError(f"deviation_bound: q_mu must be > 0, got {q_mu}")
+    _check_gain(q_mu, "deviation_bound")
     _require_mu("deviation_bound", mu)
     return _deviations(mu, m_slices, q_mu)[k // 2]
 
@@ -312,12 +311,20 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     returns the additive correction delta bounding the sum of conditional
     success probabilities above lambda_n, together with its coefficients.
     """
-    if n < 1:
-        raise DomainError(f"kato_correction: n must be >= 1, got {n}")
+    _check_trials(n)
     _check_successes(n, lambda_n)
+    _check_eps_ka(eps_ka)
+    return _kato(n, lambda_n, eps_ka)
+
+
+def _check_trials(n: float) -> None:
+    if not 1.0 <= n < math.inf:
+        raise DomainError(f"kato_correction: n must be finite and >= 1, got {n}")
+
+
+def _check_eps_ka(eps_ka: float) -> None:
     if not 0.0 < eps_ka < 1.0:
         raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
-    return _kato(n, lambda_n, eps_ka)
 
 
 def _check_successes(n: float, lambda_n: float) -> None:
@@ -360,21 +367,16 @@ def kato_epsilon(coeffs: KatoCoefficients) -> float:
     )
 
 
-def _kato_lift(
-    n_mu: float, ep_m: float, eps_ka: float, correction
-) -> tuple[KatoCoefficients, float]:
+def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficients, float]:
     """Kato coefficients at lambda = n ep (at most n), and the lifted ep_bar.
 
-    correction is kato_correction, or the chain's _chain_kato where n >= 1
-    and eps_ka are already checked.
+    Makes kato_correction's checks of n and lambda; the caller checks eps_ka.
     """
-    coeffs = correction(n_mu, min(n_mu * ep_m, n_mu), eps_ka)
+    lambda_n = min(n_mu * ep_m, n_mu)
+    _check_trials(n_mu)
+    _check_successes(n_mu, lambda_n)
+    coeffs = _kato(n_mu, lambda_n, eps_ka)
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
-
-
-def _chain_kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
-    _check_successes(n, lambda_n)
-    return _kato(n, lambda_n, eps_ka)
 
 
 def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
@@ -387,7 +389,8 @@ def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
         raise NoDataError(f"phase_error_final: need n_mu >= 1, got {n_mu}")
     if ep_m < 0:
         raise DomainError(f"phase_error_final: ep_m must be >= 0, got {ep_m}")
-    return _kato_lift(n_mu, ep_m, eps_ka, kato_correction)[1]
+    _check_eps_ka(eps_ka)
+    return _kato_lift(n_mu, ep_m, eps_ka)[1]
 
 
 def key_length(
@@ -400,14 +403,20 @@ def key_length(
 ) -> tuple[float, float]:
     """Extractable key length and rate.
 
-    ell = n [1 - H(min(ep_bar, 0.5)) - f H(E_b)] - xi - xi', floored at 0;
-    the rate is ell / N.
+    ell = n [1 - H(min(ep_bar, 0.5)) - f H(min(E_b, 0.5))] - xi - xi', floored
+    at 0; the rate is ell / N.
     """
-    if n_mu < 0:
-        raise DomainError(f"key_length: n_mu must be >= 0, got {n_mu}")
+    _check_key_inputs(n_mu, e_b)
     if n_rounds <= 0:
         raise DomainError("key_length: n_rounds must be positive")
     return _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
+
+
+def _check_key_inputs(n_mu: float, e_b: float) -> None:
+    if not 0.0 <= n_mu < math.inf:
+        raise DomainError(f"key_length: n_mu must be finite and >= 0, got {n_mu}")
+    if not 0.0 <= e_b <= 1.0:
+        raise DomainError(f"key_length: e_b must be in [0, 1], got {e_b}")
 
 
 def _key_length(
@@ -418,7 +427,7 @@ def _key_length(
     budget: SecurityBudget,
     n_rounds: float,
 ) -> tuple[float, float]:
-    """key_length on checked n_mu and n_rounds."""
+    """key_length on checked n_mu, e_b and n_rounds."""
     ep = min(ep_m_bar, 0.5)
     eb = min(e_b, 0.5)
     ell = n_mu * (1.0 - binary_entropy(ep) - f * binary_entropy(eb))
@@ -521,12 +530,13 @@ def finite_key_rate(
         terms = _phase_error_terms(mu, e_mu, m_slices, q_mu, y0_bar)
         ep_m = terms[-1]
         if ep_m <= 1.0:
-            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka, _chain_kato)
+            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka)
             kato_delta = kato.delta
         else:
             # No key is extractable; the Kato lift is undefined past lambda = n.
             kato_delta, ep_m_bar = 0.0, ep_m
         breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
+        _check_key_inputs(n_mu, e_b)
         ell, rate = _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell, rate, n_rounds, n_mu, e_b, m_s, mu, m_slices, p_s, f, q_mu, y0_bar,

@@ -149,6 +149,21 @@ class TestQber:
         assert e_b == pytest.approx(oracle_qber(mu, eta, p_d, e_d), rel=1e-11)
         assert 0.0 <= e_b <= 0.5 + 1e-15
 
+    @pytest.mark.parametrize("eta,p_d,match", [
+        (5.0, 0.9, r"qber: eta must be in \(0, 1\]"),
+        (0.0, 1e-6, r"qber: eta must be in \(0, 1\]"),
+        (math.nan, 1e-6, r"qber: eta must be in \(0, 1\]"),
+        (0.5, 1.0, r"qber: p_d must be in \[0, 1\)"),
+        (0.5, -1e-6, r"qber: p_d must be in \[0, 1\)"),
+        (0.5, math.nan, r"qber: p_d must be in \[0, 1\)"),
+    ])
+    def test_domain_matches_gain(self, eta, p_d, match):
+        # qber(1e-3, 5.0, 0.9, 0.01) once returned 0.4986 where gain raised.
+        with pytest.raises(DomainError, match=match.replace("qber", "gain")):
+            gain(1e-3, eta, p_d)
+        with pytest.raises(DomainError, match=match):
+            qber(1e-3, eta, p_d, 0.01)
+
     def test_limits(self):
         # signal-dominated regime approaches e_d; dark-dominated approaches 1/2
         assert qber(0.1, 1.0, 1e-12, 0.01) == pytest.approx(0.01, rel=1e-6)

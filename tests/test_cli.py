@@ -3,6 +3,8 @@ for the entry point)."""
 
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -110,6 +112,16 @@ class TestScan:
         assert out1.read_text() == out2.read_text()
         rates = [float(l.split(",")[4]) for l in out1.read_text().splitlines()[1:]]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("n_rounds", ["1e10", "1e11", "1e12"])
+    def test_each_curve_has_a_key_at_100_to_120_km(self, capsys, tmp_path, n_rounds):
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(capsys, "scan", "--d-min", "100", "--d-max", "120",
+                             "--step", "10", "--n-rounds", n_rounds, "--output", str(out))
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [100.0, 110.0, 120.0]
+        assert all(float(row[4]) > 0 for row in rows)
 
     def test_co_optimized_scan_matches_optimize(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
@@ -280,6 +292,15 @@ class TestDeviation:
             ratio = float(line.split(",")[-1])
             assert 0 < ratio < 0.01
 
+    def test_m6_rows_at_40_and_41_db(self, capsys, tmp_path):
+        out = tmp_path / "dev.csv"
+        code, _, _ = run_cli(capsys, "deviation", "--m-slices", "6", "--loss-min", "40",
+                             "--loss-max", "41", "--output", str(out))
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [40.0, 41.0]
+        assert all(float(row[-3]) > 0 for row in rows)  # sum_delta
+
     def test_optimized_rows_match_the_chain(self, capsys, tmp_path):
         # Each row is the chain's breakdown at the fixed-p_s optimum; 90 dB
         # has no key and reports the lowest grid intensity.
@@ -389,6 +410,13 @@ class TestSimulateReproduce:
         code, _, err = run_cli(capsys, "reproduce", "--input", str(bad))
         assert code == EXIT_CODES["schema"]
         assert "error [schema]" in err
+
+    def test_q_source_is_not_an_option(self, capsys):
+        # The gain always comes from the channel model.
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--bundled", "45", "--q-source", "counts"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--q-source" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "reproduce")
@@ -855,7 +883,7 @@ COMMAND_OPTIONS = {
     "simulate": _LOSS | _DETECTOR | _PROTOCOL
     | {"--mu", "--seed", "--batch-size", "--jobs", "--output"},
     "reproduce": _BUDGET | {"--eta-d", "--p-d", "--input", "--bundled",
-                            "--q-source", "--output", "--format"},
+                            "--output", "--format"},
     "optimize": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
     | {"--mu-min", "--mu-max", "--optimize-ps", "--trace", "--output"},
 }
@@ -867,7 +895,7 @@ class TestOptionSets:
         assert {name: {opt for opt in sub._option_string_actions
                        if opt.startswith("--") and opt != "--help"}
                 for name, sub in commands.items()} == COMMAND_OPTIONS
-        assert sum(map(len, COMMAND_OPTIONS.values())) == 97
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 96
 
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
@@ -913,6 +941,20 @@ class TestOptionSets:
         assert exc.value.code == EXIT_CODES["usage"]
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_readme_command_table_names_only_real_options():
+    # A deleted or misplaced option cannot linger in the README's table.
+    commands = cli.build_parser().get_default("commands")
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row and row[1] in commands:
+            rows[row[1]] = set(re.findall(r"--[a-z][a-z-]*", row[2]))
+    assert rows.keys() == commands.keys()
+    for name, flags in rows.items():
+        assert flags - commands[name]._option_string_actions.keys() == set(), name
 
 
 def test_console_entry_point():

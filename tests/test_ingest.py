@@ -96,21 +96,6 @@ class TestReproduction:
         assert result.ep_m_bar == pytest.approx(0.18, abs=0.01)
         assert result.n_mu == 91781
 
-    def test_counts_q_source_is_looser(self):
-        # the measured click rate exceeds the model's, so count-inferred Q
-        # weakens the phase-error bound and inflates the rate
-        record = load_bundled_record(45)
-        model = reproduce_key_rate(record, q_source="channel-model")
-        counts = reproduce_key_rate(record, q_source="counts")
-        assert counts.q_mu > model.q_mu
-        assert counts.rate > model.rate
-
-    def test_unknown_q_source(self):
-        from pmqkd.errors import DomainError
-
-        with pytest.raises(DomainError):
-            reproduce_key_rate(load_bundled_record(45), q_source="guess")
-
     def test_audit_json_complete(self):
         result = reproduce_key_rate(load_bundled_record(45))
         data = json.loads(result_to_json(result))

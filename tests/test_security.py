@@ -809,6 +809,46 @@ class TestChecksOnce:
                     _outcome(lambda: _staged_rate(**kw, budget=budget)), kw
 
 
+_NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN and inf fail at the check of the first stage that reads them, by name."""
+
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("name,match", [
+        ("q_mu", "phase error: q_mu must be finite"),
+        ("m_s", "vacuum_yield_ub: m_s must be finite"),
+        ("n_mu", "kato_correction: n must be finite"),
+        ("e_b", r"key_length: e_b must be in \[0, 1\]"),
+    ])
+    def test_finite_key_rate(self, name, match, value):
+        # q_mu = inf once gave a positive rate: it made ep_m 0.
+        kw = dict(_GOOD, **{name: value})
+        with pytest.raises(DomainError, match=match):
+            finite_key_rate(**kw, budget=SecurityBudget())
+
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("call,match", [
+        (lambda v: phase_error_continuous(1e-3, v, 1e-6), "phase error: q_mu must be finite"),
+        (lambda v: phase_error_discrete(1e-3, 8, v, 1e-6), "phase error: q_mu must be finite"),
+        (lambda v: deviation_bound(1e-3, 8, 0, v), "deviation_bound: q_mu must be finite"),
+        (lambda v: vacuum_yield_ub(v, 0.07, 1e11, 1e-3, EPS),
+         "vacuum_yield_ub: m_s must be finite"),
+        (lambda v: kato_correction(v, 10.0, 1e-10), "kato_correction: n must be finite"),
+        (lambda v: phase_error_final(v, 0.1, 1e-10), "kato_correction: n must be finite"),
+        (lambda v: key_length(v, 0.1, 0.01, 1.16, SecurityBudget(), 1e11),
+         "key_length: n_mu must be finite"),
+        (lambda v: key_length(7e4, 0.1, v, 1.16, SecurityBudget(), 1e11),
+         r"key_length: e_b must be in \[0, 1\]"),
+    ], ids=["phase_error_continuous.q_mu", "phase_error_discrete.q_mu",
+            "deviation_bound.q_mu", "vacuum_yield_ub.m_s", "kato_correction.n",
+            "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b"])
+    def test_stage(self, call, match, value):
+        with pytest.raises(DomainError, match=match):
+            call(value)
+
+
 class TestMoreErrorsNeverRaiseRate:
     """Never optimistic: more observed errors never raise the key rate."""
 
