@@ -26,7 +26,7 @@ from decimal import Decimal
 
 from . import defaults
 from .channel import ChannelSpec
-from .errors import DomainError, NoDataError, PmqkdError
+from .errors import DomainError, PmqkdError
 from .ingest import (
     load_bundled_record,
     parse_flag,
@@ -197,8 +197,10 @@ def _output_first(path: str | None) -> Iterator[None]:
     """Open --output for writing before the work; undo that if the work fails.
 
     An unwritable path then fails before anything is computed.  Opening
-    appends nothing, so a file that was there is left as it was, and one
-    this created is removed: a failed command leaves no output file behind.
+    appends nothing, so a file that was there is left as it was.  A file the
+    probe created is removed at once, so the work's write creates it rather
+    than truncating an empty placeholder (a truncating reopen makes ext4
+    flush on close), and a failed command leaves no output file behind.
     """
     if path is None:
         yield
@@ -206,6 +208,9 @@ def _output_first(path: str | None) -> Iterator[None]:
     existed = os.path.lexists(path)
     with _file_errors("--output", path, "write"):
         open(path, "a").close()
+    if not existed:
+        with contextlib.suppress(OSError):
+            os.remove(path)
     try:
         yield
     except BaseException:
@@ -307,13 +312,12 @@ def cmd_scan(args) -> int:
         raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [_channel_from(args, distance_km=d) for d in distances]
-    with _output_first(args.output):
-        results = _point_results(args, channels, args.optimize_ps, args.jobs)
-        lines = ["distance_km,loss_db,mu,p_s,rate"]
-        for d_km, res in zip(distances, results):
-            lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
-                         f"{res.rate!r}")
-        _emit("\n".join(lines), args.output)
+    results = _point_results(args, channels, args.optimize_ps, args.jobs)
+    lines = ["distance_km,loss_db,mu,p_s,rate"]
+    for d_km, res in zip(distances, results):
+        lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
+                     f"{res.rate!r}")
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -325,18 +329,11 @@ def cmd_deviation(args) -> int:
     header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, args.m_slices, 2)]
     header += ["sum_delta", "ep_m", "sum_delta_over_ep_m"]
     lines = [",".join(header)]
-    with _output_first(args.output):
-        for loss, res in zip(losses, _point_results(args, channels)):
-            if res.n_mu < 1:
-                # The chain short-circuited: no deviations, and ep_m = 0.
-                raise NoDataError(f"deviation: loss_db={loss!r} gives n_mu = "
-                                  f"{res.n_mu!r}, fewer than one sifted bit")
-            devs = res.breakdown.deviations
-            total = sum(devs)
-            row = [repr(loss), repr(res.mu)] + [repr(v) for v in devs]
-            row += [repr(total), repr(res.ep_m), repr(total / res.ep_m)]
-            lines.append(",".join(row))
-        _emit("\n".join(lines), args.output)
+    for loss, res in zip(losses, _point_results(args, channels)):
+        total = sum(res.breakdown.deviations)
+        row = [loss, res.mu, *res.breakdown.deviations, total, res.ep_m, total / res.ep_m]
+        lines.append(",".join(map(repr, row)))
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -352,10 +349,9 @@ def cmd_simulate(args) -> int:
         mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
         p_s=args.p_s, channel=channel,
     )
-    with _output_first(args.output):
-        tally = simulate(params, args.seed, batch_size=args.batch_size)
-        with _file_errors("--output", args.output, "write"):
-            write_tally_csv(tally, args.output, loss_db=channel.loss_db())
+    tally = simulate(params, args.seed, batch_size=args.batch_size)
+    with _file_errors("--output", args.output, "write"):
+        write_tally_csv(tally, args.output, loss_db=channel.loss_db())
     q = tally.n_det / tally.n_rounds
     print(f"simulated {tally.n_rounds} rounds: n_det={tally.n_det} "
           f"(gain {q:.3e}), doubles={tally.n_double}, "
@@ -541,15 +537,18 @@ def main(argv: list[str] | None = None) -> int:
         p_s_flag = getattr(args, "p_s_given", False)
         path = args.config or os.environ.get("PMQKD_CONFIG")
         if path:
-            # Only --config precedes the command (a path named like a command
-            # must be spelt --config=PATH).  The config goes right after the
-            # command, so the command line's own flags override it.
-            at = argv.index(args.cmd)
+            # Only --config (--config PATH, or --config=PATH and abbreviations)
+            # precedes the command.  The config goes right after the command,
+            # so the command line's own flags override it.
+            at = 0
+            while argv[at].startswith("-"):
+                at += 1 if "=" in argv[at] else 2
             argv[at + 1:at + 1] = _config_tokens(parser, args, path)
             args = parser.parse_args(argv)
         if p_s_flag and getattr(args, "optimize_ps", False):
             raise DomainError("--optimize-ps cannot be combined with a fixed --p-s")
-        return args.func(args)
+        with _output_first(args.output):
+            return args.func(args)
     except PmqkdError as exc:
         sys.stderr.write(f"pmqkd: error [{exc.code}] {exc}\n")
         return EXIT_CODES.get(exc.code, EXIT_CODES["internal"])

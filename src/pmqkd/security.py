@@ -379,6 +379,11 @@ def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficient
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
 
 
+def _check_phase_error(stage: str, name: str, value: float) -> None:
+    if not value >= 0.0:  # NaN too
+        raise DomainError(f"{stage}: {name} must be >= 0, got {value}")
+
+
 def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
     """Lift the phase error rate to cover coherent attacks.
 
@@ -387,8 +392,7 @@ def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
     """
     if n_mu < 1:
         raise NoDataError(f"phase_error_final: need n_mu >= 1, got {n_mu}")
-    if ep_m < 0:
-        raise DomainError(f"phase_error_final: ep_m must be >= 0, got {ep_m}")
+    _check_phase_error("phase_error_final", "ep_m", ep_m)
     _check_eps_ka(eps_ka)
     return _kato_lift(n_mu, ep_m, eps_ka)[1]
 
@@ -407,6 +411,7 @@ def key_length(
     at 0; the rate is ell / N.
     """
     _check_key_inputs(n_mu, e_b)
+    _check_phase_error("key_length", "ep_m_bar", ep_m_bar)
     if n_rounds <= 0:
         raise DomainError("key_length: n_rounds must be positive")
     return _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
@@ -498,12 +503,14 @@ def finite_key_rate(
 
     The observables (q_mu, e_b, n_mu, m_s) may come from closed forms, from
     a Monte Carlo tally, or from an ingested dataset; the chain itself does
-    not care.  Degenerate inputs (no sifted data, or a phase error bound
-    beyond 1) short-circuit to a zero-rate result with the breakdown kept
-    for audit.  An error-correction efficiency f below the Shannon limit of
-    1 would overstate the key, so it is rejected, as is an n_rounds that is
-    not finite and positive (the short-circuit would otherwise report a zero
-    rate for no rounds at all).
+    not care.  Every call checks every input and computes every term.  Only
+    the Kato lift is skipped, where it is undefined: fewer than one sifted
+    bit (n_mu < 1) or a phase-error bound beyond 1 (lambda past n).  There
+    the lift is replaced by ep_m_bar = max(0.5, ep_m), which is 0.5 for a
+    NaN ep_m too, so the key length is floored at 0 whatever the budget.
+    An error-correction efficiency f below the Shannon limit of 1 would
+    overstate the key, so it is rejected, as is an n_rounds that is not
+    finite and positive.
     """
     if not math.isfinite(n_rounds):
         raise DomainError(f"finite_key_rate: n_rounds must be finite, got {n_rounds}")
@@ -513,31 +520,27 @@ def finite_key_rate(
         raise DomainError(
             f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"
         )
-    kato = None
-    if n_mu < 1:
-        y0_bar, ell, rate = 0.0, 0.0, 0.0
-        breakdown = PhaseErrorBreakdown(0.0, 0.0, (), 0.0, 0.0, 0.5)
+    # The stage functions' checks, each once and in the order the stages
+    # would make them (a SecurityBudget has checked eps_ka).
+    _check_sampled(m_s, p_s)
+    _require_mu("vacuum_yield_ub", mu)
+    beta = _beta(budget.eps)
+    _check_slices(m_slices)
+    _check_gain(q_mu)
+    e_mu = math.exp(-mu)
+    y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)
+    terms = _phase_error_terms(mu, e_mu, m_slices, q_mu, y0_bar)
+    ep_m = terms[-1]
+    if n_mu < 1.0 or not ep_m <= 1.0:
+        # The lift is undefined; no key is extractable.  A NaN n_mu goes on
+        # to the lift's check, and a NaN ep_m (an overflowed bound) is past 1.
+        kato, kato_delta, ep_m_bar = None, 0.0, max(0.5, ep_m)
     else:
-        # The stage functions' checks, each once and in the order the
-        # stages would make them (a SecurityBudget has checked eps_ka).
-        _check_sampled(m_s, p_s)
-        _require_mu("vacuum_yield_ub", mu)
-        beta = _beta(budget.eps)
-        _check_slices(m_slices)
-        _check_gain(q_mu)
-        e_mu = math.exp(-mu)
-        y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)
-        terms = _phase_error_terms(mu, e_mu, m_slices, q_mu, y0_bar)
-        ep_m = terms[-1]
-        if ep_m <= 1.0:
-            kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka)
-            kato_delta = kato.delta
-        else:
-            # No key is extractable; the Kato lift is undefined past lambda = n.
-            kato_delta, ep_m_bar = 0.0, ep_m
-        breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
-        _check_key_inputs(n_mu, e_b)
-        ell, rate = _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
+        kato, ep_m_bar = _kato_lift(n_mu, ep_m, budget.eps_ka)
+        kato_delta = kato.delta
+    breakdown = PhaseErrorBreakdown(*terms, kato_delta, ep_m_bar)
+    _check_key_inputs(n_mu, e_b)
+    ell, rate = _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell, rate, n_rounds, n_mu, e_b, m_s, mu, m_slices, p_s, f, q_mu, y0_bar,
         breakdown, kato, budget, m_s_reconstructed, q_source,

@@ -367,17 +367,29 @@ class TestDeviation:
         (["--loss-min", "10", "--loss-max", "10", "--mu", "1e-9", "--p-d", "0",
           "--n-rounds", "1e6"], "10.0"),
     ])
-    def test_point_without_a_sifted_bit_is_no_data(self, capsys, tmp_path, argv,
-                                                   loss):
-        # Such a point once divided by its ep_m of 0 (exit 70), and its row,
-        # with no deviations, was shorter than the header.
+    def test_point_without_a_sifted_bit_has_a_row(self, capsys, tmp_path, argv,
+                                                  loss):
+        # Such a point once had a fabricated ep_m of 0 and no deviations; its
+        # row is now the breakdown keyrate reports at that loss and mu.
         out = tmp_path / "dev.csv"
         code, _, err = run_cli(capsys, "deviation", *argv, "--output", str(out))
-        assert code == EXIT_CODES["no-data"]
-        assert err.startswith(f"pmqkd: error [no-data] deviation: loss_db={loss} "
-                              f"gives n_mu = ")
-        assert err.endswith(", fewer than one sifted bit\n")
-        assert not out.exists()
+        assert (code, err) == (0, "")
+        header, line = out.read_text().splitlines()
+        row = line.split(",")
+        assert len(row) == len(header.split(","))
+        assert row[0] == loss
+        rest = argv[4:]  # the options after --loss-min and --loss-max
+        if "--mu" not in rest:
+            rest += ["--mu", row[1]]  # the optimized intensity
+        result = tmp_path / "keyrate.json"
+        assert run_cli(capsys, "keyrate", "--loss-db", loss, *rest,
+                       "--output", str(result))[0] == 0
+        res = json.loads(result.read_text())
+        assert res["n_mu"] < 1 and res["kato"] is None
+        devs = res["breakdown"]["deviations"]
+        assert len(devs) == 4
+        assert row[1:] == [repr(v) for v in (res["mu"], *devs, sum(devs), res["ep_m"],
+                                             sum(devs) / res["ep_m"])]
 
 
 class TestSimulateReproduce:
@@ -582,6 +594,14 @@ class TestNeverOptimistic:
         assert f" {field} must be finite" in err
         assert not out.exists()
 
+    def test_overflowed_phase_error_has_no_key(self, capsys):
+        # The gain at this mu is near the smallest double, and the phase-error
+        # bound overflows to NaN: capped to 0.5, it leaves no key.
+        code, out, err = run_cli(capsys, "keyrate", "--mu", "1e-300", "--p-d", "0",
+                                 "--loss-db", "200")
+        assert (code, err) == (0, "")
+        assert out.startswith("rate      R   = 0.000000e+00\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
@@ -667,16 +687,20 @@ class TestNonFiniteIntensity:
 
 
 class TestOutputFirst:
-    """scan, deviation and simulate open --output before they compute."""
+    """Every command opens --output before it computes."""
 
     ARGV = {
+        "keyrate": ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
+        "optimize": ["optimize", "--loss-db", "45"],
+        "reproduce": ["reproduce", "--bundled", "45"],
         "scan": ["scan", "--d-min", "10", "--d-max", "40", "--step", "1",
                  "--n-rounds", "1e12"],
         "deviation": ["deviation", "--loss-min", "10", "--loss-max", "50"],
         "simulate": ["simulate", "--loss-db", "20", "--mu", "1e-3",
                      "--n-rounds", "1e4"],
     }
-    WORK = ("expected_key_rate", "optimize", "simulate")
+    WORK = ("expected_key_rate", "optimize", "simulate", "reproduce_key_rate",
+            "load_bundled_record")
 
     @pytest.mark.parametrize("cmd", sorted(ARGV))
     def test_unwritable_output_fails_before_any_work(self, capsys, tmp_path,
@@ -701,15 +725,20 @@ class TestOutputFirst:
 
     @pytest.mark.parametrize("cmd", sorted(ARGV))
     def test_failed_work_leaves_no_file(self, capsys, tmp_path, monkeypatch, cmd):
+        new = tmp_path / "new.csv"
+        seen = []
+
         def fail(*args, **kwargs):
+            seen.append(new.exists())
             raise DomainError("the work failed")
 
         for name in self.WORK:
             monkeypatch.setattr(cli, name, fail)
-        new = tmp_path / "new.csv"
         code, _, err = run_cli(capsys, *self.ARGV[cmd], "--output", str(new))
         assert (code, err) == (EXIT_CODES["domain"],
                                "pmqkd: error [domain] the work failed\n")
+        # The probe leaves no empty placeholder for the work to reopen.
+        assert seen == [False]
         assert not new.exists()
         # A file that was there is left as it was.
         old = tmp_path / "old.csv"
@@ -776,6 +805,19 @@ class TestConfigFile:
             argv = argv + ["--output", str(tmp_path / "tally.csv")]
         code, _, err = run_cli(capsys, "--config", str(cfg), *argv)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("spelling", [["--config", "keyrate"], ["--conf", "keyrate"],
+                                          ["--config=keyrate"], ["--conf=keyrate"]])
+    def test_config_path_named_like_a_command(self, capsys, tmp_path, monkeypatch,
+                                              spelling):
+        # The command is found by position, not by name: a config file named
+        # keyrate once made the config land after the path, a usage error.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keyrate").write_text("loss_db=45\nf_ec=1.2\n")
+        configured = run_cli(capsys, *spelling, "keyrate", "--mu", "1e-3")
+        flagged = run_cli(capsys, "keyrate", "--loss-db", "45", "--f-ec", "1.2",
+                          "--mu", "1e-3")
+        assert configured == flagged and configured[0] == 0
 
     def test_config_key_of_no_command_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"

@@ -3,11 +3,14 @@ key-rate reproduction."""
 
 import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 
 from pmqkd.errors import NoDataError, SchemaError
 from pmqkd.ingest import (
+    _METADATA,
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
@@ -286,3 +289,15 @@ class TestSimulatedRoundTrip:
                                      p_s=0.07)
         assert analytic.rate > 0
         assert abs(result.rate - analytic.rate) / analytic.rate < 0.10
+
+
+def test_readme_tally_schema_table_matches_the_parser():
+    # A key added to or dropped from the parser, or a changed requirement,
+    # cannot leave the README's schema table behind.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Tally CSV schema", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| .* \| (required|optional.*) \|$", section,
+                           flags=re.MULTILINE))
+    assert rows.keys() == _METADATA.keys()
+    assert {k for k, v in rows.items() if v == "required"} == {
+        k for k, (_, required) in _METADATA.items() if required}

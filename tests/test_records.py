@@ -6,7 +6,9 @@ The golden files under ``tests/data`` are the exact text the CLI wrote for
 a change to how the records are built must leave every output byte alone.
 Two more pin the optimized outputs to the last bit: a ``scan`` at
 N = 1e12 and a ``deviation`` at M = 6, so a change to the search or to how
-the chain computes its terms must leave them alone too.
+the chain computes its terms must leave them alone too.  A record with
+fewer than one sifted bit pins the one step the chain skips there: the
+Kato lift, replaced by ep_m_bar = 0.5, with every other term computed.
 """
 
 import pickle
@@ -26,13 +28,14 @@ from pmqkd.security import (
 
 DATA = Path(__file__).parent / "data"
 
-# A chain that short-circuits on fewer than one sifted bit: no Kato record,
-# no deviations, and every value below is exact in binary floating point.
+# A chain with fewer than one sifted bit and ep_m below 0.5: no Kato
+# record, ep_m_bar 0.5, and the vacuum, multiphoton and deviation terms
+# computed as at any other n_mu.
 SHORT_CIRCUIT_JSON = """\
 {
   "ell": 0.0,
   "rate": 0.0,
-  "n_rounds": 1000.0,
+  "n_rounds": 1000000000000.0,
   "n_mu": 0.5,
   "e_b": 0.25,
   "m_s": 0.0,
@@ -41,12 +44,17 @@ SHORT_CIRCUIT_JSON = """\
   "p_s": 0.0625,
   "f": 1.5,
   "q_mu": 0.5,
-  "y0_bar": 0.0,
+  "y0_bar": 4.0378287502427985e-09,
   "breakdown": {
-    "vacuum_term": 0.0,
-    "multiphoton_term": 0.0,
-    "deviations": [],
-    "ep_m": 0.0,
+    "vacuum_term": 7.126742730512596e-09,
+    "multiphoton_term": 0.01380697790221408,
+    "deviations": [
+      2.1627538922458584e-06,
+      2.5024889195442275e-09,
+      9.816923028607738e-13,
+      2.075363007309681e-16
+    ],
+    "ep_m": 0.013809150286319875,
     "kato_delta": 0.0,
     "ep_m_bar": 0.5
   },
@@ -62,7 +70,7 @@ SHORT_CIRCUIT_JSON = """\
   "eps_sec": 1.9999999999999993e-10,
   "eps_cor": 1.0000000000000015e-15,
   "eps_tot": 3.0000099999999995e-10,
-  "ep_m": 0.0,
+  "ep_m": 0.013809150286319875,
   "ep_m_bar": 0.5
 }"""
 
@@ -71,10 +79,10 @@ def _bundled_45():
     return reproduce_key_rate(load_bundled_record(45))
 
 
-def _short_circuit():
+def _short_circuit(n_mu=0.5):
     return finite_key_rate(
-        mu=0.125, m_slices=8, n_rounds=1000.0, p_s=0.0625, f=1.5, q_mu=0.5,
-        e_b=0.25, n_mu=0.5, m_s=0.0, budget=SecurityBudget(),
+        mu=0.125, m_slices=8, n_rounds=1e12, p_s=0.0625, f=1.5, q_mu=0.5,
+        e_b=0.25, n_mu=n_mu, m_s=0.0, budget=SecurityBudget(),
     )
 
 
@@ -91,7 +99,9 @@ class TestSerialisedLayout:
 
     def test_short_circuit_json(self):
         result = _short_circuit()
-        assert result.kato is None and result.breakdown.deviations == ()
+        assert result.kato is None and result.ep_m < result.ep_m_bar == 0.5
+        # The terms before the lift do not depend on n_mu.
+        assert result.breakdown[:4] == _short_circuit(n_mu=1e4).breakdown[:4]
         assert result_to_json(result) == SHORT_CIRCUIT_JSON
 
     def test_keyrate_csv_rows(self, capsys, tmp_path):

@@ -514,8 +514,7 @@ class TestFiniteKeyRate:
 
     @pytest.mark.parametrize("n_rounds", [0.0, -1.0])
     def test_non_positive_rounds_rejected(self, n_rounds):
-        # Fewer than one sifted bit short-circuits before key_length and
-        # vacuum_yield_ub check n_rounds, so the chain checks it first.
+        # The chain checks n_rounds first, before any stage that reads it.
         with pytest.raises(DomainError, match="n_rounds must be positive"):
             finite_key_rate(
                 mu=1e-3, m_slices=8, n_rounds=n_rounds, p_s=0.07, f=1.16,
@@ -534,6 +533,24 @@ class TestFiniteKeyRate:
             q_mu=1e-9, e_b=0.0, n_mu=0.1, m_s=0, budget=SecurityBudget(),
         )
         assert res.rate == 0.0 and res.ell == 0.0
+
+    @pytest.mark.parametrize("n_mu", [0.0, 0.5, 0.999])
+    def test_fewer_than_one_sifted_bit_never_has_a_key(self, n_mu):
+        # Without the Kato lift ep_m_bar is capped up to 0.5, so ell <= -xi - xi'
+        # even for a tiny budget; ep_m_bar = ep_m (0.186) would leave 0.15 bit.
+        res = finite_key_rate(**dict(_GOOD, f=1.0, e_b=0.0, n_mu=n_mu),
+                              budget=SecurityBudget(xi=1e-3, xi_prime=1e-3))
+        assert res.ep_m < 0.5
+        assert res.kato is None and res.breakdown.kato_delta == 0.0
+        assert (res.ep_m_bar, res.ell, res.rate) == (0.5, 0.0, 0.0)
+
+    def test_overflowed_phase_error_has_no_key(self):
+        # A gain near the smallest double overflows the vacuum term and makes
+        # a deviation inf * 0: ep_m is NaN, past 1 like an inf, so no lift.
+        res = finite_key_rate(**dict(_GOOD, mu=1e-300, q_mu=5e-324),
+                              budget=SecurityBudget())
+        assert math.isnan(res.ep_m) and res.kato is None
+        assert (res.ep_m_bar, res.rate) == (0.5, 0.0)
 
     def test_phase_error_above_one_short_circuits(self):
         res = finite_key_rate(
@@ -768,11 +785,12 @@ class TestChainAgainstExtendedPrecision:
 
 
 def _staged_rate(mu, m_slices, n_rounds, p_s, f, q_mu, e_b, n_mu, m_s, budget):
-    """The chain composed from the public stage functions, for n_mu >= 1."""
+    """The chain composed from the public stage functions."""
     y0_bar = vacuum_yield_ub(m_s, p_s, n_rounds, mu, budget.eps)
     ep_m = phase_error_discrete(mu, m_slices, q_mu, y0_bar).ep_m
-    ep_m_bar = ep_m
-    if ep_m <= 1.0:
+    if n_mu < 1.0 or not ep_m <= 1.0:  # the Kato lift is undefined
+        ep_m_bar = max(0.5, ep_m)
+    else:
         kato = kato_correction(n_mu, min(n_mu * ep_m, n_mu), budget.eps_ka)
         ep_m_bar = (n_mu * ep_m + kato.delta) / n_mu
     return key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)[1]
@@ -800,7 +818,6 @@ class TestChecksOnce:
         # two bad inputs must raise what the first stage to see one raises.
         values = {k: _BAD + [_GOOD[k]] for k in _GOOD}
         values["m_slices"] = [1, 4, 6, 7, 8]
-        values["n_mu"] = [v for v in values["n_mu"] if not v < 1]  # the chain's range
         budget = SecurityBudget()
         for a in values[first]:
             for b in values[second]:
@@ -841,9 +858,14 @@ class TestNonFiniteInputs:
          "key_length: n_mu must be finite"),
         (lambda v: key_length(7e4, 0.1, v, 1.16, SecurityBudget(), 1e11),
          r"key_length: e_b must be in \[0, 1\]"),
+        # Negated: NaN and -inf.  An inf phase error is a vacuous bound, not an error.
+        (lambda v: phase_error_final(1e5, -v, 1e-10), "phase_error_final: ep_m must be >= 0"),
+        (lambda v: key_length(7e4, -v, 0.01, 1.16, SecurityBudget(), 1e11),
+         "key_length: ep_m_bar must be >= 0"),
     ], ids=["phase_error_continuous.q_mu", "phase_error_discrete.q_mu",
             "deviation_bound.q_mu", "vacuum_yield_ub.m_s", "kato_correction.n",
-            "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b"])
+            "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b",
+            "phase_error_final.ep_m", "key_length.ep_m_bar"])
     def test_stage(self, call, match, value):
         with pytest.raises(DomainError, match=match):
             call(value)
