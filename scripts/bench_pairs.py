@@ -1,22 +1,15 @@
-"""Run or summarise parent/change benchmark pairs into one BENCH_*.json.
+"""Run parent/change benchmark pairs and summarise them into one BENCH_*.json.
 
-    python scripts/bench_pairs.py --run PARENT CHANGE --workloads curves ingest \
+    python scripts/bench_pairs.py PARENT CHANGE --workloads curves ingest \
         --seeds 511-520 [--seconds 30] [--output BENCH_<commit>.json]
-    python scripts/bench_pairs.py PARENT_OUT CHANGE_OUT [--output BENCH_<commit>.json]
 
-With --run, PARENT and CHANGE are checkouts.  For each workload and seed,
+PARENT and CHANGE are checkouts.  For each workload and seed,
 `benchmarks/run.py --trace 0` runs once in each checkout, the two sides
 alternating: the parent first on the odd pairs (the first, the third, ...)
 and the change first on the even ones.  Each result is read from the
 checkout's `.bench_out/` as soon as its run ends, so one checkout may stand
 on both sides.  The summary records the order the pairs were run in.
 
-Without --run, PARENT_OUT and CHANGE_OUT are the `.bench_out/` directories
-that `benchmarks/run.py --trace 0` filled in a checkout of each side, and
-the order of each pair is read from the result files' modification times.
-
-Runs are paired by workload and seed; a seed measured on one side only is
-ignored.
 For each end-to-end metric of BENCHMARK.json the summary holds both sides'
 runs, medians and quartiles, the pairs the change won (ties count for
 neither), the relative change of the median, whether the change stays
@@ -37,15 +30,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINE = ("cores", "cores_usable", "cpu_model", "platform", "python", "numpy", "scipy")
-
-
-def load_runs(out_dir: Path) -> dict[tuple[str, int], dict]:
-    runs = {}
-    for path in sorted(out_dir.glob("*-trace0.json")):
-        record = json.loads(path.read_text())
-        record["mtime"] = path.stat().st_mtime
-        runs[(record["workload"], record["seed"])] = record
-    return runs
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,14 +91,10 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
-def summarise(parent: dict, change: dict, parent_first: dict | None = None) -> dict:
-    """The summary of both sides' records; parent_first defaults to the files' times."""
+def summarise(parent: dict, change: dict, parent_first: dict) -> dict:
+    """The summary of both sides' records, keyed alike by (workload, seed)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    keys = sorted(parent.keys() & change.keys())
-    if not keys:
-        raise SystemExit("no workload and seed was measured on both sides")
-    if parent_first is None:
-        parent_first = {k: parent[k]["mtime"] < change[k]["mtime"] for k in keys}
+    keys = list(parent)
     workloads: dict[str, dict] = {}
     for name in dict.fromkeys(wl for wl, _ in keys):
         pairs = [(parent[k], change[k]) for k in keys if k[0] == name]
@@ -146,24 +126,17 @@ def summarise(parent: dict, change: dict, parent_first: dict | None = None) -> d
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="a checkout with --run, else its .bench_out/")
-    parser.add_argument("change", type=Path, help="a checkout with --run, else its .bench_out/")
-    parser.add_argument("--run", action="store_true",
-                        help="run the pairs in the two checkouts, then summarise")
-    parser.add_argument("--workloads", nargs="+", default=[])
-    parser.add_argument("--seeds", type=parse_seeds, default=[],
-                        help="with --run: 511-520 or 511,515,519")
+    parser.add_argument("parent", type=Path, help="the parent's checkout")
+    parser.add_argument("change", type=Path, help="the change's checkout")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="511-520 or 511,515,519")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--output", "-o", type=Path, default=None,
                         help="default: BENCH_<change commit>.json")
     args = parser.parse_args(argv)
-    if args.run:
-        if not (args.workloads and args.seeds):
-            parser.error("--run needs --workloads and --seeds")
-        summary = summarise(*run_pairs(args.parent.resolve(), args.change.resolve(),
-                                       args.workloads, args.seeds, args.seconds))
-    else:
-        summary = summarise(load_runs(args.parent), load_runs(args.change))
+    summary = summarise(*run_pairs(args.parent.resolve(), args.change.resolve(),
+                                   args.workloads, args.seeds, args.seconds))
     output = args.output or Path(f"BENCH_{(summary['change']['git_commit'] or 'unknown')[:7]}.json")
     output.write_text(json.dumps(summary, indent=1) + "\n")
     for name, entry in summary["workloads"].items():

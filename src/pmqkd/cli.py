@@ -492,9 +492,10 @@ def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
     A key the running subcommand does not define is skipped when another
     subcommand defines it, so one file can serve every command.  A key that
-    no subcommand defines is a usage error.  A switch takes true/false, 1/0
-    or yes/no.  A configured loss is skipped when the command line gave one,
-    so ``--distance-km`` overrides a configured ``loss_db``.
+    no subcommand defines is a usage error, and so is ``help``, which would
+    print usage and compute nothing.  A switch takes true/false, 1/0 or
+    yes/no.  A configured loss is skipped when the command line gave one, so
+    ``--distance-km`` overrides a configured ``loss_db``.
     """
     if not os.path.exists(path):
         raise DomainError(f"config file not found: {path}")
@@ -514,6 +515,8 @@ def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace,
             if action is None:
                 if not any(flag in p._option_string_actions for p in commands.values()):
                     parser.error(f"config key {key!r} is not an option of any command")
+            elif action.dest == "help":
+                parser.error(f"config key {key!r} asks for help; use --help on the command line")
             elif action.nargs == 0:
                 try:
                     on = parse_flag(value)

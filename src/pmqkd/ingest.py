@@ -76,11 +76,14 @@ _METADATA = {
 
 @dataclass
 class ExperimentRecord:
-    """One ingested dataset: the tally (counts, N, mu, p_s) and the run metadata."""
+    """One ingested dataset: the declared loss, the tally and the file it came from.
+
+    Everything about the counts, their counting convention included, lives
+    in the tally.
+    """
 
     loss_db: float
     tally: ObservedTally
-    counts_include_test: bool = False
     source: str | None = None
 
     def __post_init__(self):
@@ -107,6 +110,8 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
     indices, i.e. multiples of 2 pi / M (pi/4 steps at M = 8, pi/3 steps at
     M = 6).  The counts must satisfy N >= n_det >= matched total >= n_sifted.
     A violation is rejected with its line number or the fields it involves.
+    The tally's counting convention is the file's counts_include_test, false
+    when absent (a transcribed table).
     """
     meta: dict[str, object] = {}
     matched: dict[tuple[int, int, int], int] = {}
@@ -174,6 +179,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
         m_s=meta.get("m_s"),
         n_sifted=meta.get("n_sifted"),
         seed=meta.get("seed"),
+        counts_include_test=meta.get("counts_include_test", False),
     )
     total = tally.total_matched()
     if not tally.n_rounds >= tally.n_det >= total >= (tally.n_sifted or 0):
@@ -181,21 +187,17 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
             "counts must satisfy N >= n_det >= matched total >= n_sifted, got "
             f"N={tally.n_rounds}, n_det={tally.n_det}, matched total={total}, "
             f"n_sifted={tally.n_sifted}")
-    return ExperimentRecord(
-        loss_db=meta["loss_db"],
-        tally=tally,
-        counts_include_test=meta.get("counts_include_test", False),
-        source=path,
-    )
+    return ExperimentRecord(loss_db=meta["loss_db"], tally=tally, source=path)
 
 
 def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     """QBER, sifted size and sampled error count from an ingested record.
 
-    E_b is the wrong-detector fraction of matched counts.  When the dataset
-    does not carry the sampled error count, it is reconstructed from the
-    QBER as E_b * n_s with n_s = n_mu p_s / (1 - p_s), rounded to the
-    nearest integer, and flagged.  Ties round up, toward more sampled errors.
+    E_b is the wrong-detector fraction of matched counts, and the sifted
+    size n_mu is :meth:`ObservedTally.sifted_size`.  When the dataset does
+    not carry the sampled error count, it is reconstructed from the QBER as
+    E_b * n_s with n_s = n_mu p_s / (1 - p_s), rounded to the nearest
+    integer, and flagged.  Ties round up, toward more sampled errors.
     """
     tally = record.tally
     total = tally.total_matched()
@@ -203,15 +205,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
         raise NoDataError("derive_observables: record has no matched counts")
     errors = tally.error_count()
     e_b = errors / total
-    if record.counts_include_test:
-        # Simulator-style tally: counts include the test sample.
-        if tally.n_sifted is not None:
-            n_mu = float(tally.n_sifted)
-        else:
-            n_mu = total * (1.0 - tally.p_s)
-    else:
-        # Transcribed datasets: counts are the post-sampling sifted key.
-        n_mu = float(total)
+    n_mu = tally.sifted_size()
     if tally.m_s is not None:
         return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(tally.m_s),
                                   m_s_reconstructed=False)
@@ -275,6 +269,18 @@ def load_bundled_record(loss_db: int) -> ExperimentRecord:
     return parse_tally_csv(str(bundled_tally_path(loss_db)))
 
 
+def _finite_or_null(value):
+    """value with every NaN or infinite float, which JSON cannot hold, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return [_finite_or_null(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
 def result_to_json(result: KeyRateResult) -> str:
-    """JSON export of a key-rate result with all intermediate bounds."""
-    return json.dumps(result.to_dict(), indent=2)
+    """Strict JSON export of a key-rate result with all intermediate bounds.
+
+    A non-finite bound (an overflowed phase error) is written as null.
+    """
+    return json.dumps(_finite_or_null(result.to_dict()), indent=2, allow_nan=False)

@@ -27,7 +27,7 @@ batch_size) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
@@ -68,8 +68,11 @@ class ObservedTally:
 
     ``matched`` maps (phase_a, phase_b, detector) to a count, where phases
     are slice indices (multiples of 2 pi / M) of the total modulated phase
-    and detector is 1 or 2.  Matched counts include the rounds later drawn
-    into the test sample, so n_sifted + sampled-out = sum(matched).
+    and detector is 1 or 2.  ``counts_include_test`` is the counting
+    convention: True when the matched counts include the rounds later drawn
+    into the test sample, so n_sifted + sampled-out = sum(matched), as in
+    every simulated tally; False when they are the post-sampling sifted key
+    alone, as in the transcribed tables.
 
     ``m_s`` and ``n_sifted`` are None when the dataset does not carry them
     (transcribed tables); the simulator always fills them in.
@@ -85,9 +88,20 @@ class ObservedTally:
     m_s: int | None = None
     n_sifted: int | None = None
     seed: int | None = None
+    counts_include_test: bool = True
 
     def total_matched(self) -> int:
         return sum(self.matched.values())
+
+    def sifted_size(self) -> float:
+        """The sifted size n_mu, by the one rule every reader of a tally uses.
+
+        The declared n_sifted when known; else the matched total, less its
+        expected test share p_s when the counts include the test sample.
+        """
+        if self.n_sifted is not None:
+            return float(self.n_sifted)
+        return self.total_matched() * (1.0 - self.p_s if self.counts_include_test else 1.0)
 
     def error_count(self) -> int:
         """Wrong-detector clicks: D2 at phase difference 0, D1 at pi."""
@@ -102,25 +116,25 @@ class ObservedTally:
     def merge(self, other: "ObservedTally") -> "ObservedTally":
         """Combine two batch tallies; associative and commutative.
 
-        An m_s or n_sifted unknown on either side stays unknown: a partial
-        count must not pass for a measured total.
+        Both must share M, mu, p_s and the counting convention.  An m_s or
+        n_sifted unknown on either side stays unknown: a partial count must
+        not pass for a measured total.
         """
-        if (self.m_slices, self.mu, self.p_s) != (other.m_slices, other.mu, other.p_s):
-            raise DomainError("ObservedTally.merge: incompatible tallies")
+        differ = [k for k in ("m_slices", "mu", "p_s", "counts_include_test")
+                  if getattr(self, k) != getattr(other, k)]
+        if differ:
+            raise DomainError(f"ObservedTally.merge: tallies differ in {', '.join(differ)}")
         merged = dict(self.matched)
         for key, count in other.matched.items():
             merged[key] = merged.get(key, 0) + count
-        return ObservedTally(
-            m_slices=self.m_slices,
+        return replace(
+            self,
             n_rounds=self.n_rounds + other.n_rounds,
-            mu=self.mu,
-            p_s=self.p_s,
             n_det=self.n_det + other.n_det,
             n_double=self.n_double + other.n_double,
             matched=merged,
             m_s=_sum_known(self.m_s, other.m_s),
             n_sifted=_sum_known(self.n_sifted, other.n_sifted),
-            seed=self.seed,
         )
 
 
@@ -229,24 +243,25 @@ def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
     """Empirical (gain, QBER, sifted size) from a tally.
 
     Q = valid clicks / rounds, E_b = wrong-detector fraction of matched
-    clicks, and the sifted size is the post-sampling count.
+    clicks, and the sifted size is :meth:`ObservedTally.sifted_size`, the
+    n_mu that ingest derives from the same tally.
     """
     if tally.n_det == 0:
         raise NoDataError("tally_to_stats: tally has no valid detections")
     total_matched = tally.total_matched()
     if total_matched == 0:
         raise NoDataError("tally_to_stats: tally has no matched detections")
-    q_emp = tally.n_det / tally.n_rounds
     e_b_emp = tally.error_count() / total_matched
-    n_mu = total_matched if tally.n_sifted is None else tally.n_sifted
-    return q_emp, e_b_emp, float(n_mu)
+    return tally.n_det / tally.n_rounds, e_b_emp, tally.sifted_size()
 
 
 def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     """Serialize a tally in the ingestible CSV schema (bit-exact counts).
 
     Rows are emitted in canonical order (all delta = 0 pairs, then all
-    delta = pi pairs), so equal tallies produce byte-identical files.
+    delta = pi pairs), so equal tallies produce byte-identical files, and
+    :func:`pmqkd.ingest.parse_tally_csv` reads a file back to an equal
+    tally, its counting convention included.
     """
     lines = []
     lines.append(f"# loss_db={loss_db!r}")
@@ -260,7 +275,7 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
         lines.append(f"# m_s={tally.m_s}")
     if tally.n_sifted is not None:
         lines.append(f"# n_sifted={tally.n_sifted}")
-    lines.append("# counts_include_test=true")
+    lines.append(f"# counts_include_test={str(tally.counts_include_test).lower()}")
     if tally.seed is not None:
         lines.append(f"# seed={tally.seed}")
     lines.append("phase_a,phase_b,d1_count,d2_count")

@@ -602,6 +602,22 @@ class TestNeverOptimistic:
         assert (code, err) == (0, "")
         assert out.startswith("rate      R   = 0.000000e+00\n")
 
+    def test_overflowed_phase_error_writes_strict_json(self, capsys, tmp_path):
+        # JSON has no NaN: the overflowed bound is written as null, which a
+        # strict parser reads, and the breakdown keeps its shape.
+        path = tmp_path / "x.json"
+        code, _, _ = run_cli(capsys, "keyrate", "--mu", "1e-300", "--p-d", "0",
+                             "--loss-db", "200", "--output", str(path))
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        data = json.loads(path.read_text(), parse_constant=refuse)
+        assert code == 0 and data["rate"] == 0.0
+        assert data["ep_m"] is None and data["breakdown"]["ep_m"] is None
+        assert None in data["breakdown"]["deviations"]
+        assert data["ep_m_bar"] == 0.5
+
 
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
@@ -818,6 +834,18 @@ class TestConfigFile:
         flagged = run_cli(capsys, "keyrate", "--loss-db", "45", "--f-ec", "1.2",
                           "--mu", "1e-3")
         assert configured == flagged and configured[0] == 0
+
+    @pytest.mark.parametrize("word", ["yes", "no"])
+    def test_help_key_is_usage_error(self, capsys, tmp_path, word):
+        # A configured help would print usage and exit 0 for every command
+        # without computing anything.
+        cfg = tmp_path / "help.cfg"
+        cfg.write_text(f"help={word}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "keyrate", "--loss-db", "45", "--mu", "1e-3"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        captured = capsys.readouterr()
+        assert "config key 'help'" in captured.err and captured.out == ""
 
     def test_config_key_of_no_command_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"

@@ -8,9 +8,10 @@ import re
 
 import pytest
 
-from pmqkd.errors import NoDataError, SchemaError
+from pmqkd.errors import DomainError, NoDataError, SchemaError
 from pmqkd.ingest import (
     _METADATA,
+    ExperimentRecord,
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
@@ -78,7 +79,8 @@ class TestReproduction:
         record = load_bundled_record(45)
         tally = record.tally
         partner = tally if scale == 2 else ObservedTally(
-            m_slices=tally.m_slices, n_rounds=0, mu=tally.mu, p_s=tally.p_s)
+            m_slices=tally.m_slices, n_rounds=0, mu=tally.mu, p_s=tally.p_s,
+            counts_include_test=False)
         merged = tally.merge(partner)
         assert merged.m_s is None and merged.n_sifted is None
         same_counts = dataclasses.replace(
@@ -259,7 +261,7 @@ class TestSimulatedRoundTrip:
         path = tmp_path / "sim.csv"
         write_tally_csv(tally, str(path), loss_db=loss)
         record = parse_tally_csv(str(path))
-        assert record.counts_include_test is True
+        assert record.tally.counts_include_test is True
         obs = derive_observables(record)
         assert obs.m_s_reconstructed is False
         assert obs.m_s == tally.m_s
@@ -289,6 +291,76 @@ class TestSimulatedRoundTrip:
                                      p_s=0.07)
         assert analytic.rate > 0
         assert abs(result.rate - analytic.rate) / analytic.rate < 0.10
+
+
+def _simulated(seed, loss=40):
+    from pmqkd.channel import ChannelSpec
+    from pmqkd.simulator import ProtocolParams, simulate
+
+    bundled = load_bundled_record(loss).tally
+    params = ProtocolParams(mu=bundled.mu, m_slices=8, n_rounds=10**10, p_s=0.07,
+                            channel=ChannelSpec(total_loss_db=loss))
+    return ExperimentRecord(loss_db=float(loss), tally=simulate(params, seed))
+
+
+class TestCountingConvention:
+    """Whether the rows include the test sample is the tally's own field."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: load_bundled_record(35), id="bundled-35"),
+        pytest.param(lambda: load_bundled_record(40), id="bundled-40"),
+        pytest.param(lambda: load_bundled_record(45), id="bundled-45"),
+        pytest.param(lambda: _simulated(3), id="simulated"),
+        pytest.param(lambda: dataclasses.replace(
+            _simulated(3), tally=_simulated(3).tally.merge(_simulated(4).tally)),
+            id="simulated-merged"),
+        pytest.param(lambda: dataclasses.replace(
+            load_bundled_record(45),
+            tally=load_bundled_record(45).tally.merge(load_bundled_record(45).tally)),
+            id="bundled-merged"),
+    ])
+    def test_parse_inverts_write(self, tmp_path, make):
+        from pmqkd.simulator import write_tally_csv
+
+        record = make()
+        path = tmp_path / "again.csv"
+        write_tally_csv(record.tally, str(path), loss_db=record.loss_db)
+        again = parse_tally_csv(str(path))
+        assert again.tally == record.tally
+        assert again.loss_db == record.loss_db
+        assert reproduce_key_rate(again) == reproduce_key_rate(record)
+
+    def test_merge_across_conventions_refused(self):
+        simulated = _simulated(3).tally
+        transcribed = dataclasses.replace(simulated, counts_include_test=False)
+        for a, b in ((simulated, transcribed), (transcribed, simulated)):
+            with pytest.raises(DomainError, match="counts_include_test"):
+                a.merge(b)
+
+    def test_declared_sifted_size_is_used(self, tmp_path):
+        # The 45 dB rows (a transcribed tally) with a declared n_sifted below
+        # their total: the declared size sets n_mu and lowers the rate.
+        lines = pathlib.Path(str(load_bundled_record(45).source)).read_text().splitlines()
+        lines.insert(lines.index("phase_a,phase_b,d1_count,d2_count"), "# n_sifted=60000")
+        path = tmp_path / "declared.csv"
+        path.write_text("\n".join(lines) + "\n")
+        result = reproduce_key_rate(parse_tally_csv(str(path)))
+        assert result.n_mu == 60000
+        assert result.rate == pytest.approx(1.475033e-07, rel=1e-6)
+
+    @pytest.mark.parametrize("include_test,n_sifted,n_mu", [
+        (True, None, 91781 * (1 - 0.07)),
+        (False, None, 91781),
+        (True, 60000, 60000),
+        (False, 60000, 60000),
+    ])
+    def test_one_sifted_size_rule(self, include_test, n_sifted, n_mu):
+        from pmqkd.simulator import tally_to_stats
+
+        tally = dataclasses.replace(load_bundled_record(45).tally, n_sifted=n_sifted,
+                                    counts_include_test=include_test)
+        derived = derive_observables(ExperimentRecord(loss_db=45.0, tally=tally)).n_mu
+        assert tally_to_stats(tally)[2] == derived == n_mu
 
 
 def test_readme_tally_schema_table_matches_the_parser():

@@ -35,38 +35,6 @@ def test_reproduce_experiment_takes_no_options(tmp_path):
     assert proc.returncode == 2 and "--q-source" in proc.stderr
 
 
-def _bench_record(out_dir, workload, seed, work, setup, rss, failed=0):
-    out_dir.mkdir(exist_ok=True)
-    metrics = {"work_per_s": work, "setup_s": setup, "peak_rss_mb": rss}
-    record = {
-        "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
-        "provenance": {"git_commit": None, "source_sha256": "x", "cores": 2,
-                       "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
-                       "python": "3", "numpy": "2", "scipy": "1"},
-        "result": {"failed": failed,
-                   "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}},
-    }
-    (out_dir / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
-
-
-def test_bench_pairs(tmp_path):
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for i in range(10):
-        _bench_record(parent, "curves", i, 100.0 + i, 0.14, 40.0)
-        # The change is faster on 9 of the 10 seeds; seed 10 exists on one side only.
-        _bench_record(change, "curves", i, 100.0 if i == 9 else 140.0 + i, 0.14, 41.0)
-    _bench_record(change, "curves", 10, 1.0, 0.14, 40.0)
-    run_script("bench_pairs.py", str(parent), str(change), "-o", "bench.json", cwd=tmp_path)
-    curves = json.loads((tmp_path / "bench.json").read_text())["workloads"]["curves"]
-    assert curves["seeds"] == list(range(10))
-    work = curves["metrics"]["work_per_s"]
-    assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
-    assert work["parent"]["median"] == 104.5
-    assert curves["metrics"]["setup_s"]["pairs_won"] == 0       # ties win nothing
-    rss = curves["metrics"]["peak_rss_mb"]                       # lower is better
-    assert not rss["gain_shown"] and rss["within_bound"]         # +2.5% < 5%
-
-
 _STUB_RUN = """
 import json, sys
 from pathlib import Path
@@ -74,11 +42,17 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 checkout = Path.cwd()
 with open(checkout.parent / "order.log", "a") as log:
     log.write(checkout.name + "\\n")
-work = {"parent": 100.0, "change": 150.0}[checkout.name] + int(args["--seed"])
+seed = int(args["--seed"])
+# The parent: work 100 + seed, setup 0.10 + seed / 100 s, 40 MB.
+work, setup, rss = 100.0 + seed, 0.10 + seed / 100, 40.0
+if checkout.name == "change":
+    # Faster on 9 of the 10 seeds.  Set up faster on every seed, but by less
+    # than the parent's quartile spread.  Less memory on 8 seeds, as much on 2.
+    work, setup, rss = (100.0 if seed == 10 else 140.0 + seed), setup - 0.001, 40.0 - (seed <= 8)
 out = checkout / ".bench_out"
 out.mkdir(exist_ok=True)
 record = {
-    "workload": args["--workload"], "seed": int(args["--seed"]),
+    "workload": args["--workload"], "seed": seed,
     "seconds": float(args["--seconds"]), "trace": int(args["--trace"]),
     "provenance": {"git_commit": {"parent": "1111111aa", "change": "2222222bb"}[checkout.name],
                    "source_sha256": checkout.name,
@@ -86,8 +60,8 @@ record = {
                    "python": "3", "numpy": "2", "scipy": "1"},
     "result": {"failed": 0, "metrics": {
         "work_per_s": {"value": work, "unit": "1/s"},
-        "setup_s": {"value": 0.14, "unit": "s"},
-        "peak_rss_mb": {"value": 40.0, "unit": "MB"}}},
+        "setup_s": {"value": setup, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"}}},
 }
 (out / f"{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps(record))
 """
@@ -97,20 +71,28 @@ def test_bench_pairs_runs_the_pairs_alternately(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "benchmarks").mkdir(parents=True)
         (tmp_path / side / "benchmarks" / "run.py").write_text(_STUB_RUN)
-    out = run_script("bench_pairs.py", "--run", "parent", "change", "--workloads",
-                     "curves", "ingest", "--seeds", "1-3", "--seconds", "2", cwd=tmp_path)
+    out = run_script("bench_pairs.py", "parent", "change", "--workloads", "curves",
+                     "--seeds", "1-10", "--seconds", "2", cwd=tmp_path)
     assert out.splitlines()[:2] == ["curves seed 1 parent: work_per_s 101",
-                                    "curves seed 1 change: work_per_s 151"]
+                                    "curves seed 1 change: work_per_s 141"]
     # The parent runs first on the odd pairs, the change on the even ones.
     assert (tmp_path / "order.log").read_text().split() == [
-        "parent", "change", "change", "parent", "parent", "change"] * 2
+        "parent", "change", "change", "parent"] * 5
     summary = json.loads((tmp_path / "BENCH_2222222.json").read_text())
     assert summary["parent"]["git_commit"] == "1111111aa"
-    for name in ("curves", "ingest"):
-        entry = summary["workloads"][name]
-        assert entry["seeds"] == [1, 2, 3] and entry["seconds"] == [2.0]
-        assert entry["parent_first"] == [True, False, True]
-        assert entry["metrics"]["work_per_s"]["pairs_won"] == 3
+    entry = summary["workloads"]["curves"]
+    assert entry["seeds"] == list(range(1, 11)) and entry["seconds"] == [2.0]
+    assert entry["parent_first"] == [True, False] * 5
+    # A gain needs 9 of the 10 pairs and medians further apart than the
+    # parent's quartiles.
+    work = entry["metrics"]["work_per_s"]
+    assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
+    assert work["parent"]["median"] == 105.5
+    setup = entry["metrics"]["setup_s"]                          # lower is better
+    assert setup["pairs_won"] == 10 and not setup["gain_shown"]  # inside the quartiles
+    rss = entry["metrics"]["peak_rss_mb"]                        # ties win nothing
+    assert rss["pairs_won"] == 8 and not rss["gain_shown"] and rss["within_bound"]
+    assert rss["change"]["median"] < rss["parent"]["median"] - 0.5
 
 
 def test_bench_pairs_runs_the_benchmark(tmp_path):
@@ -121,7 +103,7 @@ def test_bench_pairs_runs_the_benchmark(tmp_path):
         shutil.copytree(ROOT / part, checkout / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", checkout)
-    run_script("bench_pairs.py", "--run", "checkout", "checkout", "--workloads", "ingest",
+    run_script("bench_pairs.py", "checkout", "checkout", "--workloads", "ingest",
                "--seeds", "1", "--seconds", "1", "-o", "bench.json", cwd=tmp_path)
     entry = json.loads((tmp_path / "bench.json").read_text())["workloads"]["ingest"]
     assert entry["seeds"] == [1] and entry["parent_first"] == [True]

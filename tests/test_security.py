@@ -932,8 +932,7 @@ def _simulated_record(loss_db: int, seed: int) -> ExperimentRecord:
         mu=bundled.mu, m_slices=bundled.m_slices, n_rounds=bundled.n_rounds,
         p_s=bundled.p_s, channel=ChannelSpec(total_loss_db=loss_db),
     )
-    return ExperimentRecord(loss_db=loss_db, tally=simulate(params, seed),
-                            counts_include_test=True)
+    return ExperimentRecord(loss_db=loss_db, tally=simulate(params, seed))
 
 
 # The counts that stand in for a missing m_s or n_sifted are point estimates:

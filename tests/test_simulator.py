@@ -205,7 +205,7 @@ class TestCsvRoundTrip:
         assert record.tally.n_det == tally.n_det
         assert record.tally.m_s == tally.m_s
         assert record.tally.n_sifted == tally.n_sifted
-        assert record.counts_include_test is True
+        assert record.tally.counts_include_test is True
         assert record.loss_db == 15.0
 
     def test_byte_identical_rewrites(self, tmp_path):
