@@ -251,8 +251,9 @@ def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
     total_matched = tally.total_matched()
     if total_matched == 0:
         raise NoDataError("tally_to_stats: tally has no matched detections")
+    q_emp = tally.n_det / tally.n_rounds
     e_b_emp = tally.error_count() / total_matched
-    return tally.n_det / tally.n_rounds, e_b_emp, tally.sifted_size()
+    return q_emp, e_b_emp, tally.sifted_size()
 
 
 def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:

@@ -353,7 +353,7 @@ class TestCountingConvention:
         (False, None, 91781),
         (True, 60000, 60000),
         (False, 60000, 60000),
-    ])
+    ], ids=["test-included", "sifted-rows", "test-included-declared", "sifted-rows-declared"])
     def test_one_sifted_size_rule(self, include_test, n_sifted, n_mu):
         from pmqkd.simulator import tally_to_stats
 

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -46,9 +48,12 @@ seed = int(args["--seed"])
 # The parent: work 100 + seed, setup 0.10 + seed / 100 s, 40 MB.
 work, setup, rss = 100.0 + seed, 0.10 + seed / 100, 40.0
 if checkout.name == "change":
-    # Faster on 9 of the 10 seeds.  Set up faster on every seed, but by less
-    # than the parent's quartile spread.  Less memory on 8 seeds, as much on 2.
-    work, setup, rss = (100.0 if seed == 10 else 140.0 + seed), setup - 0.001, 40.0 - (seed <= 8)
+    # Faster on 9 of the 10 seeds.  Set up faster on 9 seeds, but by less
+    # than the parent's quartile spread, and as fast on seed 10.  2.5% more
+    # memory on 8 seeds, as much on 2.
+    work = 100.0 if seed == 10 else 140.0 + seed
+    setup -= 0.001 * (seed != 10)
+    rss += seed <= 8
 out = checkout / ".bench_out"
 out.mkdir(exist_ok=True)
 record = {
@@ -88,11 +93,11 @@ def test_bench_pairs_runs_the_pairs_alternately(tmp_path):
     work = entry["metrics"]["work_per_s"]
     assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
     assert work["parent"]["median"] == 105.5
-    setup = entry["metrics"]["setup_s"]                          # lower is better
-    assert setup["pairs_won"] == 10 and not setup["gain_shown"]  # inside the quartiles
-    rss = entry["metrics"]["peak_rss_mb"]                        # ties win nothing
-    assert rss["pairs_won"] == 8 and not rss["gain_shown"] and rss["within_bound"]
-    assert rss["change"]["median"] < rss["parent"]["median"] - 0.5
+    setup = entry["metrics"]["setup_s"]                          # ties win nothing
+    assert setup["pairs_won"] == 9 and not setup["gain_shown"]   # inside the quartiles
+    rss = entry["metrics"]["peak_rss_mb"]                        # lower is better
+    assert rss["pairs_won"] == 0 and not rss["gain_shown"]
+    assert rss["median_change"] == pytest.approx(0.025) and rss["within_bound"]  # < 5%
 
 
 def test_bench_pairs_runs_the_benchmark(tmp_path):
