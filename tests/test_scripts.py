@@ -1,6 +1,8 @@
 """Smoke tests for the experiment scripts: each runs in its own process
-against the package sources, with small arguments."""
+against the package sources, with small arguments.  The benchmark-pair
+summary is also checked in process, on records built here."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -37,6 +39,53 @@ def test_reproduce_experiment_takes_no_options(tmp_path):
     assert proc.returncode == 2 and "--q-source" in proc.stderr
 
 
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_record(workload, seed, work, setup, rss):
+    metrics = {"work_per_s": work, "setup_s": setup, "peak_rss_mb": rss}
+    return {
+        "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
+        "provenance": {"git_commit": None, "source_sha256": "x", "cores": 2,
+                       "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
+                       "python": "3", "numpy": "2", "scipy": "1"},
+        "result": {"failed": 0,
+                   "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}},
+    }
+
+
+def test_bench_pairs():
+    parent, change, parent_first = {}, {}, {}
+    for seed in range(1, 11):
+        key = ("curves", seed)
+        # The parent: work 100 + seed, setup 0.10 + seed / 100 s, 40 MB.
+        parent[key] = _bench_record("curves", seed, 100.0 + seed, 0.10 + seed / 100, 40.0)
+        # The change is faster on 9 of the 10 seeds.  It sets up faster on 9
+        # seeds, but by less than the parent's quartile spread, and as fast
+        # on seed 10.  It takes 2.5% more memory on 8 seeds, as much on 2.
+        change[key] = _bench_record("curves", seed, 100.0 if seed == 10 else 140.0 + seed,
+                                    0.10 + seed / 100 - 0.001 * (seed != 10),
+                                    40.0 + (seed <= 8))
+        parent_first[key] = seed % 2 == 1
+    curves = _load_bench_pairs().summarise(parent, change, parent_first)["workloads"]["curves"]
+    assert curves["seeds"] == list(range(1, 11))
+    assert curves["parent_first"] == [True, False] * 5
+    # A gain needs 9 of the 10 pairs and medians further apart than the
+    # parent's quartiles.
+    work = curves["metrics"]["work_per_s"]
+    assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
+    assert work["parent"]["median"] == 105.5
+    setup = curves["metrics"]["setup_s"]                         # ties win nothing
+    assert setup["pairs_won"] == 9 and not setup["gain_shown"]   # inside the quartiles
+    rss = curves["metrics"]["peak_rss_mb"]                       # lower is better
+    assert rss["pairs_won"] == 0 and not rss["gain_shown"]
+    assert rss["median_change"] == pytest.approx(0.025) and rss["within_bound"]  # < 5%
+
+
 _STUB_RUN = """
 import json, sys
 from pathlib import Path
@@ -44,20 +93,11 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 checkout = Path.cwd()
 with open(checkout.parent / "order.log", "a") as log:
     log.write(checkout.name + "\\n")
-seed = int(args["--seed"])
-# The parent: work 100 + seed, setup 0.10 + seed / 100 s, 40 MB.
-work, setup, rss = 100.0 + seed, 0.10 + seed / 100, 40.0
-if checkout.name == "change":
-    # Faster on 9 of the 10 seeds.  Set up faster on 9 seeds, but by less
-    # than the parent's quartile spread, and as fast on seed 10.  2.5% more
-    # memory on 8 seeds, as much on 2.
-    work = 100.0 if seed == 10 else 140.0 + seed
-    setup -= 0.001 * (seed != 10)
-    rss += seed <= 8
+work = {"parent": 100.0, "change": 150.0}[checkout.name] + int(args["--seed"])
 out = checkout / ".bench_out"
 out.mkdir(exist_ok=True)
 record = {
-    "workload": args["--workload"], "seed": seed,
+    "workload": args["--workload"], "seed": int(args["--seed"]),
     "seconds": float(args["--seconds"]), "trace": int(args["--trace"]),
     "provenance": {"git_commit": {"parent": "1111111aa", "change": "2222222bb"}[checkout.name],
                    "source_sha256": checkout.name,
@@ -65,8 +105,8 @@ record = {
                    "python": "3", "numpy": "2", "scipy": "1"},
     "result": {"failed": 0, "metrics": {
         "work_per_s": {"value": work, "unit": "1/s"},
-        "setup_s": {"value": setup, "unit": "s"},
-        "peak_rss_mb": {"value": rss, "unit": "MB"}}},
+        "setup_s": {"value": 0.14, "unit": "s"},
+        "peak_rss_mb": {"value": 40.0, "unit": "MB"}}},
 }
 (out / f"{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps(record))
 """
@@ -76,28 +116,20 @@ def test_bench_pairs_runs_the_pairs_alternately(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "benchmarks").mkdir(parents=True)
         (tmp_path / side / "benchmarks" / "run.py").write_text(_STUB_RUN)
-    out = run_script("bench_pairs.py", "parent", "change", "--workloads", "curves",
-                     "--seeds", "1-10", "--seconds", "2", cwd=tmp_path)
+    out = run_script("bench_pairs.py", "parent", "change", "--workloads",
+                     "curves", "ingest", "--seeds", "1-3", "--seconds", "2", cwd=tmp_path)
     assert out.splitlines()[:2] == ["curves seed 1 parent: work_per_s 101",
-                                    "curves seed 1 change: work_per_s 141"]
+                                    "curves seed 1 change: work_per_s 151"]
     # The parent runs first on the odd pairs, the change on the even ones.
     assert (tmp_path / "order.log").read_text().split() == [
-        "parent", "change", "change", "parent"] * 5
+        "parent", "change", "change", "parent", "parent", "change"] * 2
     summary = json.loads((tmp_path / "BENCH_2222222.json").read_text())
     assert summary["parent"]["git_commit"] == "1111111aa"
-    entry = summary["workloads"]["curves"]
-    assert entry["seeds"] == list(range(1, 11)) and entry["seconds"] == [2.0]
-    assert entry["parent_first"] == [True, False] * 5
-    # A gain needs 9 of the 10 pairs and medians further apart than the
-    # parent's quartiles.
-    work = entry["metrics"]["work_per_s"]
-    assert work["pairs_won"] == 9 and work["gain_shown"] and work["within_bound"]
-    assert work["parent"]["median"] == 105.5
-    setup = entry["metrics"]["setup_s"]                          # ties win nothing
-    assert setup["pairs_won"] == 9 and not setup["gain_shown"]   # inside the quartiles
-    rss = entry["metrics"]["peak_rss_mb"]                        # lower is better
-    assert rss["pairs_won"] == 0 and not rss["gain_shown"]
-    assert rss["median_change"] == pytest.approx(0.025) and rss["within_bound"]  # < 5%
+    for name in ("curves", "ingest"):
+        entry = summary["workloads"][name]
+        assert entry["seeds"] == [1, 2, 3] and entry["seconds"] == [2.0]
+        assert entry["parent_first"] == [True, False, True]
+        assert entry["metrics"]["work_per_s"]["pairs_won"] == 3
 
 
 def test_bench_pairs_runs_the_benchmark(tmp_path):
