@@ -1,11 +1,14 @@
 """Optimizer tests: grid dominance, determinism, physical sanity."""
 
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
+from pmqkd import cli
 from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError
 from pmqkd.optimizer import (
@@ -340,6 +343,38 @@ def _full_grid_search(channel, n_rounds, m_slices, fixed_p_s=None):
 SWEEP_LOSSES_DB = [5.0 * i for i in range(15)]
 
 
+# The curves of the benchmark's curves workload: 33 points 10 km apart from
+# 10 km plus an offset (halves keep the distances exact), alpha = 0.168 dB/km,
+# p_s = 0.07, M = 8.
+CURVE_OFFSETS_KM = [0.5 * i for i in range(20)]
+CURVE_KM = [10.0 + 10.0 * k for k in range(33)]
+
+
+def _cli_rows(argv):
+    """The rows of the CSV a scan or deviation command writes, as floats."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return [tuple(map(float, line.split(","))) for line in out.getvalue().splitlines()[1:]]
+
+
+def _curve_argv(n_rounds, offset, m_slices=8, jobs=1):
+    d_min = CURVE_KM[0] + offset
+    return ["scan", "--d-min", repr(d_min), "--d-max", repr(CURVE_KM[-1] + offset),
+            "--step", "10.0", "--n-rounds", n_rounds, "--m-slices", str(m_slices),
+            "--p-s", "0.07", "--alpha", "0.168", "--jobs", str(jobs)]
+
+
+def _cold_curve(n_rounds, offset, m_slices=8):
+    """(distance, mu, p_s, rate) of a fresh optimize call at each curve point."""
+    rows = []
+    for d_km in CURVE_KM:
+        channel = ChannelSpec(distance_km=d_km + offset, alpha_db_per_km=0.168)
+        res = optimize(channel, float(n_rounds), m_slices, fixed_p_s=0.07).result
+        rows.append((d_km + offset, res.mu, res.p_s, res.rate))
+    return rows
+
+
 class TestSameOptimumAsTheFullGrid:
     @pytest.mark.parametrize("m_slices", [6, 8])
     @pytest.mark.parametrize("n_rounds", [1e10, 1e12])
@@ -376,6 +411,39 @@ class TestSameOptimumAsTheFullGrid:
         assert len(set(grid)) == len(grid) == GRID_SHAPE[0] * (
             1 if fixed_p_s is not None else GRID_SHAPE[1])
         assert sorted(r.trace) == sorted(grid)
+
+    # Each scan row is the optimum of a fresh optimize call at its point,
+    # which the sweeps above pin to the full grid: how a scan reaches its
+    # points, in order or in parallel, never moves a bit.
+    @pytest.mark.parametrize("n_rounds", ["1e10", "1e11", "1e12"])
+    def test_scan_benchmark_curves(self, n_rounds):
+        for offset in CURVE_OFFSETS_KM:
+            rows = _cli_rows(_curve_argv(n_rounds, offset))
+            assert [(d, mu, ps, rate) for d, _, mu, ps, rate in rows] == \
+                _cold_curve(n_rounds, offset), offset
+
+    @pytest.mark.parametrize("n_rounds", ["1e10", "1e12"])
+    def test_scan_six_slices(self, n_rounds):
+        rows = _cli_rows(_curve_argv(n_rounds, 2.5, m_slices=6))
+        assert [(d, mu, ps, rate) for d, _, mu, ps, rate in rows] == \
+            _cold_curve(n_rounds, 2.5, m_slices=6)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_scan(self, jobs):
+        # Through the cutoff of N = 1e10, so the last worker reaches points
+        # with no key.
+        rows = _cli_rows(_curve_argv("1e10", 7.5, jobs=jobs))
+        assert [(d, mu, ps, rate) for d, _, mu, ps, rate in rows] == \
+            _cold_curve("1e10", 7.5)
+
+    @pytest.mark.parametrize("m_slices", [6, 8])
+    def test_deviation_sweep(self, m_slices):
+        rows = _cli_rows(["deviation", "--m-slices", str(m_slices),
+                          "--loss-min", "10", "--loss-max", "70", "--step", "2.5"])
+        for loss_db, mu, *_ in rows:
+            res = optimize(ChannelSpec(total_loss_db=loss_db), 1e11, m_slices,
+                           fixed_p_s=0.07).result
+            assert mu == res.mu, loss_db
 
 
 class TestPhysicalSanity:
