@@ -272,36 +272,51 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
-def _point_result(
-    channel: ChannelSpec, *, n_rounds: float, m_slices: int, p_s: float,
+def _run_results(
+    channels: list[ChannelSpec], *, n_rounds: float, m_slices: int, p_s: float,
     f: float, budget: SecurityBudget, mu: float | None, optimize_ps: bool,
-) -> KeyRateResult:
-    """The chain result at one scan or deviation point: fixed mu, or optimized."""
+) -> list[KeyRateResult]:
+    """The chain result at each point of a run, in order: fixed mu, or optimized.
+
+    Each optimization after the first starts from the optimum before it.
+    """
     if mu is not None:
-        return expected_key_rate(channel, mu, m_slices=m_slices,
-                                 n_rounds=n_rounds, p_s=p_s, f=f, budget=budget)
-    return optimize(channel, n_rounds, m_slices, budget=budget, f=f,
-                    fixed_p_s=None if optimize_ps else p_s).result
+        return [expected_key_rate(channel, mu, m_slices=m_slices, n_rounds=n_rounds,
+                                  p_s=p_s, f=f, budget=budget) for channel in channels]
+    results, previous = [], None
+    for channel in channels:
+        previous = optimize(channel, n_rounds, m_slices, budget=budget, f=f,
+                            fixed_p_s=None if optimize_ps else p_s, previous=previous)
+        results.append(previous.result)
+    return results
 
 
 def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
                    jobs: int = 1) -> Iterator[KeyRateResult]:
-    """The chain result at each channel, in order, over at most jobs workers."""
-    point = functools.partial(
-        _point_result, n_rounds=args.n_rounds, m_slices=args.m_slices,
+    """The chain result at each channel, in order, over at most jobs workers.
+
+    Each worker takes one contiguous run of the points, so each of its
+    optimizations starts from a near neighbour's optimum.
+    """
+    run = functools.partial(
+        _run_results, n_rounds=args.n_rounds, m_slices=args.m_slices,
         p_s=args.p_s, f=args.f_ec, budget=_budget_from(args), mu=args.mu,
         optimize_ps=optimize_ps,
     )
     if jobs == 1:
-        yield from map(point, channels)
+        yield from run(channels)
         return
     # Only a parallel scan pays for loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     # The fork start method launches every worker up front: never more than
     # there are points.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(channels))) as pool:
-        yield from pool.map(point, channels)  # map keeps order
+    workers = min(jobs, len(channels))
+    cuts = [k * len(channels) // workers for k in range(workers + 1)]
+    runs = [channels[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for results in pool.map(run, runs):  # map keeps order
+            yield from results
 
 
 def cmd_scan(args) -> int:

@@ -10,7 +10,13 @@ strictly better neighbour until neither neighbour is better; a row where
 none of those points yields a key is evaluated in full, so feasibility is
 still decided on the whole grid.  On a row that rises to one maximum and
 falls, the climb ends on the grid's own maximum; on any row it is never
-below the best of the points scanned.  At a fixed p_s (the tabletop runs,
+below the best of the points scanned.  A fixed-p_s call given the result at
+a neighbouring point (each point of ``scan`` and ``deviation`` after the
+first) skips the scan: it climbs from the grid point nearest that result's
+mu_opt, and scans as above only when that result or the climb has no key.
+On a row with one maximum it ends where the scan would; on a row with two
+it may end on the lower one (docs/DECISIONS.md, "Scans climb from the
+previous point").  At a fixed p_s (the tabletop runs,
 ``scan`` and ``deviation``) the refinement runs on log10(mu) between the
 best grid point's two neighbours, to an absolute tolerance of
 ``LOG_MU_TOL``.  The co-optimization of mu and p_s (``--optimize-ps``)
@@ -97,14 +103,23 @@ def optimize(
     f: float = defaults.F_EC,
     fixed_p_s: float | None = None,
     seed: int = 0,
+    *,
+    previous: OptimizationResult | None = None,
 ) -> OptimizationResult:
     """Maximize the finite-key rate at a fixed channel and budget.
 
     With ``fixed_p_s`` the search runs over mu only (the tabletop runs pin
     the sampling fraction); otherwise mu and p_s are co-optimized.  The
-    result is never worse than the best grid point the pre-scan evaluated.
-    The search is deterministic; ``seed`` is accepted for compatibility and
-    has no effect.
+    search is deterministic; ``seed`` is accepted for compatibility and has
+    no effect.
+
+    ``previous`` is the result at a neighbouring point, such as the last
+    point of a scan.  When it has a key and p_s is fixed, the mu row is
+    climbed from the grid point nearest its mu_opt instead of pre-scanned;
+    a climb that ends without a key falls back to the pre-scan.  Without
+    ``previous`` (a cold call) the result is never worse than the best grid
+    point the pre-scan evaluated; with it, never worse than the grid point
+    the climb ends on.
     """
     if budget is None:
         budget = SecurityBudget()
@@ -122,9 +137,14 @@ def optimize(
         return res
 
     mu_grid, ps_grid = _grid(bounds, fixed_p_s)
+    log_mu_grid = [math.log10(mu) for mu in mu_grid]
+    start = None
+    if fixed_p_s is not None and previous is not None and previous.feasible:
+        log_mu = math.log10(previous.mu_opt)
+        start = min(range(len(mu_grid)), key=lambda i: abs(log_mu_grid[i] - log_mu))
     best_i, best_j, best = 0, 0, None
     for j, p_s in enumerate(ps_grid):
-        i, res = _row_max(lambda i: evaluate(mu_grid[i], p_s), len(mu_grid))
+        i, res = _row_max(lambda i: evaluate(mu_grid[i], p_s), len(mu_grid), start)
         # strict: the first row, in p_s order, with the largest maximum
         if best is None or res.rate > best.rate:
             best_i, best_j, best = i, j, res
@@ -134,7 +154,7 @@ def optimize(
         # plateau has no gradient to follow, so report infeasibility.
         return OptimizationResult(result=best, trace=trace)
 
-    mu_lo, mu_hi, mu_ends = _bracket([math.log10(mu) for mu in mu_grid], best_i)
+    mu_lo, mu_hi, mu_ends = _bracket(log_mu_grid, best_i)
     if fixed_p_s is not None:
         # The grid has already evaluated a clipped end at this p_s.
         _brent_max(lambda x: evaluate(10.0 ** x, fixed_p_s).rate,
@@ -168,16 +188,18 @@ def _grid(bounds: SearchBounds, fixed_p_s: float | None) -> tuple[list[float], l
     return mu_grid, _linspace(bounds.p_s[0], bounds.p_s[1], GRID_SHAPE[1])
 
 
-def _row_max(evaluate_at, n: int) -> tuple[int, KeyRateResult]:
+def _row_max(evaluate_at, n: int, start: int | None = None) -> tuple[int, KeyRateResult]:
     """The index and evaluation of a grid row's maximum, from every other point.
 
-    evaluate_at(i) evaluates the row at index i.  The even indices and the
-    last one are evaluated first; if none of them yields a key, so is the
-    rest of the row.  From the first maximum, in index order, of the points
-    evaluated, the search then steps to the better of its two neighbours
-    while that is strictly better.  On a row that rises to one maximum and
-    then falls, that is the row's first maximum; on any row it is never
-    below the best of the points evaluated first.
+    evaluate_at(i) evaluates the row at index i.  From ``start``, when given,
+    the search steps to the better of its two neighbours while that is
+    strictly better; if it ends on a key, that is the result.  Otherwise the
+    even indices and the last one are evaluated; if none of them yields a
+    key, so is the rest of the row.  From the first maximum, in index order,
+    of the points evaluated, the search then climbs in the same way.  On a
+    row that rises to one maximum and then falls, either climb ends on the
+    row's first maximum; on any row, the climb after the scan is never
+    below the best of the points scanned.
     """
     seen: dict[int, KeyRateResult] = {}
 
@@ -186,19 +208,27 @@ def _row_max(evaluate_at, n: int) -> tuple[int, KeyRateResult]:
             seen[i] = evaluate_at(i)
         return seen[i]
 
+    def climb(best: int) -> int:
+        while True:
+            here = at(best).rate
+            # the lower neighbour wins a tie, as the first maximum in index order
+            step = max((k for k in (best - 1, best + 1) if 0 <= k < n),
+                       key=lambda k: at(k).rate)
+            if not at(step).rate > here:
+                return best
+            best = step
+
+    if start is not None:
+        best = climb(start)
+        if seen[best].rate > 0.0:
+            return best, seen[best]
     for i in dict.fromkeys([*range(0, n, 2), n - 1]):
         at(i)
     if not any(res.rate > 0.0 for res in seen.values()):
         for i in range(n):
             at(i)
-    best = max(sorted(seen), key=lambda i: seen[i].rate)
-    while True:
-        # the lower neighbour wins a tie, as the first maximum in index order
-        step = max((k for k in (best - 1, best + 1) if 0 <= k < n),
-                   key=lambda k: at(k).rate)
-        if not at(step).rate > seen[best].rate:
-            return best, seen[best]
-        best = step
+    best = climb(max(sorted(seen), key=lambda i: seen[i].rate))
+    return best, seen[best]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

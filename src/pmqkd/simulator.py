@@ -118,7 +118,8 @@ class ObservedTally:
 
         Both must share M, mu, p_s and the counting convention.  An m_s or
         n_sifted unknown on either side stays unknown: a partial count must
-        not pass for a measured total.
+        not pass for a measured total.  The seed is kept only when both
+        share it: no one seed reproduces a merge of two streams.
         """
         differ = [k for k in ("m_slices", "mu", "p_s", "counts_include_test")
                   if getattr(self, k) != getattr(other, k)]
@@ -135,6 +136,7 @@ class ObservedTally:
             matched=merged,
             m_s=_sum_known(self.m_s, other.m_s),
             n_sifted=_sum_known(self.n_sifted, other.n_sifted),
+            seed=self.seed if self.seed == other.seed else None,
         )
 
 

@@ -186,14 +186,15 @@ class TestScan:
         assert err == "pmqkd: error [domain] --d-min is required\n"
         assert not out.exists()
 
-    def test_jobs_capped_at_point_count(self, capsys, tmp_path, monkeypatch):
-        # A stand-in pool that records its size and runs in this process, so
-        # the test starts no workers.
-        sizes = []
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        """A stand-in pool that runs in this process, so the test starts no
+        workers; it records its size and the items it maps."""
+        calls = {"sizes": [], "items": []}
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                calls["sizes"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -202,17 +203,36 @@ class TestScan:
                 return False
 
             def map(self, fn, items):
+                calls["items"].extend(items)
                 return map(fn, items)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        return calls
+
+    def test_jobs_capped_at_point_count(self, capsys, tmp_path, pool_calls):
         out = tmp_path / "scan.csv"
         code, _, _ = run_cli(
             capsys, "scan", "--d-min", "50", "--d-max", "100", "--step", "25",
             "--mu", "2e-3", "--jobs", "16", "--output", str(out),
         )
         assert code == 0
-        assert sizes == [3]
+        assert pool_calls["sizes"] == [3]
         assert len(out.read_text().splitlines()) == 4
+
+    def test_each_worker_takes_a_contiguous_run(self, capsys, tmp_path, pool_calls):
+        # Each worker's optimizations climb from their own previous point, so
+        # a worker gets neighbouring points, in order; the runs differ in
+        # length by at most one.
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--d-min", "50", "--d-max", "110", "--step", "10",
+            "--n-rounds", "1e10", "--jobs", "3", "--output", str(out),
+        )
+        assert code == 0
+        assert [[c.distance_km for c in run] for run in pool_calls["items"]] == [
+            [50.0, 60.0], [70.0, 80.0], [90.0, 100.0, 110.0]]
+        assert [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]] \
+            == [50.0 + 10.0 * k for k in range(7)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -446,6 +446,60 @@ class TestSameOptimumAsTheFullGrid:
             assert mu == res.mu, loss_db
 
 
+class TestWarmStart:
+    # A fixed-p_s call given the previous point's result climbs from its mu
+    # instead of scanning the grid; the scan-level sweeps above hold it to
+    # the fresh optimum.  These pin when it falls back to the scan.
+
+    def _channel(self, km):
+        return ChannelSpec(distance_km=km, alpha_db_per_km=0.168)
+
+    def test_neighbour_saves_evaluations(self):
+        previous = optimize(self._channel(120.0), 1e11, 8, fixed_p_s=0.07)
+        cold = optimize(self._channel(130.0), 1e11, 8, fixed_p_s=0.07)
+        warm = optimize(self._channel(130.0), 1e11, 8, fixed_p_s=0.07,
+                        previous=previous)
+        assert warm.result == cold.result
+        assert warm.evaluations < cold.evaluations - 15
+
+    def test_previous_is_keyword_only(self):
+        previous = optimize(self._channel(120.0), 1e11, 8, fixed_p_s=0.07)
+        with pytest.raises(TypeError):
+            optimize(self._channel(130.0), 1e11, 8, None, None, 1.16, 0.07, 0, previous)
+
+    def test_after_a_point_without_a_key_starts_cold(self):
+        previous = optimize(ChannelSpec(total_loss_db=120.0), 1e8, 8, fixed_p_s=0.07)
+        assert not previous.feasible
+        channel = ChannelSpec(total_loss_db=45.0)
+        warm = optimize(channel, 1e11, 8, fixed_p_s=0.07, previous=previous)
+        assert warm.trace == optimize(channel, 1e11, 8, fixed_p_s=0.07).trace
+
+    def test_climb_without_a_key_scans_the_whole_row(self):
+        # From 10 dB onto 120 dB: the climb ends without a key, so every grid
+        # point is evaluated, each once, and the point is reported infeasible.
+        previous = optimize(ChannelSpec(total_loss_db=10.0), 1e11, 8, fixed_p_s=0.07)
+        assert previous.feasible
+        channel = ChannelSpec(total_loss_db=120.0)
+        cold = optimize(channel, 1e11, 8, fixed_p_s=0.07)
+        warm = optimize(channel, 1e11, 8, fixed_p_s=0.07, previous=previous)
+        assert warm.result == cold.result and not warm.feasible
+        assert len(warm.trace) == len(set(warm.trace)) == GRID_SHAPE[0]
+        assert sorted(warm.trace) == sorted(cold.trace)
+
+    def test_co_optimization_ignores_previous(self):
+        previous = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, fixed_p_s=0.07)
+        channel = ChannelSpec(total_loss_db=42.0)
+        warm = optimize(channel, 1e11, 8, previous=previous)
+        assert warm.trace == optimize(channel, 1e11, 8).trace
+
+    def test_co_optimized_scan_unchanged(self):
+        rows = _cli_rows(["scan", "--d-min", "100", "--d-max", "120", "--step", "10",
+                          "--n-rounds", "1e11", "--optimize-ps"])
+        for d_km, _, mu, p_s, rate in rows:
+            res = optimize(self._channel(d_km), 1e11, 8).result
+            assert (mu, p_s, rate) == (res.mu, res.p_s, res.rate), d_km
+
+
 class TestPhysicalSanity:
     def test_reference_intensity_45db(self):
         # published optimized intensity at 45 dB is 9.78e-4; the model

@@ -225,6 +225,16 @@ class TestCsvRoundTrip:
         both = known.merge(known)
         assert (both.m_s, both.n_sifted) == (4, 10)
 
+    def test_merge_of_two_seeds_names_neither(self, tmp_path):
+        params = make_params(n_rounds=100_000)
+        a, b = simulate(params, seed=3), simulate(params, seed=4)
+        assert a.merge(b) == b.merge(a)
+        assert a.merge(b).seed is None
+        assert a.merge(a).seed == 3
+        path = tmp_path / "merged.csv"
+        write_tally_csv(a.merge(b), str(path), loss_db=20.0)
+        assert "# seed=" not in path.read_text()
+
     def test_merge_is_associative(self):
         params = make_params(n_rounds=900_000)
         t = simulate(params, seed=4, batch_size=300_000)
