@@ -450,7 +450,6 @@ class TestWarmStart:
     # A fixed-p_s call given the previous point's result climbs from its mu
     # instead of scanning the grid; the scan-level sweeps above hold it to
     # the fresh optimum.  These pin when it falls back to the scan.
-
     def _channel(self, km):
         return ChannelSpec(distance_km=km, alpha_db_per_km=0.168)
 
@@ -461,11 +460,6 @@ class TestWarmStart:
                         previous=previous)
         assert warm.result == cold.result
         assert warm.evaluations < cold.evaluations - 15
-
-    def test_previous_is_keyword_only(self):
-        previous = optimize(self._channel(120.0), 1e11, 8, fixed_p_s=0.07)
-        with pytest.raises(TypeError):
-            optimize(self._channel(130.0), 1e11, 8, None, None, 1.16, 0.07, 0, previous)
 
     def test_after_a_point_without_a_key_starts_cold(self):
         previous = optimize(ChannelSpec(total_loss_db=120.0), 1e8, 8, fixed_p_s=0.07)
