@@ -39,9 +39,7 @@ from .security import (
     kato_correction,
     kato_epsilon,
     key_length,
-    phase_error_continuous,
     phase_error_discrete,
-    phase_error_final,
     vacuum_yield_ub,
 )
 from .simulator import (
@@ -87,9 +85,7 @@ __all__ = [
     "load_bundled_record",
     "optimize",
     "parse_tally_csv",
-    "phase_error_continuous",
     "phase_error_discrete",
-    "phase_error_final",
     "poisson_pmf",
     "pseudo_fock_weight",
     "pseudo_fock_weight_ub",

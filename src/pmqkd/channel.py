@@ -116,15 +116,6 @@ def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
     return _gain_qber(mu, eta, p_d, e_d)[1]
 
 
-def _check_sifted_args(m_slices: int, p_s: float, n_rounds: float) -> None:
-    if m_slices < 2:
-        raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
-    if not 0.0 <= p_s <= 1.0:
-        raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
-    if n_rounds < 0:
-        raise DomainError("expected_sifted: n_rounds must be nonnegative")
-
-
 def _expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> float:
     return (2.0 / m_slices) * q_mu * n_rounds * (1.0 - p_s)
 
@@ -132,7 +123,13 @@ def _expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) ->
 def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> float:
     """Expected sifted-key size n = (2/M) * Q * N * (1 - p_s).
 
-    Returned as a real expectation, not rounded.
+    Returned as a real expectation, not rounded.  It takes any M >= 2,
+    p_s in [0, 1] and N >= 0, a wider domain than the bound chain's.
     """
-    _check_sifted_args(m_slices, p_s, n_rounds)
+    if m_slices < 2:
+        raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
+    if not 0.0 <= p_s <= 1.0:
+        raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
+    if n_rounds < 0:
+        raise DomainError("expected_sifted: n_rounds must be nonnegative")
     return _expected_sifted(q_mu, n_rounds, m_slices, p_s)

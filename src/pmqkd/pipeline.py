@@ -10,13 +10,17 @@ from . import defaults
 from .channel import (
     ChannelSpec,
     _check_gain_args,
-    _check_sifted_args,
     _expected_sifted,
     _gain_qber,
     transmittance,
 )
-from .errors import DomainError
-from .security import KeyRateResult, SecurityBudget, finite_key_rate
+from .security import (
+    KeyRateResult,
+    SecurityBudget,
+    _check_sampling,
+    _check_slices,
+    finite_key_rate,
+)
 
 
 def expected_key_rate(
@@ -35,16 +39,17 @@ def expected_key_rate(
     smooth in the parameters.  p_s must lie in (0, 1): the expected sampled
     errors divide by 1 - p_s, and the vacuum bound by p_s.
     """
-    if not 0.0 < p_s < 1.0:
-        raise DomainError(f"expected_key_rate: p_s must be in (0, 1), got {p_s}")
+    _check_sampling("expected_key_rate", p_s)
     if budget is None:
         budget = SecurityBudget()
     eta = transmittance(channel)
-    # The checks of gain and expected_sifted; the ChannelSpec has checked
-    # e_d, which is all that qber checks beyond them.
+    # The checks of gain; the ChannelSpec has checked e_d, which is all that
+    # qber checks beyond them.
     _check_gain_args(mu, eta, channel.p_d)
     q_mu, e_b = _gain_qber(mu, eta, channel.p_d, channel.e_d)
-    _check_sifted_args(m_slices, p_s, n_rounds)
+    # The chain's rule for M, ahead of the division by M; the chain checks
+    # n_rounds, and p_s is checked above.
+    _check_slices("phase_error_discrete", m_slices)
     n_mu = _expected_sifted(q_mu, n_rounds, m_slices, p_s)
     m_s = e_b * n_mu * p_s / (1.0 - p_s)
     return finite_key_rate(

@@ -1,16 +1,19 @@
 """Finite-key bound chain.
 
 Chernoff conversions between observed and expected counts, the vacuum-yield
-upper bound, continuous and discrete-phase phase-error rates, the Kato
-concentration correction lifting the analysis to coherent attacks, and the
-final key-length formula with its failure-probability composition.
+upper bound, the discrete-phase phase-error rate with its even-photon terms
+and residue-class deviations, the Kato concentration correction lifting the
+analysis to coherent attacks, and the final key-length formula with its
+failure-probability composition.
 
-Each bound has one implementation, a private kernel that computes it on
-checked inputs.  The public stage functions check their inputs and call
-their kernel; :func:`finite_key_rate` checks each of its inputs once, with
-the stages' messages and in the order the stages would reach them, and then
-calls the same kernels.  So a chain evaluation computes the Chernoff
-parameter beta = ln(1/eps) and e^-mu once each, and builds one breakdown.
+Each bound has one public entry and one implementation, a private kernel
+that computes it on checked inputs.  Each chain input has one validity rule,
+a ``_check_*`` function that takes the name of the stage reporting it.  The
+public stage functions call the rules of the inputs they read and then their
+kernel; :func:`finite_key_rate` calls each rule once, with the stages'
+messages and in the order the stages would reach them, and then the same
+kernels.  So a chain evaluation computes the Chernoff parameter
+beta = ln(1/eps) and e^-mu once each, and builds one breakdown.
 
 The deviation factors depend on (mu, M) alone, and a scan or an optimizer
 asks for the same mu values again and again, so they are kept in a bounded
@@ -36,7 +39,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from . import defaults
-from .errors import DomainError, NoDataError
+from .errors import DomainError
 from .numerics import _LOG_FACTORIAL, _even_poisson_tails, _require_mu, binary_entropy
 
 # Holds the 50 grid mu values of the optimizer, which recur at every point
@@ -109,13 +112,42 @@ def _observed_ub(x_star: float, beta: float) -> float:
     return x_star + beta / 2.0 + math.sqrt(2.0 * beta * x_star + beta * beta / 4.0)
 
 
+def _check_nonnegative(stage: str, name: str, value: float) -> None:
+    if not value >= 0.0:  # NaN too
+        raise DomainError(f"{stage}: {name} must be >= 0, got {value}")
+
+
+def _check_rounds(stage: str, n_rounds: float) -> None:
+    if not math.isfinite(n_rounds):
+        raise DomainError(f"{stage}: n_rounds must be finite, got {n_rounds}")
+    if n_rounds <= 0:
+        raise DomainError(f"{stage}: n_rounds must be positive, got {n_rounds}")
+
+
+def _check_sampling(stage: str, p_s: float) -> None:
+    if not 0.0 < p_s < 1.0:
+        raise DomainError(f"{stage}: p_s must be in (0, 1), got {p_s}")
+
+
+def _check_slices(stage: str, m_slices: int) -> None:
+    if m_slices not in defaults.SUPPORTED_M_SLICES:
+        raise DomainError(f"{stage}: m_slices must be 6 or 8, got {m_slices}")
+
+
+def _check_efficiency(stage: str, f: float) -> None:
+    # An f below the Shannon limit of 1 would overstate the key.
+    if not (math.isfinite(f) and f >= 1.0):
+        raise DomainError(
+            f"{stage}: f must be finite and >= 1 (the Shannon limit), got {f}"
+        )
+
+
 def chernoff_expected_ub(x: float, eps: float) -> float:
     """Upper bound on an expected value given an observed count x.
 
     phi(x) = x + beta + sqrt(2 beta x + beta^2) with beta = ln(1/eps).
     """
-    if x < 0:
-        raise DomainError(f"chernoff_expected_ub: x must be >= 0, got {x}")
+    _check_nonnegative("chernoff_expected_ub", "x", x)
     return _expected_ub(x, _beta(eps))
 
 
@@ -124,16 +156,14 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 
     Phi(x) = x + beta/2 + sqrt(2 beta x + beta^2 / 4).
     """
-    if x_star < 0:
-        raise DomainError(f"chernoff_observed_ub: x_star must be >= 0, got {x_star}")
+    _check_nonnegative("chernoff_observed_ub", "x_star", x_star)
     return _observed_ub(x_star, _beta(eps))
 
 
 def _check_sampled(m_s: float, p_s: float) -> None:
     if not 0.0 <= m_s < math.inf:
         raise DomainError(f"vacuum_yield_ub: m_s must be finite and >= 0, got {m_s}")
-    if not 0.0 < p_s < 1.0:
-        raise DomainError(f"vacuum_yield_ub: p_s must be in (0, 1), got {p_s}")
+    _check_sampling("vacuum_yield_ub", p_s)
 
 
 def _vacuum_yield(m_s: float, p_s: float, n_rounds: float, e_mu: float,
@@ -156,8 +186,7 @@ def vacuum_yield_ub(
     error is attributed to vacuum.  Result is clamped to <= 1.
     """
     _check_sampled(m_s, p_s)
-    if n_rounds <= 0:
-        raise DomainError("vacuum_yield_ub: n_rounds must be positive")
+    _check_rounds("vacuum_yield_ub", n_rounds)
     _require_mu("vacuum_yield_ub", mu)  # e^-mu underflows to 0 past mu ~ 745
     return _vacuum_yield(m_s, p_s, n_rounds, math.exp(-mu), _beta(eps))
 
@@ -172,23 +201,13 @@ def _even_photon_terms(
 ) -> tuple[float, float]:
     """(vacuum, multiphoton) terms of the continuous-randomization bound.
 
-    On checked inputs, with e_mu = e^-mu.
+    E_p <= e^-mu Y0 / Q + (e^-2mu + 1 - 2 e^-mu) / (2 Q), taking the worst
+    case of unit yield for every even photon number >= 2.  On checked
+    inputs, with e_mu = e^-mu.
     """
     vacuum = e_mu * y0_bar / q_mu
     multi = (math.exp(-2.0 * mu) + 1.0 - 2.0 * e_mu) / (2.0 * q_mu)
     return vacuum, multi
-
-
-def phase_error_continuous(mu: float, q_mu: float, y0_bar: float) -> float:
-    """Phase error rate under continuous phase randomization.
-
-    E_p <= e^-mu Y0 / Q + (e^-2mu + 1 - 2 e^-mu) / (2 Q), taking the worst
-    case of unit yield for every even photon number >= 2.  The result is not
-    clamped here; callers cap it before entropy evaluation.
-    """
-    _check_gain(q_mu)
-    vacuum, multi = _even_photon_terms(mu, math.exp(-mu), q_mu, y0_bar)
-    return vacuum + multi
 
 
 @functools.lru_cache(maxsize=_DEVIATION_CACHE_SIZE)
@@ -225,10 +244,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     closed-form residue-weight bound.  Supported for M in {6, 8} and even
     k < M, matching the cases the closed-form bounds cover.
     """
-    if m_slices not in defaults.SUPPORTED_M_SLICES:
-        raise DomainError(
-            f"deviation_bound: m_slices must be 6 or 8, got {m_slices}"
-        )
+    _check_slices("deviation_bound", m_slices)
     if k % 2 != 0 or not 0 <= k < m_slices:
         raise DomainError(
             f"deviation_bound: k must be even with 0 <= k < m_slices, got k={k}"
@@ -253,13 +269,6 @@ class PhaseErrorBreakdown(NamedTuple):
     ep_m_bar: float = float("nan")
 
 
-def _check_slices(m_slices: int) -> None:
-    if m_slices not in defaults.SUPPORTED_M_SLICES:
-        raise DomainError(
-            f"phase_error_discrete: m_slices must be 6 or 8, got {m_slices}"
-        )
-
-
 def _phase_error_terms(
     mu: float, e_mu: float, m_slices: int, q_mu: float, y0_bar: float
 ) -> tuple[float, float, tuple[float, ...], float]:
@@ -278,11 +287,14 @@ def phase_error_discrete(
     """Phase error rate with M-slice discrete randomization (no Kato term).
 
     Adds the residue-class deviations for k in {0, 2, ..., M-2} to the
-    continuous-randomization bound.
+    continuous-randomization bound, whose two terms the breakdown reports as
+    vacuum_term and multiphoton_term.  The result is not clamped here; the
+    key length caps it before entropy evaluation.
     """
-    _check_slices(m_slices)
+    _check_slices("phase_error_discrete", m_slices)
     _require_mu("phase_error_discrete", mu)
     _check_gain(q_mu)
+    _check_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
     return PhaseErrorBreakdown(
         *_phase_error_terms(mu, math.exp(-mu), m_slices, q_mu, y0_bar))
 
@@ -313,18 +325,14 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     """
     _check_trials(n)
     _check_successes(n, lambda_n)
-    _check_eps_ka(eps_ka)
+    if not 0.0 < eps_ka < 1.0:
+        raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
     return _kato(n, lambda_n, eps_ka)
 
 
 def _check_trials(n: float) -> None:
     if not 1.0 <= n < math.inf:
         raise DomainError(f"kato_correction: n must be finite and >= 1, got {n}")
-
-
-def _check_eps_ka(eps_ka: float) -> None:
-    if not 0.0 < eps_ka < 1.0:
-        raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
 
 
 def _check_successes(n: float, lambda_n: float) -> None:
@@ -370,31 +378,14 @@ def kato_epsilon(coeffs: KatoCoefficients) -> float:
 def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficients, float]:
     """Kato coefficients at lambda = n ep (at most n), and the lifted ep_bar.
 
-    Makes kato_correction's checks of n and lambda; the caller checks eps_ka.
+    ep_bar = (n ep + delta(n, n ep, eps_ka)) / n.  Makes kato_correction's
+    checks of n and lambda; the caller checks eps_ka.
     """
     lambda_n = min(n_mu * ep_m, n_mu)
     _check_trials(n_mu)
     _check_successes(n_mu, lambda_n)
     coeffs = _kato(n_mu, lambda_n, eps_ka)
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
-
-
-def _check_phase_error(stage: str, name: str, value: float) -> None:
-    if not value >= 0.0:  # NaN too
-        raise DomainError(f"{stage}: {name} must be >= 0, got {value}")
-
-
-def phase_error_final(n_mu: float, ep_m: float, eps_ka: float) -> float:
-    """Lift the phase error rate to cover coherent attacks.
-
-    ep_bar = (n ep + delta(n, n ep, eps_ka)) / n.  Downstream entropy
-    evaluation caps the result at 0.5.
-    """
-    if n_mu < 1:
-        raise NoDataError(f"phase_error_final: need n_mu >= 1, got {n_mu}")
-    _check_phase_error("phase_error_final", "ep_m", ep_m)
-    _check_eps_ka(eps_ka)
-    return _kato_lift(n_mu, ep_m, eps_ka)[1]
 
 
 def key_length(
@@ -411,9 +402,9 @@ def key_length(
     at 0; the rate is ell / N.
     """
     _check_key_inputs(n_mu, e_b)
-    _check_phase_error("key_length", "ep_m_bar", ep_m_bar)
-    if n_rounds <= 0:
-        raise DomainError("key_length: n_rounds must be positive")
+    _check_nonnegative("key_length", "ep_m_bar", ep_m_bar)
+    _check_efficiency("key_length", f)
+    _check_rounds("key_length", n_rounds)
     return _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
 
 
@@ -432,7 +423,7 @@ def _key_length(
     budget: SecurityBudget,
     n_rounds: float,
 ) -> tuple[float, float]:
-    """key_length on checked n_mu, e_b and n_rounds."""
+    """key_length on checked inputs."""
     ep = min(ep_m_bar, 0.5)
     eb = min(e_b, 0.5)
     ell = n_mu * (1.0 - binary_entropy(ep) - f * binary_entropy(eb))
@@ -508,24 +499,18 @@ def finite_key_rate(
     bit (n_mu < 1) or a phase-error bound beyond 1 (lambda past n).  There
     the lift is replaced by ep_m_bar = max(0.5, ep_m), which is 0.5 for a
     NaN ep_m too, so the key length is floored at 0 whatever the budget.
-    An error-correction efficiency f below the Shannon limit of 1 would
-    overstate the key, so it is rejected, as is an n_rounds that is not
-    finite and positive.
+    An n_rounds that is not finite and positive, and an error-correction
+    efficiency f below the Shannon limit of 1, are rejected first, under the
+    chain's own name.
     """
-    if not math.isfinite(n_rounds):
-        raise DomainError(f"finite_key_rate: n_rounds must be finite, got {n_rounds}")
-    if n_rounds <= 0:
-        raise DomainError(f"finite_key_rate: n_rounds must be positive, got {n_rounds}")
-    if not (math.isfinite(f) and f >= 1.0):
-        raise DomainError(
-            f"finite_key_rate: f must be finite and >= 1 (the Shannon limit), got {f}"
-        )
+    _check_rounds("finite_key_rate", n_rounds)
+    _check_efficiency("finite_key_rate", f)
     # The stage functions' checks, each once and in the order the stages
     # would make them (a SecurityBudget has checked eps_ka).
     _check_sampled(m_s, p_s)
     _require_mu("vacuum_yield_ub", mu)
     beta = _beta(budget.eps)
-    _check_slices(m_slices)
+    _check_slices("phase_error_discrete", m_slices)
     _check_gain(q_mu)
     e_mu = math.exp(-mu)
     y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)

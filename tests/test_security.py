@@ -6,6 +6,7 @@ never shares code with the implementation.
 """
 
 import dataclasses
+import inspect
 import math
 import random
 import subprocess
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmqkd.channel import ChannelSpec, expected_sifted, gain, qber, transmittance
-from pmqkd.errors import DomainError, NoDataError
+from pmqkd import security
+from pmqkd.errors import DomainError
 from pmqkd.ingest import (
     ExperimentRecord,
     derive_observables,
@@ -39,9 +41,7 @@ from pmqkd.security import (
     kato_correction,
     kato_epsilon,
     key_length,
-    phase_error_continuous,
     phase_error_discrete,
-    phase_error_final,
     vacuum_yield_ub,
 )
 from pmqkd.simulator import ObservedTally, ProtocolParams, simulate
@@ -133,26 +133,33 @@ class TestVacuumYield:
             vacuum_yield_ub(10, 0.0, 1e11, 1e-3, EPS)
 
 
+def _continuous(mu, q_mu, y0_bar):
+    """The continuous-randomization bound: the even-photon terms of the discrete one."""
+    bd = phase_error_discrete(mu, 8, q_mu, y0_bar)
+    return bd.vacuum_term + bd.multiphoton_term
+
+
 class TestPhaseErrorContinuous:
     def test_vacuum_explains_everything(self):
-        assert phase_error_continuous(0.0, 1e-3, 1e-3) == 1.0
+        assert _continuous(0.0, 1e-3, 1e-3) == 1.0
 
     def test_multiphoton_only_matches_oracle(self):
         # frozen: (e^-2mu + 1 - 2 e^-mu) / 2 at mu = 3.2e-3
         # = 5.1036465415698143024e-6 (mpmath)
         q = 3.0e-6
-        ep = phase_error_continuous(3.2e-3, q, 0.0)
-        assert ep == pytest.approx(5.1036465415698143e-6 / q, rel=1e-10)
+        bd = phase_error_discrete(3.2e-3, 8, q, 0.0)
+        assert bd.vacuum_term == 0.0
+        assert bd.multiphoton_term == pytest.approx(5.1036465415698143e-6 / q, rel=1e-10)
 
     def test_small_mu_series(self):
         # numerator ~ mu^2 to first order
         mu, q = 1e-3, 1.0
-        ep = phase_error_continuous(mu, q, 0.0)
+        ep = _continuous(mu, q, 0.0)
         assert ep == pytest.approx(mu * mu / 2, rel=2e-3)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            phase_error_continuous(1e-3, 0.0, 0.0)
+        with pytest.raises(DomainError, match="phase error: q_mu must be finite and > 0"):
+            phase_error_discrete(1e-3, 8, 0.0, 0.0)
 
 
 class TestDeviationBound:
@@ -281,7 +288,8 @@ class TestPhaseErrorDiscrete:
     def test_reduces_to_continuous_at_mu_zero(self):
         bd = phase_error_discrete(0.0, 8, 1e-3, 1e-4)
         assert bd.deviations == (0.0, 0.0, 0.0, 0.0)
-        assert bd.ep_m == phase_error_continuous(0.0, 1e-3, 1e-4)
+        assert bd.multiphoton_term == 0.0
+        assert bd.ep_m == bd.vacuum_term == 1e-4 / 1e-3
 
     def test_k_sets_per_m(self):
         assert len(phase_error_discrete(1e-3, 8, 1e-5, 0.0).deviations) == 4
@@ -306,6 +314,12 @@ class TestPhaseErrorDiscrete:
         assert bd.ep_m == pytest.approx(
             bd.vacuum_term + bd.multiphoton_term + sum(bd.deviations), rel=1e-14
         )
+
+    @pytest.mark.parametrize("y0_bar", [-1e-7, -math.inf, math.nan])
+    def test_negative_vacuum_yield_rejected(self, y0_bar):
+        # y0_bar = -1e-7 once lowered ep_m by 20% against y0_bar = 0.
+        with pytest.raises(DomainError, match="phase_error_discrete: y0_bar must be >= 0"):
+            phase_error_discrete(1e-3, 8, 3e-6, y0_bar)
 
 
 class TestKato:
@@ -372,25 +386,26 @@ class TestKato:
 
 
 class TestPhaseErrorFinal:
+    """The Kato lift of the chain: ep_m_bar = ep_m + delta(n, n ep_m, eps_ka) / n."""
+
     def test_composition(self):
-        n, ep, eps_ka = 91781, 0.1358, 1e-10
-        coeffs = kato_correction(n, n * ep, eps_ka)
-        assert phase_error_final(n, ep, eps_ka) == pytest.approx(
-            ep + coeffs.delta / n, rel=1e-14
+        res = finite_key_rate(**dict(_GOOD, n_mu=91781.0), budget=SecurityBudget())
+        coeffs = kato_correction(res.n_mu, res.n_mu * res.ep_m, res.budget.eps_ka)
+        assert res.ep_m_bar == pytest.approx(
+            res.ep_m + coeffs.delta / res.n_mu, rel=1e-14
         )
 
     def test_never_below_input(self):
         for ep in (0.0, 0.01, 0.3, 0.5):
-            assert phase_error_final(1e6, ep, 1e-10) >= ep
+            assert kato_correction(1e6, 1e6 * ep, 1e-10).delta >= 0.0
 
     def test_correction_shrinks_with_n(self):
-        ep = 0.1
-        gaps = [phase_error_final(n, ep, 1e-10) - ep for n in (1e4, 1e6, 1e8)]
+        # ep_m does not depend on n_mu, so the gap is delta / n alone
+        gaps = []
+        for n_mu in (1e4, 1e6, 1e8):
+            res = finite_key_rate(**dict(_GOOD, n_mu=n_mu), budget=SecurityBudget())
+            gaps.append(res.ep_m_bar - res.ep_m)
         assert gaps[0] > gaps[1] > gaps[2] > 0
-
-    def test_no_data(self):
-        with pytest.raises(NoDataError):
-            phase_error_final(0, 0.1, 1e-10)
 
 
 class TestKeyLength:
@@ -414,6 +429,13 @@ class TestKeyLength:
         assert ell == pytest.approx(
             bracket - budget.xi - budget.xi_prime, rel=1e-12
         )
+
+    @pytest.mark.parametrize("f", [0.5, 0.999, -1.0])
+    def test_efficiency_below_shannon_limit_rejected(self, f):
+        # f = 0.5 once gave a key 8.6% longer than f = 1.16 did.
+        with pytest.raises(DomainError, match=r"key_length: f must be finite and >= 1 "
+                                              r"\(the Shannon limit\), got"):
+            key_length(7e4, 0.05, 0.01, f, SecurityBudget(), 1e11)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -473,7 +495,7 @@ class TestWorstCaseSoundness:
                 if q == 0:
                     continue
                 true_ep = (p0 * y0 + p2 * y2) / q  # = 1 here: all-even source
-                bound = phase_error_continuous(mu, q, y0)
+                bound = _continuous(mu, q, y0)
                 assert bound >= true_ep - 1e-12
 
     def test_partial_even_weight_toy(self):
@@ -487,7 +509,7 @@ class TestWorstCaseSoundness:
         p_odd = 1.0 - p0 - p2
         q = p0 * y0 + p2 * y2 + p_odd * y_odd
         true_even_fraction = (p0 * y0 + p2 * y2) / q
-        assert phase_error_continuous(mu, q, y0) >= true_even_fraction
+        assert _continuous(mu, q, y0) >= true_even_fraction
 
 
 class TestFiniteKeyRate:
@@ -526,6 +548,13 @@ class TestFiniteKeyRate:
         # p_s = 1 once divided by zero in the expected sampled errors.
         with pytest.raises(DomainError, match=r"expected_key_rate: p_s must be in \(0, 1\)"):
             expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3, p_s=p_s)
+
+    @pytest.mark.parametrize("m_slices", [0, 4, 16])
+    def test_slice_count_checked_before_the_sifted_size(self, m_slices):
+        # The chain's rule for M, ahead of the pipeline's division by M.
+        with pytest.raises(DomainError, match=f"phase_error_discrete: m_slices must be "
+                                              f"6 or 8, got {m_slices}"):
+            expected_key_rate(ChannelSpec(total_loss_db=45.0), 1e-3, m_slices=m_slices)
 
     def test_degenerate_inputs_zero_rate(self):
         res = finite_key_rate(
@@ -601,17 +630,20 @@ class TestSharedPaths:
                              ids=[name for name, _ in CHAIN_RESULTS])
     def test_final_phase_error_matches_chain(self, res):
         assert res.ep_m <= 1.0
-        assert res.breakdown.ep_m_bar == phase_error_final(
-            res.n_mu, res.ep_m, res.budget.eps_ka
-        )
+        kato = kato_correction(res.n_mu, res.n_mu * res.ep_m, res.budget.eps_ka)
+        assert res.breakdown.kato_delta == kato.delta
+        assert res.breakdown.ep_m_bar == (res.n_mu * res.ep_m + kato.delta) / res.n_mu
 
     @pytest.mark.parametrize("res", [r for _, r in CHAIN_RESULTS],
                              ids=[name for name, _ in CHAIN_RESULTS])
     def test_even_photon_terms_match_continuous(self, res):
+        # e^-mu Y0 / Q and (1 - e^-mu)^2 / (2 Q), written out; the chain's
+        # multiphoton numerator carries an absolute error of ~2^-52.
         b = res.breakdown
-        assert b.vacuum_term + b.multiphoton_term == phase_error_continuous(
-            res.mu, res.q_mu, res.y0_bar
-        )
+        assert b.vacuum_term == pytest.approx(
+            math.exp(-res.mu) * res.y0_bar / res.q_mu, rel=1e-15)
+        assert abs(b.multiphoton_term - math.expm1(-res.mu) ** 2 / (2 * res.q_mu)) <= \
+            2.0 ** -51 / res.q_mu
 
     @pytest.mark.parametrize("res", [r for _, r in CHAIN_RESULTS],
                              ids=[name for name, _ in CHAIN_RESULTS])
@@ -847,28 +879,75 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", _NON_FINITE)
     @pytest.mark.parametrize("call,match", [
-        (lambda v: phase_error_continuous(1e-3, v, 1e-6), "phase error: q_mu must be finite"),
         (lambda v: phase_error_discrete(1e-3, 8, v, 1e-6), "phase error: q_mu must be finite"),
         (lambda v: deviation_bound(1e-3, 8, 0, v), "deviation_bound: q_mu must be finite"),
         (lambda v: vacuum_yield_ub(v, 0.07, 1e11, 1e-3, EPS),
          "vacuum_yield_ub: m_s must be finite"),
         (lambda v: kato_correction(v, 10.0, 1e-10), "kato_correction: n must be finite"),
-        (lambda v: phase_error_final(v, 0.1, 1e-10), "kato_correction: n must be finite"),
         (lambda v: key_length(v, 0.1, 0.01, 1.16, SecurityBudget(), 1e11),
          "key_length: n_mu must be finite"),
         (lambda v: key_length(7e4, 0.1, v, 1.16, SecurityBudget(), 1e11),
          r"key_length: e_b must be in \[0, 1\]"),
+        # n_rounds = inf once gave y0_bar = 0 and a rate of 0 per round.
+        (lambda v: vacuum_yield_ub(49.0, 0.07, v, 1e-3, EPS),
+         "vacuum_yield_ub: n_rounds must be finite"),
+        (lambda v: key_length(7e4, 0.1, 0.01, 1.16, SecurityBudget(), v),
+         "key_length: n_rounds must be finite"),
+        (lambda v: key_length(7e4, 0.1, 0.01, v, SecurityBudget(), 1e11),
+         "key_length: f must be finite and >= 1"),
         # Negated: NaN and -inf.  An inf phase error is a vacuous bound, not an error.
-        (lambda v: phase_error_final(1e5, -v, 1e-10), "phase_error_final: ep_m must be >= 0"),
         (lambda v: key_length(7e4, -v, 0.01, 1.16, SecurityBudget(), 1e11),
          "key_length: ep_m_bar must be >= 0"),
-    ], ids=["phase_error_continuous.q_mu", "phase_error_discrete.q_mu",
+    ], ids=["phase_error_discrete.q_mu",
             "deviation_bound.q_mu", "vacuum_yield_ub.m_s", "kato_correction.n",
-            "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b",
-            "phase_error_final.ep_m", "key_length.ep_m_bar"])
+            "key_length.n_mu", "key_length.e_b", "vacuum_yield_ub.n_rounds",
+            "key_length.n_rounds", "key_length.f", "key_length.ep_m_bar"])
     def test_stage(self, call, match, value):
         with pytest.raises(DomainError, match=match):
             call(value)
+
+
+# A valid value of every parameter of the public stage functions, by name.
+_STAGE_ARGS = dict(
+    x=10.0, x_star=10.0, eps=EPS, m_s=49.0, p_s=0.07, n_rounds=1e11, mu=1e-3,
+    m_slices=8, k=0, q_mu=3e-6, y0_bar=1e-6, n=7e4, lambda_n=1e4, eps_ka=1e-10,
+    n_mu=7e4, ep_m_bar=0.1, e_b=0.01, f=1.16, budget=SecurityBudget(),
+)
+
+
+def _stage_float_parameters():
+    """(stage, parameter) for each float parameter of each public stage function.
+
+    The stages are the public functions of pmqkd.security except the chain,
+    finite_key_rate, whose messages name the stage that reads each input.
+    """
+    return [
+        pytest.param(func, param, id=f"{name}.{param}")
+        for name, func in sorted(vars(security).items())
+        if not name.startswith("_") and inspect.isfunction(func)
+        and func.__module__ == security.__name__ and func is not finite_key_rate
+        for param, spec in inspect.signature(func).parameters.items()
+        if spec.annotation == "float"
+    ]
+
+
+class TestNaNNamesTheParameter:
+    """Generated from the signatures: NaN in any float parameter of a public
+    stage is a DomainError that names the parameter."""
+
+    def test_covers_every_stage(self):
+        stages = {case.values[0].__name__ for case in _stage_float_parameters()}
+        assert stages == {
+            "chernoff_expected_ub", "chernoff_observed_ub", "vacuum_yield_ub",
+            "phase_error_discrete", "deviation_bound", "kato_correction", "key_length",
+        }
+
+    @pytest.mark.parametrize("stage,name", _stage_float_parameters())
+    def test_nan_rejected_by_name(self, stage, name):
+        kw = {param: _STAGE_ARGS[param] for param in inspect.signature(stage).parameters}
+        stage(**kw)  # the valid point passes
+        with pytest.raises(DomainError, match=rf"\b{name} must"):
+            stage(**dict(kw, **{name: math.nan}))
 
 
 class TestMoreErrorsNeverRaiseRate:
