@@ -385,6 +385,11 @@ class TestKato:
             kato_correction(n, lam, eps_ka)
 
 
+def _lifted(n_mu, ep_m, eps_ka):
+    """The chain's Kato lift by hand: ep_m + delta(n, n ep_m, eps_ka) / n."""
+    return ep_m + kato_correction(n_mu, n_mu * ep_m, eps_ka).delta / n_mu
+
+
 class TestPhaseErrorFinal:
     """The Kato lift of the chain: ep_m_bar = ep_m + delta(n, n ep_m, eps_ka) / n."""
 
@@ -879,11 +884,13 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", _NON_FINITE)
     @pytest.mark.parametrize("call,match", [
+        (lambda v: _continuous(1e-3, v, 1e-6), "phase error: q_mu must be finite"),
         (lambda v: phase_error_discrete(1e-3, 8, v, 1e-6), "phase error: q_mu must be finite"),
         (lambda v: deviation_bound(1e-3, 8, 0, v), "deviation_bound: q_mu must be finite"),
         (lambda v: vacuum_yield_ub(v, 0.07, 1e11, 1e-3, EPS),
          "vacuum_yield_ub: m_s must be finite"),
         (lambda v: kato_correction(v, 10.0, 1e-10), "kato_correction: n must be finite"),
+        (lambda v: _lifted(v, 0.1, 1e-10), "kato_correction: n must be finite"),
         (lambda v: key_length(v, 0.1, 0.01, 1.16, SecurityBudget(), 1e11),
          "key_length: n_mu must be finite"),
         (lambda v: key_length(7e4, 0.1, v, 1.16, SecurityBudget(), 1e11),
@@ -896,12 +903,14 @@ class TestNonFiniteInputs:
         (lambda v: key_length(7e4, 0.1, 0.01, v, SecurityBudget(), 1e11),
          "key_length: f must be finite and >= 1"),
         # Negated: NaN and -inf.  An inf phase error is a vacuous bound, not an error.
+        (lambda v: _lifted(1e5, -v, 1e-10), r"kato_correction: lambda_n must be in \[0, n\]"),
         (lambda v: key_length(7e4, -v, 0.01, 1.16, SecurityBudget(), 1e11),
          "key_length: ep_m_bar must be >= 0"),
-    ], ids=["phase_error_discrete.q_mu",
+    ], ids=["phase_error_continuous.q_mu", "phase_error_discrete.q_mu",
             "deviation_bound.q_mu", "vacuum_yield_ub.m_s", "kato_correction.n",
-            "key_length.n_mu", "key_length.e_b", "vacuum_yield_ub.n_rounds",
-            "key_length.n_rounds", "key_length.f", "key_length.ep_m_bar"])
+            "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b",
+            "vacuum_yield_ub.n_rounds", "key_length.n_rounds", "key_length.f",
+            "phase_error_final.ep_m", "key_length.ep_m_bar"])
     def test_stage(self, call, match, value):
         with pytest.raises(DomainError, match=match):
             call(value)
