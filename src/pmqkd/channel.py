@@ -124,12 +124,14 @@ def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> 
     """Expected sifted-key size n = (2/M) * Q * N * (1 - p_s).
 
     Returned as a real expectation, not rounded.  It takes any M >= 2,
-    p_s in [0, 1] and N >= 0, a wider domain than the bound chain's.
+    p_s in [0, 1] and finite Q, N >= 0, a wider domain than the chain's.
     """
+    if not 0.0 <= q_mu < math.inf:
+        raise DomainError(f"expected_sifted: q_mu must be finite and >= 0, got {q_mu}")
     if m_slices < 2:
         raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
     if not 0.0 <= p_s <= 1.0:
         raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
-    if n_rounds < 0:
-        raise DomainError("expected_sifted: n_rounds must be nonnegative")
+    if not 0.0 <= n_rounds < math.inf:
+        raise DomainError(f"expected_sifted: n_rounds must be finite and >= 0, got {n_rounds}")
     return _expected_sifted(q_mu, n_rounds, m_slices, p_s)

@@ -26,11 +26,6 @@ _REL_TERM_FLOOR = 1e-18
 # terms underflow to 0 and the loop steps ~mu/2 times before a term counts.
 MU_MAX = 700.0
 
-# ln n! for n = 0 .. 170 (170! is the largest factorial a double holds).
-# Each entry is math.lgamma(n + 1), so a lookup gives the same double.
-_LOG_FACTORIAL = tuple(math.lgamma(n + 1) for n in range(171))
-
-
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) = -x log2 x - (1-x) log2 (1-x), in bits.
 
@@ -54,6 +49,13 @@ def _require_mu(func: str, mu: float) -> None:
         raise DomainError(f"{func}: mu must be finite and in [0, {MU_MAX:g}], got {mu}")
 
 
+def _require_integer(func: str, name: str, value: float) -> int:
+    """An integral value as an int (8.0 is 8); 2.5, NaN or inf is a DomainError."""
+    if not (math.isfinite(value) and int(value) == value):
+        raise DomainError(f"{func}: {name} must be an integer, got {value}")
+    return int(value)
+
+
 def poisson_pmf(mu: float, k: int) -> float:
     """Poisson weight e^-mu mu^k / k!, evaluated in the log domain.
 
@@ -61,9 +63,9 @@ def poisson_pmf(mu: float, k: int) -> float:
     """
     if not 0.0 <= mu < math.inf:
         raise DomainError(f"poisson_pmf: mu must be finite and >= 0, got {mu}")
-    if k < 0 or int(k) != k:
+    k = _require_integer("poisson_pmf", "k", k)
+    if k < 0:
         raise DomainError(f"poisson_pmf: k must be a nonnegative integer, got {k}")
-    k = int(k)
     if k == 0:
         return math.exp(-mu)
     if mu == 0.0:
@@ -105,34 +107,19 @@ def _residue_series(mu: float, start: int, step: int) -> float:
     return total
 
 
-def _even_poisson_tails(mu: float) -> tuple[float, float, float, float]:
+def _even_tails(mu: float) -> tuple[float, float, float, float]:
     """The even Poisson tails sum_{n >= k, n even} mu^n e^-mu / n! for k = 0, 2, 4, 6.
 
-    Each tail is bit-identical to _residue_series(mu, k, 2): the same terms,
-    summed in the same order and cut by the same two rules.  One pass
-    computes each term once and adds it to every tail that has begun.  A
-    smaller k has the larger running sum, so the tails close in order of k.
-    Needs a finite mu > 0; callers validate.
+    k = 0 and k = 2 have closed forms without cancellation, (1 + e^-2mu) / 2
+    and expm1(-mu)^2 / 2; k = 4 and 6, whose closed forms cancel, are
+    _residue_series(mu, k, 2).  Needs a finite mu > 0; callers validate.
     """
-    log_mu = math.log(mu)
-    tails: list[float] = []
-    open_sums: list[float] = []  # running sums of the tails from k = 2 * len(tails)
-    n = 0
-    while True:
-        log_n_fact = _LOG_FACTORIAL[n] if n <= 170 else math.lgamma(n + 1)
-        term = math.exp(-mu + n * log_mu - log_n_fact)
-        if n <= 6:
-            open_sums.append(0.0)  # the tail from k = n begins with this term
-        for i in range(len(open_sums)):
-            open_sums[i] += term
-        while open_sums and (
-            (open_sums[0] > 0.0 and term < _REL_TERM_FLOOR * open_sums[0])
-            or (term == 0.0 and n > mu)
-        ):
-            tails.append(open_sums.pop(0))
-        if n >= 6 and not open_sums:
-            return tuple(tails)
-        n += 2
+    return (
+        0.5 * (1.0 + math.exp(-2.0 * mu)),
+        0.5 * math.expm1(-mu) ** 2,
+        _residue_series(mu, 4, 2),
+        _residue_series(mu, 6, 2),
+    )
 
 
 def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
@@ -141,6 +128,8 @@ def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
     Truncates when a term falls below 1e-18 of the running sum.
     """
     _require_mu("pseudo_fock_weight", mu)
+    m_slices = _require_integer("pseudo_fock_weight", "m_slices", m_slices)
+    k = _require_integer("pseudo_fock_weight", "k", k)
     if m_slices < 2:
         raise DomainError(f"pseudo_fock_weight: m_slices must be >= 2, got {m_slices}")
     if not 0 <= k < m_slices:
@@ -158,17 +147,20 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
     Relaxing the index set lM + k to all even integers >= k (valid for even
     k and even M) gives the even Poisson tail, whose closed forms are
         k = 0: (1 + e^-2mu) / 2
-        k = 2: (1 + e^-2mu - 2 e^-mu) / 2
+        k = 2: (1 + e^-2mu - 2 e^-mu) / 2 = expm1(-mu)^2 / 2
         k = 4: (1 + e^-2mu - 2 e^-mu - mu^2 e^-mu) / 2
         k = 6: (1 + e^-2mu - 2 e^-mu - mu^2 e^-mu - 2 mu^4 e^-mu / 4!) / 2.
-    Those alternating forms cancel catastrophically in doubles once the tail
-    is below ~1e-13, which would break the dominance guarantee, so the tail
-    is evaluated as its positive term series instead (identical value).
+    k = 0 and 2 are evaluated in closed form (k = 2 in its expm1 form), which
+    cancels nothing.  The k = 4 and 6 forms cancel catastrophically in doubles
+    once the tail is below ~1e-13, which would break the dominance guarantee,
+    so those tails are evaluated as their positive term series.
 
     Supported for k in {0, 2, 4, 6} with even m_slices >= k + 2; the step-2
     relaxation requires every index lM + k to be even.
     """
     _require_mu("pseudo_fock_weight_ub", mu)
+    m_slices = _require_integer("pseudo_fock_weight_ub", "m_slices", m_slices)
+    k = _require_integer("pseudo_fock_weight_ub", "k", k)
     if m_slices % 2 != 0:
         raise DomainError(
             f"pseudo_fock_weight_ub: m_slices must be even, got {m_slices}"
@@ -183,4 +175,4 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
         )
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
-    return _even_poisson_tails(mu)[k // 2]
+    return _even_tails(mu)[k // 2]

@@ -40,11 +40,17 @@ from typing import NamedTuple
 
 from . import defaults
 from .errors import DomainError
-from .numerics import _LOG_FACTORIAL, _even_poisson_tails, _require_mu, binary_entropy
+from .numerics import _even_tails, _require_integer, _require_mu, binary_entropy
 
 # Holds the 50 grid mu values of the optimizer, which recur at every point
 # of a scan, with room for several points' refinement values beside them.
 _DEVIATION_CACHE_SIZE = 128
+
+# sqrt(k! / (M+k)!) for each even k < M: a deviation factor over mu^(M/2).
+_FACTORIAL_ROOTS = {
+    m: tuple(math.sqrt(math.factorial(k) / math.factorial(m + k)) for k in range(0, m, 2))
+    for m in defaults.SUPPORTED_M_SLICES
+}
 
 
 @dataclass(frozen=True)
@@ -217,14 +223,8 @@ def _deviation_factors(mu: float, m_slices: int) -> tuple[tuple[float, float], .
     P_ub(k) is pseudo_fock_weight_ub(mu, M, k).  Needs a finite mu > 0 and
     M in {6, 8}; callers validate.
     """
-    tails = _even_poisson_tails(mu)
-    log_mu = math.log(mu)
-    return tuple(
-        (tails[k // 2], math.exp(0.5 * (
-            _LOG_FACTORIAL[k] + m_slices * log_mu - _LOG_FACTORIAL[m_slices + k]
-        )))
-        for k in range(0, m_slices, 2)
-    )
+    power = mu ** (m_slices // 2)
+    return tuple(zip(_even_tails(mu), [power * r for r in _FACTORIAL_ROOTS[m_slices]]))
 
 
 def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:
@@ -245,6 +245,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     k < M, matching the cases the closed-form bounds cover.
     """
     _check_slices("deviation_bound", m_slices)
+    k = _require_integer("deviation_bound", "k", k)
     if k % 2 != 0 or not 0 <= k < m_slices:
         raise DomainError(
             f"deviation_bound: k must be even with 0 <= k < m_slices, got k={k}"

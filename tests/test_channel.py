@@ -191,6 +191,17 @@ class TestExpectedSifted:
         with pytest.raises(DomainError):
             expected_sifted(1e-5, 1e10, 8, 1.5)
 
+    @pytest.mark.parametrize("q_mu,n_rounds,name", [
+        (math.nan, 1e10, "q_mu"),     # once NaN
+        (-1e-5, 1e10, "q_mu"),        # once -23250
+        (math.inf, 1e10, "q_mu"),
+        (1e-5, math.inf, "n_rounds"),  # once inf
+        (1e-5, math.nan, "n_rounds"),
+    ])
+    def test_bad_gain_or_rounds_named(self, q_mu, n_rounds, name):
+        with pytest.raises(DomainError, match=rf"expected_sifted: {name} must be finite"):
+            expected_sifted(q_mu, n_rounds, 8, 0.07)
+
 
 class TestMonteCarloCrossCheck:
     def test_qber_within_3_sigma(self):

@@ -6,6 +6,7 @@ module so they stay independent of the implementation under test.
 """
 
 import math
+import random
 import subprocess
 import sys
 
@@ -17,8 +18,6 @@ from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
     MU_MAX,
-    _LOG_FACTORIAL,
-    _even_poisson_tails,
     _residue_series,
     binary_entropy,
     poisson_pmf,
@@ -203,12 +202,27 @@ class TestPseudoFockWeightUb:
                     ) * (1 - 1e-12)
 
     def test_equals_step_two_series_exactly(self):
-        # The four tails share one pass over the terms; each must still be
-        # the step-2 series to the last bit.
+        # The k = 4 and 6 tails, whose closed forms cancel, are the step-2
+        # series to the last bit, also where the terms run past n = 170.
         mus = [10 ** (-6 + 5 * i / 199) for i in range(200)]
-        for mu in mus + [0.5, 1.0, 3.0, 10.0, 40.0, 300.0]:
-            for k in (0, 2, 4, 6):
+        for mu in mus + [0.5, 1.0, 3.0, 10.0, 40.0, 150.0, 300.0, 400.0, MU_MAX]:
+            for k in (4, 6):
                 assert pseudo_fock_weight_ub(mu, 8, k) == _residue_series(mu, k, 2), (mu, k)
+
+    def test_closed_forms_within_four_ulps_of_60_digits(self):
+        # k = 0 and 2 are (1 + e^-2mu) / 2 and expm1(-mu)^2 / 2, which do not
+        # cancel: each lies within 4 x 2^-52 of the exact tail over the whole
+        # domain of mu.
+        rng = random.Random(21)
+        mus = [10 ** (-12 + 14.845 * i / 399) for i in range(400)]
+        mus += [10 ** rng.uniform(-12, math.log10(MU_MAX)) for _ in range(400)]
+        for mu in [*mus, 1e-12, 0.5, 1.0, MU_MAX]:
+            mum = mp.mpf(mu)
+            exact = {0: (1 + mp.exp(-2 * mum)) / 2, 2: mp.expm1(-mum) ** 2 / 2}
+            for m in (6, 8):
+                for k in (0, 2):
+                    got = pseudo_fock_weight_ub(mu, m, k)
+                    assert abs(got / exact[k] - 1) <= 4 * 2.0 ** -52, (mu, m, k)
 
     @pytest.mark.parametrize("m,k", [(8, 1), (8, 3), (8, 8), (7, 0), (6, 6), (4, 4)])
     def test_domain(self, m, k):
@@ -260,18 +274,35 @@ def test_large_mu_rejected_within_a_second(call, mu):
 
 def test_largest_mu_is_still_summed():
     assert MU_MAX == 700.0
-    for k in (0, 2, 4, 6):
+    # k = 0 and 2 are closed forms, exactly 1/2 once e^-mu is below an ulp.
+    assert pseudo_fock_weight_ub(MU_MAX, 8, 0) == pseudo_fock_weight_ub(MU_MAX, 8, 2) == 0.5
+    for k in (4, 6):
         assert pseudo_fock_weight_ub(MU_MAX, 8, k) == _residue_series(MU_MAX, k, 2)
     assert pseudo_fock_weight(MU_MAX, 8, 3).weight == _residue_series(MU_MAX, 3, 8)
 
 
-class TestLogFactorialTable:
-    def test_entries_are_lgamma(self):
-        assert len(_LOG_FACTORIAL) == 171
-        assert all(v == math.lgamma(n + 1) for n, v in enumerate(_LOG_FACTORIAL))
+class TestIntegralK:
+    """k, and M, follow poisson_pmf's rule: an integral float is used as an
+    int, and anything else is a DomainError that names the parameter."""
 
-    @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 10.0, 150.0, 400.0, MU_MAX])
-    def test_even_tails_match_the_series(self, mu):
-        # From mu ~ 150 the terms run past n = 170, beyond the table.
-        assert list(_even_poisson_tails(mu)) == [
-            _residue_series(mu, k, 2) for k in (0, 2, 4, 6)]
+    @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight],
+                             ids=lambda f: f.__name__)
+    def test_integral_float_is_the_int(self, func):
+        # pseudo_fock_weight_ub(1e-3, 8, 2.0) once raised TypeError
+        assert func(1e-3, 8, 2.0) == func(1e-3, 8, 2)
+        assert func(1e-3, 8.0, 2) == func(1e-3, 8, 2)
+
+    @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight, poisson_pmf],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_non_integral_k_rejected(self, func, k):
+        # pseudo_fock_weight(1e-3, 8, 2.5) once returned a weight, 9.5e-9
+        args = (k,) if func is poisson_pmf else (8, k)
+        with pytest.raises(DomainError, match=r"\bk must be an integer"):
+            func(1e-3, *args)
+
+    @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight],
+                             ids=lambda f: f.__name__)
+    def test_non_integral_m_slices_rejected(self, func):
+        with pytest.raises(DomainError, match=r"\bm_slices must be an integer"):
+            func(1e-3, 8.5, 2)

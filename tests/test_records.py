@@ -49,10 +49,10 @@ SHORT_CIRCUIT_JSON = """\
     "vacuum_term": 7.126742730512596e-09,
     "multiphoton_term": 0.01380697790221408,
     "deviations": [
-      2.1627538922458584e-06,
-      2.5024889195442275e-09,
-      9.816923028607738e-13,
-      2.075363007309681e-16
+      2.1627538922458554e-06,
+      2.5024889195442237e-09,
+      9.816923028607742e-13,
+      2.075363007309683e-16
     ],
     "ep_m": 0.013809150286319875,
     "kato_delta": 0.0,

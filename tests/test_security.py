@@ -7,10 +7,12 @@ never shares code with the implementation.
 
 import dataclasses
 import inspect
+import json
 import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +28,7 @@ from pmqkd.ingest import (
     load_bundled_record,
     reproduce_key_rate,
 )
-from pmqkd.numerics import _residue_series, binary_entropy
+from pmqkd.numerics import binary_entropy, pseudo_fock_weight_ub
 from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
@@ -192,17 +194,42 @@ class TestDeviationBound:
 
     @pytest.mark.parametrize("m", [6, 8])
     def test_bit_identical_to_direct_expression(self, m):
-        # The cached factors must round exactly as the bound written out does.
+        # The cached factors must round exactly as the bound written out does:
+        # P_ub(k) / Q times mu^(M/2) sqrt(k! / (M+k)!).
         q = 3e-6
         for i in range(60):
             mu = 10 ** (-6 + 6.5 * i / 59)
             direct = [
-                (_residue_series(mu, k, 2) / q) * math.exp(0.5 * (
-                    math.lgamma(k + 1) + m * math.log(mu) - math.lgamma(m + k + 1)))
+                (pseudo_fock_weight_ub(mu, m, k) / q) * (
+                    mu ** (m // 2) * math.sqrt(math.factorial(k) / math.factorial(m + k)))
                 for k in range(0, m, 2)
             ]
             assert [deviation_bound(mu, m, k, q) for k in range(0, m, 2)] == direct
             assert list(phase_error_discrete(mu, m, q, 1e-6).deviations) == direct
+
+    def test_integral_float_k_is_the_int(self):
+        # deviation_bound(1e-3, 8, 2.0, 1e-5) once raised TypeError
+        assert deviation_bound(1e-3, 8, 2.0, 1e-5) == deviation_bound(1e-3, 8, 2, 1e-5)
+
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_non_integral_k_rejected(self, k):
+        with pytest.raises(DomainError, match=r"\bk must be an integer"):
+            deviation_bound(1e-3, 8, k, 1e-5)
+
+    def test_factors_within_four_ulps_of_60_digits(self):
+        # Each factor sqrt(k! mu^M / (M+k)!) over mu in [1e-12, 700], and the
+        # tails are pseudo_fock_weight_ub's, bit for bit.
+        rng = random.Random(21)
+        mus = [10 ** (-12 + 14.845 * i / 399) for i in range(400)]
+        mus += [10 ** rng.uniform(-12, math.log10(700.0)) for _ in range(400)]
+        for mu in [*mus, 1e-12, 0.5, 1.0, 700.0]:
+            for m in (6, 8):
+                factors = security._deviation_factors(mu, m)
+                assert len(factors) == m // 2
+                for k, (weight_ub, factor) in zip(range(0, m, 2), factors):
+                    assert weight_ub == pseudo_fock_weight_ub(mu, m, k)
+                    exact = mp.sqrt(mp.factorial(k) * mp.mpf(mu) ** m / mp.factorial(m + k))
+                    assert abs(factor / exact - 1) <= 4 * 2.0 ** -52, (mu, m, k)
 
 
 @pytest.mark.parametrize("call", [
@@ -819,6 +846,36 @@ class TestChainAgainstExtendedPrecision:
         assert res.e_b == pytest.approx(float(e_b), rel=1e-13)
         assert res.n_mu == pytest.approx(point[6], rel=1e-15)
         _assert_matches_frozen(res, frozen)
+
+
+REFERENCE_CURVES = Path(__file__).resolve().parent.parent / "benchmarks" / "reference_curves.json"
+
+
+class TestRecordedCurves:
+    """The benchmark's recorded curves still come out of the pipeline.
+
+    The curves gate of the benchmark holds each scanned rate to the pipeline
+    at its own (mu, p_s) within PIPELINE_RTOL = 1e-12 (benchmarks/workloads.py),
+    and to the recorded optimum; a change to the chain's arithmetic that moves
+    the pipeline past that tolerance fails it.  This reads the file only.
+    """
+
+    def test_every_keyed_point_within_pipeline_rtol(self):
+        curves = json.loads(REFERENCE_CURVES.read_text())["curves"]
+        budget = SecurityBudget()
+        keyed, moved = 0, []
+        for n_rounds, points in curves.items():
+            for distance, (mu, p_s, rate) in points.items():
+                if rate <= 0.0:
+                    continue
+                keyed += 1
+                channel = ChannelSpec(distance_km=float(distance), alpha_db_per_km=0.168)
+                pipe = expected_key_rate(channel, mu, m_slices=8, n_rounds=float(n_rounds),
+                                         p_s=p_s, budget=budget).rate
+                if not abs(rate - pipe) <= 1e-12 * abs(pipe):
+                    moved.append((n_rounds, distance, rate, pipe))
+        assert keyed == 1742
+        assert moved == []
 
 
 def _staged_rate(mu, m_slices, n_rounds, p_s, f, q_mu, e_b, n_mu, m_s, budget):
