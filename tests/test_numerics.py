@@ -214,8 +214,9 @@ class TestPseudoFockWeightUb:
         # cancel: each lies within 4 x 2^-52 of the exact tail over the whole
         # domain of mu.
         rng = random.Random(21)
-        mus = [10 ** (-12 + 14.845 * i / 399) for i in range(400)]
-        mus += [10 ** rng.uniform(-12, math.log10(MU_MAX)) for _ in range(400)]
+        top = math.log10(MU_MAX)  # 10 ** top rounds above it, so clip
+        mus = [min(10 ** (-12 + (top + 12) * i / 399), MU_MAX) for i in range(400)]
+        mus += [min(10 ** rng.uniform(-12, top), MU_MAX) for _ in range(400)]
         for mu in [*mus, 1e-12, 0.5, 1.0, MU_MAX]:
             mum = mp.mpf(mu)
             exact = {0: (1 + mp.exp(-2 * mum)) / 2, 2: mp.expm1(-mum) ** 2 / 2}

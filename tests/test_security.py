@@ -220,8 +220,9 @@ class TestDeviationBound:
         # Each factor sqrt(k! mu^M / (M+k)!) over mu in [1e-12, 700], and the
         # tails are pseudo_fock_weight_ub's, bit for bit.
         rng = random.Random(21)
-        mus = [10 ** (-12 + 14.845 * i / 399) for i in range(400)]
-        mus += [10 ** rng.uniform(-12, math.log10(700.0)) for _ in range(400)]
+        top = math.log10(700.0)  # 10 ** top rounds above it, so clip
+        mus = [min(10 ** (-12 + (top + 12) * i / 399), 700.0) for i in range(400)]
+        mus += [min(10 ** rng.uniform(-12, top), 700.0) for _ in range(400)]
         for mu in [*mus, 1e-12, 0.5, 1.0, 700.0]:
             for m in (6, 8):
                 factors = security._deviation_factors(mu, m)
