@@ -18,6 +18,7 @@ from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
     MU_MAX,
+    _even_tails,
     _residue_series,
     binary_entropy,
     poisson_pmf,
@@ -280,6 +281,26 @@ def test_largest_mu_is_still_summed():
     for k in (4, 6):
         assert pseudo_fock_weight_ub(MU_MAX, 8, k) == _residue_series(MU_MAX, k, 2)
     assert pseudo_fock_weight(MU_MAX, 8, 3).weight == _residue_series(MU_MAX, 3, 8)
+
+
+class TestLogFactorialTable:
+    """The even tails once came from one pass over a log-factorial table;
+    the kernel is now numerics._even_tails."""
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 10.0, 150.0, 400.0, MU_MAX])
+    def test_even_tails_match_the_series(self, mu):
+        # From mu ~ 150 the terms run past n = 170. k = 4 and 6 are the
+        # step-2 series to the last bit; k = 0 and 2 are closed forms within
+        # 4 ulps of the 60-digit tails, and within 1e-12 of the series,
+        # which drifts by a few hundred ulps at large mu.
+        tails = _even_tails(mu)
+        series = [_residue_series(mu, k, 2) for k in (0, 2, 4, 6)]
+        assert list(tails[2:]) == series[2:]
+        mum = mp.mpf(mu)
+        exact = [(1 + mp.exp(-2 * mum)) / 2, mp.expm1(-mum) ** 2 / 2]
+        for got, ref, ser in zip(tails[:2], exact, series[:2]):
+            assert abs(got / ref - 1) <= 4 * 2.0 ** -52, (mu, got, ref)
+            assert abs(got / ser - 1) <= 1e-12, (mu, got, ser)
 
 
 class TestIntegralK:
