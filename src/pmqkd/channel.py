@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import defaults
 from .errors import DomainError, UndefinedRateError
+from .numerics import _require_count
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,10 @@ class ChannelSpec:
             raise DomainError(f"ChannelSpec: e_d must be in [0, 0.5], got {self.e_d}")
         if self.alpha_db_per_km <= 0:
             raise DomainError("ChannelSpec: alpha_db_per_km must be positive")
-        if self.loss_db() < 0:
-            raise DomainError("ChannelSpec: channel loss must be nonnegative")
+        for name in ("total_loss_db", "distance_km"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise DomainError(f"ChannelSpec: {name} must be >= 0, got {value}")
 
     def loss_db(self) -> float:
         """Total channel attenuation in dB (excludes detector efficiency)."""
@@ -128,8 +131,7 @@ def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> 
     """
     if not 0.0 <= q_mu < math.inf:
         raise DomainError(f"expected_sifted: q_mu must be finite and >= 0, got {q_mu}")
-    if m_slices < 2:
-        raise DomainError(f"expected_sifted: m_slices must be >= 2, got {m_slices}")
+    m_slices = _require_count("expected_sifted", "m_slices", m_slices, least=2)
     if not 0.0 <= p_s <= 1.0:
         raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
     if not 0.0 <= n_rounds < math.inf:

@@ -87,9 +87,10 @@ class ExperimentRecord:
     source: str | None = None
 
     def __post_init__(self):
-        if self.loss_db <= 0:
-            raise DomainError(f"ExperimentRecord: loss_db must be > 0, got {self.loss_db}")
-        if self.tally.mu <= 0:
+        if not 0 < self.loss_db < math.inf:
+            raise DomainError(
+                f"ExperimentRecord: loss_db must be finite and > 0, got {self.loss_db}")
+        if not self.tally.mu > 0:
             raise DomainError(f"ExperimentRecord: mu must be > 0, got {self.tally.mu}")
 
 
@@ -258,8 +259,8 @@ def bundled_tally_path(loss_db: int):
     """Path to one of the packaged reference datasets (35, 40 or 45 dB)."""
     if loss_db not in defaults.BUNDLED_TALLIES:
         raise DomainError(
-            f"no bundled dataset for {loss_db} dB; available: "
-            f"{sorted(defaults.BUNDLED_TALLIES)}"
+            f"no bundled dataset: loss_db must be one of "
+            f"{sorted(defaults.BUNDLED_TALLIES)}, got {loss_db}"
         )
     return resources.files("pmqkd.data") / defaults.BUNDLED_TALLIES[loss_db]
 

@@ -5,10 +5,11 @@ P(k) = sum_l mu^(lM+k) e^-mu / (lM+k)!  that describe a weak coherent pulse
 under M-slice discrete phase randomization, together with their closed-form
 upper bounds for even k.
 
-All functions are pure and reentrant.  Factorial ratios go through log-gamma
-so nothing overflows past k ~ 170, and series are truncated only once a term
-drops below 1e-18 of the running sum (terms are positive and eventually
-decreasing, so the discarded tail is bounded by a geometric remainder).
+All functions are pure and reentrant.  poisson_pmf goes through log-gamma so
+nothing overflows past k ~ 170.  The residue series run a ratio recurrence
+from their first term, are truncated once a term drops below 1e-18 of the
+running sum with the rest bounded by a geometric remainder, and are rounded
+up by their own error bound, so none comes out below its exact value.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ _REL_TERM_FLOOR = 1e-18
 # term e^-mu is a normal double only up to mu ~ 708; beyond it the leading
 # terms underflow to 0 and the loop steps ~mu/2 times before a term counts.
 MU_MAX = 700.0
+
+# Largest number of phase slices pseudo_fock_weight sums over: mu^M and the
+# denominators (n+1)...(n+M) of the series stay finite up to MU_MAX.
+_SLICES_MAX = 64
+
+# Unit roundoff of a double, and its smallest subnormal.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = 2.0 ** -1074
+
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) = -x log2 x - (1-x) log2 (1-x), in bits.
@@ -54,6 +64,14 @@ def _require_integer(func: str, name: str, value: float) -> int:
     if not (math.isfinite(value) and int(value) == value):
         raise DomainError(f"{func}: {name} must be an integer, got {value}")
     return int(value)
+
+
+def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
+    """An integer >= least, by _require_integer's rule for an integral float."""
+    value = _require_integer(func, name, value)
+    if value < least:
+        raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
+    return value
 
 
 def poisson_pmf(mu: float, k: int) -> float:
@@ -88,23 +106,44 @@ class PseudoFockWeight:
 
 
 def _residue_series(mu: float, start: int, step: int) -> float:
-    """sum_{l>=0} mu^(start + l*step) e^-mu / (start + l*step)!.
+    """An upper bound on sum_{l>=0} e^-mu mu^n / n! over n = start + l*step.
 
-    Positive terms only; truncated once a term falls below 1e-18 of the
-    running sum.
+    The first term is e^-mu mu^start / start!; e^-mu is a normal double up to
+    MU_MAX, so no exp argument grows with n.  Each next term is the last one
+    times mu^step / ((n+1)...(n+step)), a ratio that falls with n.  Once a
+    term falls below 1e-18 of the sum, it and all later ones are bounded by
+    the geometric series in its ratio, which is below ~0.6 that far past the
+    largest term.  The later terms are summed apart from the first, so at
+    small mu, where the first dominates, their additions cost nothing.
+
+    The sum is rounded up by the recurrence's own error bound, in units of
+    u = 2^-53.  exp and pow add at most 2u each and every other operation at
+    most u: the first term carries 7u, each step 5u more (pow's mu^step, the
+    integer denominator's conversion, a division and a product), the
+    geometric remainder 8u more, and each addition u of the partial sum.  One
+    u goes to adding the first term, one to adding the bound, and one covers
+    the terms in u^2.  Results below the normal range carry at most 2^-1074
+    per operation on top.
+
+    Needs a finite mu > 0 and start, step <= _SLICES_MAX; callers validate.
     """
-    log_mu = math.log(mu)
-    total = 0.0
+    mu_step = mu ** step
+    first = math.exp(-mu) * mu ** start / math.factorial(start)
+    rest = 0.0
+    term = first
     n = start
-    while True:
-        term = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
-        total += term
-        if total > 0.0 and term < _REL_TERM_FLOOR * total:
-            break
-        if term == 0.0 and n > mu:
-            break  # below double range; remaining terms are smaller still
+    while term > 0.0:
+        ratio = mu_step / math.perm(n + step, step)
+        term *= ratio
         n += step
-    return total
+        if term < _REL_TERM_FLOOR * (first + rest):
+            rest += term / (1.0 - ratio)
+            break
+        rest += term
+    total = first + rest
+    roundings = 15.0 + 6.0 * ((n - start) // step)  # per later term, and additions
+    bound = 7.0 * first + roundings * rest + 3.0 * total
+    return total + _UNIT_ROUNDOFF * bound + roundings * _TINY
 
 
 def _even_tails(mu: float) -> tuple[float, float, float, float]:
@@ -125,13 +164,16 @@ def _even_tails(mu: float) -> tuple[float, float, float, float]:
 def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
     """Series weight sum_{l>=0} mu^(lM+k) e^-mu / (lM+k)!.
 
-    Truncates when a term falls below 1e-18 of the running sum.
+    Summed by _residue_series, so never below the exact weight and within
+    ~1e-12 of it; m_slices may be at most 64.
     """
     _require_mu("pseudo_fock_weight", mu)
     m_slices = _require_integer("pseudo_fock_weight", "m_slices", m_slices)
     k = _require_integer("pseudo_fock_weight", "k", k)
-    if m_slices < 2:
-        raise DomainError(f"pseudo_fock_weight: m_slices must be >= 2, got {m_slices}")
+    if not 2 <= m_slices <= _SLICES_MAX:
+        raise DomainError(
+            f"pseudo_fock_weight: m_slices must be in [2, {_SLICES_MAX}], got {m_slices}"
+        )
     if not 0 <= k < m_slices:
         raise DomainError(
             f"pseudo_fock_weight: k must satisfy 0 <= k < m_slices, got k={k}, M={m_slices}"
@@ -153,7 +195,8 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
     k = 0 and 2 are evaluated in closed form (k = 2 in its expm1 form), which
     cancels nothing.  The k = 4 and 6 forms cancel catastrophically in doubles
     once the tail is below ~1e-13, which would break the dominance guarantee,
-    so those tails are evaluated as their positive term series.
+    so those tails are evaluated as their positive term series, rounded up
+    by _residue_series.
 
     Supported for k in {0, 2, 4, 6} with even m_slices >= k + 2; the step-2
     relaxation requires every index lM + k to be even.
@@ -166,9 +209,7 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
             f"pseudo_fock_weight_ub: m_slices must be even, got {m_slices}"
         )
     if k not in (0, 2, 4, 6):
-        raise DomainError(
-            f"pseudo_fock_weight_ub: only k in {{0, 2, 4, 6}} is supported, got {k}"
-        )
+        raise DomainError(f"pseudo_fock_weight_ub: k must be 0, 2, 4 or 6, got {k}")
     if m_slices < k + 2:
         raise DomainError(
             f"pseudo_fock_weight_ub: need m_slices >= k + 2, got M={m_slices}, k={k}"

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from . import defaults
 from .channel import ChannelSpec
 from .errors import DomainError
-from .numerics import MU_MAX
+from .numerics import MU_MAX, _require_count
 from .pipeline import expected_key_rate
 from .security import KeyRateResult, SecurityBudget
 
@@ -127,6 +127,7 @@ def optimize(
         bounds = SearchBounds()
     if fixed_p_s is not None and not 0.0 < fixed_p_s < 1.0:
         raise DomainError(f"optimize: fixed_p_s must be in (0, 1), got {fixed_p_s}")
+    _require_count("optimize", "seed", seed)
 
     trace: list[tuple[float, float, float]] = []
 

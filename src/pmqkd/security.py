@@ -15,12 +15,9 @@ messages and in the order the stages would reach them, and then the same
 kernels.  So a chain evaluation computes the Chernoff parameter
 beta = ln(1/eps) and e^-mu once each, and builds one breakdown.
 
-The deviation factors depend on (mu, M) alone, and a scan or an optimizer
-asks for the same mu values again and again, so they are kept in a bounded
-cache (:func:`_deviation_factors`).  A cached value is a pure function of
-its key and the cache changes no result, so every operation stays a pure
-function of its arguments; a full key-rate evaluation is a value-in/value-out
-computation that can run in parallel across parameter grid points.
+Every operation is a pure function of its arguments: a full key-rate
+evaluation is a value-in/value-out computation that can run in parallel
+across parameter grid points.
 
 A chain evaluation returns three audit records, :class:`KeyRateResult`,
 :class:`PhaseErrorBreakdown` and :class:`KatoCoefficients`.  They are
@@ -33,7 +30,6 @@ stays a frozen dataclass with its checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -41,10 +37,6 @@ from typing import NamedTuple
 from . import defaults
 from .errors import DomainError
 from .numerics import _even_tails, _require_integer, _require_mu, binary_entropy
-
-# Holds the 50 grid mu values of the optimizer, which recur at every point
-# of a scan, with room for several points' refinement values beside them.
-_DEVIATION_CACHE_SIZE = 128
 
 # sqrt(k! / (M+k)!) for each even k < M: a deviation factor over mu^(M/2).
 _FACTORIAL_ROOTS = {
@@ -123,6 +115,12 @@ def _check_nonnegative(stage: str, name: str, value: float) -> None:
         raise DomainError(f"{stage}: {name} must be >= 0, got {value}")
 
 
+def _check_finite_nonnegative(stage: str, name: str, value: float) -> None:
+    _check_nonnegative(stage, name, value)
+    if value == math.inf:
+        raise DomainError(f"{stage}: {name} must be finite, got {value}")
+
+
 def _check_rounds(stage: str, n_rounds: float) -> None:
     if not math.isfinite(n_rounds):
         raise DomainError(f"{stage}: n_rounds must be finite, got {n_rounds}")
@@ -153,7 +151,7 @@ def chernoff_expected_ub(x: float, eps: float) -> float:
 
     phi(x) = x + beta + sqrt(2 beta x + beta^2) with beta = ln(1/eps).
     """
-    _check_nonnegative("chernoff_expected_ub", "x", x)
+    _check_finite_nonnegative("chernoff_expected_ub", "x", x)
     return _expected_ub(x, _beta(eps))
 
 
@@ -162,7 +160,7 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 
     Phi(x) = x + beta/2 + sqrt(2 beta x + beta^2 / 4).
     """
-    _check_nonnegative("chernoff_observed_ub", "x_star", x_star)
+    _check_finite_nonnegative("chernoff_observed_ub", "x_star", x_star)
     return _observed_ub(x_star, _beta(eps))
 
 
@@ -216,7 +214,6 @@ def _even_photon_terms(
     return vacuum, multi
 
 
-@functools.lru_cache(maxsize=_DEVIATION_CACHE_SIZE)
 def _deviation_factors(mu: float, m_slices: int) -> tuple[tuple[float, float], ...]:
     """(P_ub(k), sqrt(k! mu^M / (M+k)!)) for each even k < M, in order of k.
 
@@ -295,7 +292,7 @@ def phase_error_discrete(
     _check_slices("phase_error_discrete", m_slices)
     _require_mu("phase_error_discrete", mu)
     _check_gain(q_mu)
-    _check_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
+    _check_finite_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
     return PhaseErrorBreakdown(
         *_phase_error_terms(mu, math.exp(-mu), m_slices, q_mu, y0_bar))
 

@@ -27,10 +27,11 @@ batch_size) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
+from .numerics import _require_count
 
 DEFAULT_BATCH_SIZE = 10**10
 
@@ -58,8 +59,7 @@ class ProtocolParams:
             )
         if not 0.0 < self.p_s < 1.0:
             raise DomainError(f"ProtocolParams: p_s must be in (0, 1), got {self.p_s}")
-        if self.n_rounds < 1:
-            raise DomainError("ProtocolParams: n_rounds must be >= 1")
+        _require_count("ProtocolParams", "n_rounds", self.n_rounds, least=1)
 
 
 @dataclass
@@ -89,6 +89,21 @@ class ObservedTally:
     n_sifted: int | None = None
     seed: int | None = None
     counts_include_test: bool = True
+
+    def __post_init__(self):
+        # The counts are integers: an integral float such as 1e11 is stored as an int.
+        self.m_slices = _require_count("ObservedTally", "m_slices", self.m_slices, least=2)
+        self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
+        if not 0.0 <= self.mu < math.inf:
+            raise DomainError(f"ObservedTally: mu must be finite and >= 0, got {self.mu}")
+        if not 0.0 < self.p_s < 1.0:
+            raise DomainError(f"ObservedTally: p_s must be in (0, 1), got {self.p_s}")
+        self.n_det = _require_count("ObservedTally", "n_det", self.n_det)
+        self.n_double = _require_count("ObservedTally", "n_double", self.n_double)
+        for name in ("m_s", "n_sifted", "seed"):  # None when unknown
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _require_count("ObservedTally", name, value))
 
     def total_matched(self) -> int:
         return sum(self.matched.values())
@@ -128,15 +143,18 @@ class ObservedTally:
         merged = dict(self.matched)
         for key, count in other.matched.items():
             merged[key] = merged.get(key, 0) + count
-        return replace(
-            self,
-            n_rounds=self.n_rounds + other.n_rounds,
-            n_det=self.n_det + other.n_det,
-            n_double=self.n_double + other.n_double,
-            matched=merged,
-            m_s=_sum_known(self.m_s, other.m_s),
-            n_sifted=_sum_known(self.n_sifted, other.n_sifted),
-            seed=self.seed if self.seed == other.seed else None,
+        return ObservedTally(
+            self.m_slices,
+            self.n_rounds + other.n_rounds,
+            self.mu,
+            self.p_s,
+            self.n_det + other.n_det,
+            self.n_double + other.n_double,
+            merged,
+            _sum_known(self.m_s, other.m_s),
+            _sum_known(self.n_sifted, other.n_sifted),
+            self.seed if self.seed == other.seed else None,
+            self.counts_include_test,
         )
 
 
@@ -185,36 +203,48 @@ def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
     return probs
 
 
-def _simulate_batch(params: ProtocolParams, probs: np.ndarray, seed: int,
-                    batch_index: int, batch_rounds: int) -> ObservedTally:
+def _rekey(bit_generator, seed: int, batch_index: int) -> None:
+    """Set a Philox generator to the stream of key (seed, batch_index) at counter 0,
+    the state a fresh ``Philox(key=[seed, batch_index])`` starts in."""
     import numpy as np
 
-    m = params.m_slices
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
-    )
-    counts = rng.multinomial(batch_rounds, probs)
-    # Sifted rounds, then test rounds, each indexed by (pair, detector).
-    sifted, test = counts[: 8 * m].reshape(2, 2 * m, 2)
-    per_det = sifted + test
-    # Errors are D2 clicks at delta = 0 (first m pairs), D1 clicks at delta = pi.
-    m_s = test[:m, 1].sum() + test[m:, 0].sum()
-    matched = {
-        (a, b, det + 1): int(per_det[j, det])
-        for j, (a, b) in enumerate(_matched_pairs(m))
-        for det in (0, 1)
-        if per_det[j, det]
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, batch_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
     }
+
+
+def _simulate_batch(params: ProtocolParams, probs: np.ndarray, keys: list,
+                    rng: np.random.Generator, seed: int, batch_index: int,
+                    batch_rounds: int) -> ObservedTally:
+    """One batch: a multinomial draw on the stream of (seed, batch_index).
+
+    keys are the (a, b, detector) of each matched single click, in the order
+    of :func:`_outcome_probabilities`.
+    """
+    m = params.m_slices
+    _rekey(rng.bit_generator, seed, batch_index)
+    counts = rng.multinomial(batch_rounds, probs).tolist()
+    # Sifted rounds, then test rounds, each indexed by (pair, detector).
+    sifted, test = counts[: 4 * m], counts[4 * m: 8 * m]
+    per_det = [a + b for a, b in zip(sifted, test)]
+    # Errors are D2 clicks at delta = 0 (first m pairs), D1 clicks at delta = pi.
+    m_s = sum(test[1: 2 * m: 2]) + sum(test[2 * m:: 2])
     return ObservedTally(
         m_slices=m,
         n_rounds=batch_rounds,
         mu=params.mu,
         p_s=params.p_s,
-        n_det=int(per_det.sum() + counts[8 * m]),
-        n_double=int(counts[8 * m + 1]),
-        matched=matched,
-        m_s=int(m_s),
-        n_sifted=int(sifted.sum()),
+        n_det=sum(per_det) + counts[8 * m],
+        n_double=counts[8 * m + 1],
+        matched={key: count for key, count in zip(keys, per_det) if count},
+        m_s=m_s,
+        n_sifted=sum(sifted),
         seed=seed,
     )
 
@@ -227,17 +257,23 @@ def simulate(
     """Run the protocol for params.n_rounds rounds.
 
     Deterministic for fixed (params, seed, batch_size).  Batches are drawn
-    in this process, one after another.
+    in this process, one after another, each from one Philox generator
+    re-keyed to (seed, batch index).
     """
-    if batch_size < 1:
-        raise DomainError("simulate: batch_size must be >= 1")
+    import numpy as np
+
+    seed = _require_count("simulate", "seed", seed)
+    if seed >= 2**64:  # a Philox key word
+        raise DomainError(f"simulate: seed must be < 2**64, got {seed}")
+    batch_size = _require_count("simulate", "batch_size", batch_size, least=1)
     n = int(params.n_rounds)
     probs = _outcome_probabilities(params)
-    total = _simulate_batch(params, probs, seed, 0, min(batch_size, n))
+    keys = [(a, b, det) for a, b in _matched_pairs(params.m_slices) for det in (1, 2)]
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw
+    total = _simulate_batch(params, probs, keys, rng, seed, 0, min(batch_size, n))
     for i in range(1, (n + batch_size - 1) // batch_size):
-        total = total.merge(
-            _simulate_batch(params, probs, seed, i, min(batch_size, n - i * batch_size))
-        )
+        total = total.merge(_simulate_batch(
+            params, probs, keys, rng, seed, i, min(batch_size, n - i * batch_size)))
     return total
 
 
@@ -266,6 +302,8 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     :func:`pmqkd.ingest.parse_tally_csv` reads a file back to an equal
     tally, its counting convention included.
     """
+    if not 0.0 < loss_db < math.inf:
+        raise DomainError(f"write_tally_csv: loss_db must be finite and > 0, got {loss_db}")
     lines = []
     lines.append(f"# loss_db={loss_db!r}")
     lines.append(f"# N={tally.n_rounds}")

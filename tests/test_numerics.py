@@ -51,6 +51,33 @@ def oracle_pseudo_fock(mu: float, m: int, k: int, terms: int = 100) -> float:
     return float(total)
 
 
+def oracle_series(mu: float, start: int, step: int) -> mp.mpf:
+    """sum_{l>=0} e^-mu mu^n / n! over n = start + l*step at 60 digits,
+    until a term past mu is below 1e-62 of the sum."""
+    mum, floor = mp.mpf(mu), mp.mpf(10) ** -62
+    mu_step = mum**step
+    term = mp.exp(-mum) * mum**start / mp.factorial(start)
+    total = mp.mpf(0)
+    n = start
+    while True:
+        total += term
+        if n > mu and term < total * floor:
+            return total
+        term *= mu_step / math.perm(n + step, step)
+        n += step
+
+
+def mu_grid(seed: int, count: int) -> list[float]:
+    """count mu values in [1e-12, MU_MAX], half log-spaced and half drawn
+    log-uniformly, plus the ends and 0.5, 1 and 642."""
+    rng = random.Random(seed)
+    top = math.log10(MU_MAX)  # 10 ** top rounds above it, so clip
+    half = count // 2
+    mus = [min(10 ** (-12 + (top + 12) * i / (half - 1)), MU_MAX) for i in range(half)]
+    mus += [min(10 ** rng.uniform(-12, top), MU_MAX) for _ in range(count - half)]
+    return [*mus, 1e-12, 0.5, 1.0, 642.0, MU_MAX]
+
+
 class TestBinaryEntropy:
     def test_symmetry_maximum(self):
         assert binary_entropy(0.5) == 1.0
@@ -154,10 +181,25 @@ class TestPseudoFockWeight:
         w = pseudo_fock_weight(mu, m, k).weight
         assert w >= poisson_pmf(mu, k) - 1e-18
 
-    @pytest.mark.parametrize("mu,m,k", [(1.0, 1, 0), (1.0, 8, 8), (1.0, 8, -1), (-0.5, 8, 0)])
+    @pytest.mark.parametrize("mu,m,k", [(1.0, 1, 0), (1.0, 8, 8), (1.0, 8, -1), (-0.5, 8, 0),
+                                        (1.0, 65, 0)])
     def test_domain(self, mu, m, k):
         with pytest.raises(DomainError):
             pseudo_fock_weight(mu, m, k)
+
+    def test_never_below_and_within_1e12_of_60_digits(self):
+        # The weight is its series rounded up by the recurrence's error bound.
+        for mu in mu_grid(23, 200):
+            for m in (6, 8):
+                for k in range(m):
+                    exact = oracle_series(mu, k, m)
+                    got = pseudo_fock_weight(mu, m, k).weight
+                    assert exact <= got <= exact * (1 + mp.mpf(1e-12)), (mu, m, k)
+
+    def test_most_slices_at_the_largest_mu(self):
+        # mu^M and the denominators stay finite at M = 64 up to MU_MAX.
+        total = math.fsum(pseudo_fock_weight(MU_MAX, 64, k).weight for k in range(64))
+        assert abs(total - 1.0) <= 1e-12
 
 
 class TestPseudoFockWeightUb:
@@ -225,6 +267,22 @@ class TestPseudoFockWeightUb:
                 for k in (0, 2):
                     got = pseudo_fock_weight_ub(mu, m, k)
                     assert abs(got / exact[k] - 1) <= 4 * 2.0 ** -52, (mu, m, k)
+
+    def test_series_tails_never_below_60_digits(self):
+        # P_ub(4) and P_ub(6) are the step-2 series rounded up by the
+        # recurrence's error bound: never below the exact tail, within 8 ulps
+        # (of 2^-52) of it over the curves' mu range, and within 1e-12
+        # anywhere.  The log-domain series they replaced came out below the
+        # tail at 318 and 471 of 800 mu values, and 106 ulps off at 1e-6..0.1.
+        for mu in mu_grid(22, 800):
+            for k in (4, 6):
+                exact = oracle_series(mu, k, 2)
+                got = pseudo_fock_weight_ub(mu, 8, k)
+                rel = (mp.mpf(got) - exact) / exact
+                assert rel >= 0, (mu, k, float(rel))
+                assert rel <= 1e-12, (mu, k, float(rel))
+                if 1e-6 <= mu <= 0.1:
+                    assert rel <= 8 * 2.0 ** -52, (mu, k, float(rel) / 2.0 ** -52)
 
     @pytest.mark.parametrize("m,k", [(8, 1), (8, 3), (8, 8), (7, 0), (6, 6), (4, 4)])
     def test_domain(self, m, k):

@@ -52,7 +52,7 @@ SHORT_CIRCUIT_JSON = """\
       2.1627538922458554e-06,
       2.5024889195442237e-09,
       9.816923028607742e-13,
-      2.075363007309683e-16
+      2.0753630073096854e-16
     ],
     "ep_m": 0.013809150286319875,
     "kato_delta": 0.0,

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pmqkd
 from pmqkd.channel import ChannelSpec, expected_sifted, gain, qber, transmittance
 from pmqkd import security
 from pmqkd.errors import DomainError
@@ -29,10 +30,8 @@ from pmqkd.ingest import (
     reproduce_key_rate,
 )
 from pmqkd.numerics import binary_entropy, pseudo_fock_weight_ub
-from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
-    _deviation_factors,
     KatoCoefficients,
     SecurityBudget,
     chernoff_expected_ub,
@@ -284,32 +283,6 @@ def test_large_intensity_rejected_within_a_second(call, mu):
     message, elapsed = proc.stdout.splitlines()
     assert message.endswith(f"mu must be finite and in [0, 700], got {float(mu)}")
     assert float(elapsed) < 1.0
-
-
-class TestDeviationCache:
-    """The (mu, M) factors are cached; no result may depend on the cache."""
-
-    @staticmethod
-    def _curve_point(distance_km):
-        return optimize(ChannelSpec(distance_km=distance_km, alpha_db_per_km=0.168),
-                        1e12, 8, fixed_p_s=0.07)
-
-    def test_warm_cache_changes_no_optimum(self):
-        _deviation_factors.cache_clear()
-        cold = self._curve_point(200.0)
-        for d in range(10, 340, 10):  # a 33-point scan
-            self._curve_point(float(d))
-        warm = self._curve_point(200.0)
-        assert warm.trace == cold.trace
-        assert warm.result == cold.result
-        assert _deviation_factors.cache_info().hits > 0
-
-    def test_stays_bounded_over_a_long_scan(self):
-        _deviation_factors.cache_clear()
-        for i in range(661):  # 10-340 km in 0.5 km steps
-            self._curve_point(10.0 + 0.5 * i)
-        info = _deviation_factors.cache_info()
-        assert info.currsize <= info.maxsize
 
 
 class TestPhaseErrorDiscrete:
@@ -982,6 +955,103 @@ _STAGE_ARGS = dict(
 )
 
 
+# The names of pmqkd.__all__ the generated guard does not call, and why.
+_UNGUARDED = {
+    **dict.fromkeys(
+        ["DomainError", "NoDataError", "PmqkdError", "SchemaError", "UndefinedRateError"],
+        "an exception class, built from a message"),
+    **dict.fromkeys(
+        ["KatoCoefficients", "KeyRateResult", "PhaseErrorBreakdown", "PseudoFockWeight",
+         "OptimizationResult"],
+        "a result record built by the package from checked inputs; it holds NaN "
+        "where a bound overflowed"),
+    **dict.fromkeys(
+        ["SearchBounds", "compose_epsilons", "derive_observables", "kato_epsilon",
+         "parse_tally_csv", "tally_to_stats", "transmittance"],
+        "no float or int parameter: it reads a record or a path"),
+}
+
+# Valid values by parameter name for the public callables, over _STAGE_ARGS.
+_CHANNEL = ChannelSpec(total_loss_db=40.0)
+_PUBLIC_ARGS = dict(
+    _STAGE_ARGS, channel=_CHANNEL, spec=_CHANNEL, eta=1e-3, p_d=1e-8, e_d=0.01,
+    eta_d=0.56, alpha_db_per_km=0.168, total_loss_db=40.0, seed=1, batch_size=10**6,
+    loss_db=45.0, n_det=100, n_double=0, k=2, n_rounds=1e6, budget=None,
+)
+
+# Valid values where the by-name one does not fit, per callable or per
+# "callable.parameter" guarded.
+_PUBLIC_OVERRIDES = {
+    "ChannelSpec.distance_km": dict(total_loss_db=None, distance_km=100.0),
+    "ObservedTally": dict(m_s=5, n_sifted=50, seed=1),
+    "load_bundled_record": dict(loss_db=45),
+    "optimize": dict(fixed_p_s=0.07),
+    "binary_entropy": dict(x=0.25),
+    "key_length": dict(budget=SecurityBudget()),
+    "finite_key_rate": dict(budget=SecurityBudget()),
+}
+
+# (callable, parameter, value) pairs accepted by design.
+_ACCEPTED = {
+    # An infinite phase error is a vacuous bound: it floors the key at 0.
+    ("key_length", "ep_m_bar", math.inf),
+}
+
+
+def _public_numeric_parameters():
+    """(name, [(param, "float" or "int"), ...]) for each guarded public callable."""
+    out = []
+    for name, func in _public_callables():
+        params = []
+        for param, spec in inspect.signature(func).parameters.items():
+            kind = str(spec.annotation).split(" |")[0]
+            if kind in ("float", "int"):
+                params.append((param, kind))
+        out.append((name, params))
+    return out
+
+
+def _public_callables():
+    return [(name, getattr(pmqkd, name)) for name in sorted(pmqkd.__all__)
+            if name not in _UNGUARDED]
+
+
+def _public_kwargs(name, func, tmp_path, guarded):
+    """A valid keyword call of a public callable, to guard one parameter in."""
+    overrides = {**_PUBLIC_OVERRIDES.get(name, {}),
+                 **_PUBLIC_OVERRIDES.get(f"{name}.{guarded}", {})}
+    kw = {}
+    for param, spec in inspect.signature(func).parameters.items():
+        if param in overrides:
+            kw[param] = overrides[param]
+        elif param in _PUBLIC_ARGS:
+            kw[param] = _PUBLIC_ARGS[param]
+        elif param == "path":
+            kw[param] = str(tmp_path / "tally.csv")
+        elif param == "record":
+            kw[param] = load_bundled_record(45)
+        elif param == "tally":
+            kw[param] = load_bundled_record(45).tally
+        elif param == "params":
+            kw[param] = ProtocolParams(mu=1e-3, m_slices=8, n_rounds=10**6, p_s=0.07,
+                                       channel=_CHANNEL)
+        elif spec.default is inspect.Parameter.empty:
+            raise KeyError(f"no valid value for {name}.{param}")
+    return kw
+
+
+def _public_bad_values():
+    """(name, param, value) for NaN, +-inf and -1 in each float or int
+    parameter of each guarded public callable, and 2.5 in each int one."""
+    cases = []
+    for name, params in _public_numeric_parameters():
+        for param, kind in params:
+            values = [math.nan, math.inf, -math.inf, -1.0] + ([2.5] if kind == "int" else [])
+            cases += [pytest.param(name, param, v, id=f"{name}.{param}={v}")
+                      for v in values if (name, param, v) not in _ACCEPTED]
+    return cases
+
+
 def _stage_float_parameters():
     """(stage, parameter) for each float parameter of each public stage function.
 
@@ -1015,6 +1085,30 @@ class TestNaNNamesTheParameter:
         stage(**kw)  # the valid point passes
         with pytest.raises(DomainError, match=rf"\b{name} must"):
             stage(**dict(kw, **{name: math.nan}))
+
+    def test_covers_the_public_api(self):
+        # Every name of pmqkd.__all__ is guarded or set aside with a reason.
+        guarded = {name for name, _ in _public_callables()}
+        assert guarded.isdisjoint(_UNGUARDED)
+        assert guarded | set(_UNGUARDED) == set(pmqkd.__all__)
+
+    @pytest.mark.parametrize("name,param,value", _public_bad_values())
+    def test_bad_value_rejected_by_name(self, name, param, value, tmp_path):
+        func = getattr(pmqkd, name)
+        kw = _public_kwargs(name, func, tmp_path, param)
+        func(**kw)  # the valid point passes
+        with pytest.raises(DomainError, match=rf"\b{param} must"):
+            func(**dict(kw, **{param: value}))
+
+    @pytest.mark.parametrize("name,param", [
+        (name, param) for name, params in _public_numeric_parameters()
+        for param, kind in params if kind == "int"
+    ], ids=lambda v: v)
+    def test_integral_float_accepted(self, name, param, tmp_path):
+        # m_slices=8.0 is 8: an integral float is used as an int.
+        func = getattr(pmqkd, name)
+        kw = _public_kwargs(name, func, tmp_path, param)
+        func(**dict(kw, **{param: float(kw[param])}))
 
 
 class TestMoreErrorsNeverRaiseRate:

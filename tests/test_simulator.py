@@ -11,11 +11,13 @@ from scipy import stats
 
 from pmqkd.channel import ChannelSpec, gain, qber, transmittance
 from pmqkd.errors import DomainError, NoDataError
+from pmqkd.ingest import ExperimentRecord
 from pmqkd.simulator import (
     ObservedTally,
     ProtocolParams,
     _matched_pairs,
     _outcome_probabilities,
+    _rekey,
     simulate,
     tally_to_stats,
     write_tally_csv,
@@ -49,6 +51,49 @@ class TestParamsValidation:
         fields[name] = value
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             ProtocolParams(**fields)
+
+
+class TestRecordsRejectBadFields:
+    """Each record fails at its constructor, naming the field."""
+
+    def test_experiment_record_nan_loss(self):
+        # nan <= 0 is false, so a NaN loss was once accepted
+        tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07)
+        with pytest.raises(DomainError, match=r"\bloss_db must"):
+            ExperimentRecord(loss_db=math.nan, tally=tally)
+
+    def test_tally_nan_mu(self):
+        with pytest.raises(DomainError, match=r"\bmu must"):
+            ObservedTally(m_slices=8, n_rounds=1000, mu=math.nan, p_s=0.07)
+
+    def test_tally_nan_p_s_and_negative_n_det(self):
+        with pytest.raises(DomainError, match=r"\bp_s must"):
+            ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=math.nan, n_det=-5)
+        with pytest.raises(DomainError, match=r"\bn_det must"):
+            ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=-5)
+
+    def test_integral_float_counts_are_ints(self):
+        tally = ObservedTally(m_slices=8.0, n_rounds=1e11, mu=1e-3, p_s=0.07, n_det=4.0,
+                              m_s=2.0)
+        assert (tally.m_slices, tally.n_rounds, tally.n_det, tally.m_s) == (8, 10**11, 4, 2)
+        assert all(type(v) is int for v in (tally.m_slices, tally.n_rounds, tally.n_det))
+
+
+class TestRekeyedStream:
+    @pytest.mark.parametrize("seed,index", [(0, 0), (3, 1), (123, 4), (2**40 + 5, 17),
+                                            (2**64 - 1, 2**63)])
+    def test_equals_a_fresh_philox(self, seed, index):
+        # One generator, re-keyed between batches, draws what a new
+        # Philox(key=[seed, index]) draws, also after another stream was used.
+        rng = np.random.Generator(np.random.Philox(0))
+        rng.random(7)
+        _rekey(rng.bit_generator, seed, index)
+        fresh = np.random.Generator(
+            np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        assert np.array_equal(rng.random(9), fresh.random(9))
+        assert np.array_equal(rng.multinomial(10**9, [0.1, 0.2, 0.7]),
+                              fresh.multinomial(10**9, [0.1, 0.2, 0.7]))
+        assert rng.integers(2**62) == fresh.integers(2**62)
 
 
 class TestDeterminism:
