@@ -15,8 +15,10 @@ runs, medians and quartiles, the pairs the change won (ties count for
 neither), the relative change of the median, whether the change stays
 within the metric's bound, and whether it shows a gain: won at least nine
 tenths of the pairs, with the medians further apart than the parent's
-quartiles.  The output defaults to BENCH_<change commit>.json in the
-current directory.
+quartiles.  Beside them it carries each run's operation count (the
+record's extra.samples), since the harness keeps records per operation and
+peak_rss_mb grows with their number.  The output defaults to
+BENCH_<change commit>.json in the current directory.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ def summarise(parent: dict, change: dict, parent_first: dict) -> dict:
             "parent_first": [parent_first[k] for k in keys if k[0] == name],
             "failed": {"parent": sum(p["result"]["failed"] for p, _ in pairs),
                        "change": sum(c["result"]["failed"] for _, c in pairs)},
+            "operations": {side: spread([r["extra"]["samples"] for r in runs])
+                           for side, runs in zip(("parent", "change"), zip(*pairs))},
             "metrics": {},
         }
         for metric in spec["end_to_end"]:
@@ -141,9 +145,12 @@ def main(argv: list[str] | None = None) -> int:
     output.write_text(json.dumps(summary, indent=1) + "\n")
     for name, entry in summary["workloads"].items():
         for metric, m in entry["metrics"].items():
+            ops = entry["operations"]
             print(f"{name}.{metric}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
                   f"({m['median_change']:+.1%}), won {m['pairs_won']}/{len(entry['seeds'])}, "
-                  f"gain shown {m['gain_shown']}, within bound {m['within_bound']}")
+                  f"gain shown {m['gain_shown']}, within bound {m['within_bound']}"
+                  + (f"; operations per run {ops['parent']['median']:.6g} -> "
+                     f"{ops['change']['median']:.6g}" if metric == "peak_rss_mb" else ""))
     return 0
 
 

@@ -110,20 +110,22 @@ def _residue_series(mu: float, start: int, step: int) -> float:
 
     The first term is e^-mu mu^start / start!; e^-mu is a normal double up to
     MU_MAX, so no exp argument grows with n.  Each next term is the last one
-    times mu^step / ((n+1)...(n+step)), a ratio that falls with n.  Once a
-    term falls below 1e-18 of the sum, it and all later ones are bounded by
-    the geometric series in its ratio, which is below ~0.6 that far past the
-    largest term.  The later terms are summed apart from the first, so at
-    small mu, where the first dominates, their additions cost nothing.
+    times mu^step / ((n+1)...(n+step)), a ratio that falls with n, so past
+    the largest term what is left after a term is at most term * r / (1 - r)
+    in its ratio r.  The sum stops once that geometric remainder is below
+    1e-18 of the sum, and adds it.  The later terms are summed apart from the
+    first, so at small mu, where the first dominates, their additions cost
+    nothing.
 
     The sum is rounded up by the recurrence's own error bound, in units of
     u = 2^-53.  exp and pow add at most 2u each and every other operation at
     most u: the first term carries 7u, each step 5u more (pow's mu^step, the
     integer denominator's conversion, a division and a product), the
-    geometric remainder 8u more, and each addition u of the partial sum.  One
-    u goes to adding the first term, one to adding the bound, and one covers
-    the terms in u^2.  Results below the normal range carry at most 2^-1074
-    per operation on top.
+    remainder at most 12u more (its ratio is below ~0.6 where the sum
+    stops), and each addition u of the partial sum.  One u goes to adding
+    the first term, one to adding the bound, and one covers the terms in
+    u^2.  Results below the normal range carry at most 2^-1074 per
+    operation on top.
 
     Needs a finite mu > 0 and start, step <= _SLICES_MAX; callers validate.
     """
@@ -133,16 +135,18 @@ def _residue_series(mu: float, start: int, step: int) -> float:
     term = first
     n = start
     while term > 0.0:
-        ratio = mu_step / math.perm(n + step, step)
-        term *= ratio
         n += step
-        if term < _REL_TERM_FLOOR * (first + rest):
-            rest += term / (1.0 - ratio)
-            break
+        ratio = mu_step / math.perm(n, step)  # (n-step+1)...n
+        term *= ratio
         rest += term
+        left = term * ratio  # what is left after term is at most left / (1 - ratio)
+        if left < _REL_TERM_FLOOR * (first + rest) * (1.0 - ratio):
+            rest += left / (1.0 - ratio)
+            break
+    # Roundings per later term, with the additions into rest.
+    roundings = 20.0 + 6.0 * ((n - start) // step)
     total = first + rest
-    roundings = 15.0 + 6.0 * ((n - start) // step)  # per later term, and additions
-    bound = 7.0 * first + roundings * rest + 3.0 * total
+    bound = 10.0 * first + (roundings + 3.0) * rest
     return total + _UNIT_ROUNDOFF * bound + roundings * _TINY
 
 

@@ -214,14 +214,15 @@ def _even_photon_terms(
     return vacuum, multi
 
 
-def _deviation_factors(mu: float, m_slices: int) -> tuple[tuple[float, float], ...]:
+def _deviation_factors(mu: float, m_slices: int) -> list[tuple[float, float]]:
     """(P_ub(k), sqrt(k! mu^M / (M+k)!)) for each even k < M, in order of k.
 
     P_ub(k) is pseudo_fock_weight_ub(mu, M, k).  Needs a finite mu > 0 and
     M in {6, 8}; callers validate.
     """
     power = mu ** (m_slices // 2)
-    return tuple(zip(_even_tails(mu), [power * r for r in _FACTORIAL_ROOTS[m_slices]]))
+    return [(weight_ub, power * root)
+            for weight_ub, root in zip(_even_tails(mu), _FACTORIAL_ROOTS[m_slices])]
 
 
 def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:

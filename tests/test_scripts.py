@@ -46,10 +46,11 @@ def _load_bench_pairs():
     return module
 
 
-def _bench_record(workload, seed, work, setup, rss):
+def _bench_record(workload, seed, work, setup, rss, operations=1000):
     metrics = {"work_per_s": work, "setup_s": setup, "peak_rss_mb": rss}
     return {
         "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
+        "extra": {"samples": operations},
         "provenance": {"git_commit": None, "source_sha256": "x", "cores": 2,
                        "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
                        "python": "3", "numpy": "2", "scipy": "1"},
@@ -69,7 +70,7 @@ def test_bench_pairs():
         # on seed 10.  It takes 2.5% more memory on 8 seeds, as much on 2.
         change[key] = _bench_record("curves", seed, 100.0 if seed == 10 else 140.0 + seed,
                                     0.10 + seed / 100 - 0.001 * (seed != 10),
-                                    40.0 + (seed <= 8))
+                                    40.0 + (seed <= 8), operations=1400 + seed)
         parent_first[key] = seed % 2 == 1
     curves = _load_bench_pairs().summarise(parent, change, parent_first)["workloads"]["curves"]
     assert curves["seeds"] == list(range(1, 11))
@@ -84,6 +85,11 @@ def test_bench_pairs():
     rss = curves["metrics"]["peak_rss_mb"]                       # lower is better
     assert rss["pairs_won"] == 0 and not rss["gain_shown"]
     assert rss["median_change"] == pytest.approx(0.025) and rss["within_bound"]  # < 5%
+    # Each run's operation count, to read a memory change against.
+    ops = curves["operations"]
+    assert ops["parent"]["runs"] == [1000] * 10 and ops["parent"]["median"] == 1000
+    assert ops["change"]["runs"] == [1400 + seed for seed in range(1, 11)]
+    assert ops["change"]["median"] == 1405.5
 
 
 _STUB_RUN = """
@@ -103,6 +109,7 @@ record = {
                    "source_sha256": checkout.name,
                    "cores": 2, "cores_usable": 2, "cpu_model": "cpu", "platform": "p",
                    "python": "3", "numpy": "2", "scipy": "1"},
+    "extra": {"samples": 10 * int(args["--seed"])},
     "result": {"failed": 0, "metrics": {
         "work_per_s": {"value": work, "unit": "1/s"},
         "setup_s": {"value": 0.14, "unit": "s"},
@@ -130,6 +137,9 @@ def test_bench_pairs_runs_the_pairs_alternately(tmp_path):
         assert entry["seeds"] == [1, 2, 3] and entry["seconds"] == [2.0]
         assert entry["parent_first"] == [True, False, True]
         assert entry["metrics"]["work_per_s"]["pairs_won"] == 3
+        assert entry["operations"]["change"]["runs"] == [10, 20, 30]
+    assert "curves.peak_rss_mb: 40 -> 40 (+0.0%), won 0/3, gain shown False, within bound " \
+           "True; operations per run 20 -> 20" in out.splitlines()
 
 
 def test_bench_pairs_runs_the_benchmark(tmp_path):
@@ -146,3 +156,4 @@ def test_bench_pairs_runs_the_benchmark(tmp_path):
     assert entry["seeds"] == [1] and entry["parent_first"] == [True]
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert entry["metrics"]["work_per_s"]["parent"]["median"] > 0
+    assert entry["operations"]["parent"]["runs"][0] > 0

@@ -6,6 +6,7 @@ never shares code with the implementation.
 """
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -30,6 +31,7 @@ from pmqkd.ingest import (
     reproduce_key_rate,
 )
 from pmqkd.numerics import binary_entropy, pseudo_fock_weight_ub
+from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
     KatoCoefficients,
@@ -1109,6 +1111,46 @@ class TestNaNNamesTheParameter:
         func = getattr(pmqkd, name)
         kw = _public_kwargs(name, func, tmp_path, param)
         func(**dict(kw, **{param: float(kw[param])}))
+
+
+@functools.cache
+def _curve_optimum(n_rounds, distance_km):
+    channel = ChannelSpec(distance_km=distance_km, alpha_db_per_km=0.168)
+    return optimize(channel, n_rounds, 8, fixed_p_s=0.07).result
+
+
+class TestRateNonIncreasingInMu:
+    """At fixed counts a larger declared mu never raises the rate, so a mu
+    declared low is the optimistic direction (docs/DECISIONS.md, "Which
+    terms read mu")."""
+
+    @given(loss=st.sampled_from((35, 40, 45)), low=st.floats(0.8, 1.25),
+           step=st.floats(1e-6, 0.25))
+    def test_bundled_records(self, loss, low, step):
+        # reproduce reads mu in the chain and in the model Q as well
+        record = load_bundled_record(loss)
+
+        def rate(scale):
+            tally = dataclasses.replace(record.tally, mu=record.tally.mu * scale)
+            return reproduce_key_rate(dataclasses.replace(record, tally=tally)).rate
+
+        assert rate(low * (1 + step)) <= rate(low)
+
+    @given(n_rounds=st.sampled_from((1e10, 1e11, 1e12)),
+           distance_km=st.sampled_from((50.0, 150.0, 250.0)),
+           low=st.floats(0.8, 1.25), step=st.floats(1e-6, 0.25))
+    def test_curve_optima(self, n_rounds, distance_km, low, step):
+        # The observables of the optimum held fixed; only the declared mu moves.
+        r = _curve_optimum(n_rounds, distance_km)
+
+        def rate(scale):
+            return finite_key_rate(
+                mu=r.mu * scale, m_slices=r.m_slices, n_rounds=r.n_rounds, p_s=r.p_s,
+                f=r.f, q_mu=r.q_mu, e_b=r.e_b, n_mu=r.n_mu, m_s=r.m_s, budget=r.budget,
+            ).rate
+
+        assert r.rate > 0
+        assert rate(low * (1 + step)) <= rate(low)
 
 
 class TestMoreErrorsNeverRaiseRate:
