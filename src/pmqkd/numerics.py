@@ -68,7 +68,8 @@ def _require_integer(func: str, name: str, value: float) -> int:
 
 def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
     """An integer >= least, by _require_integer's rule for an integral float."""
-    value = _require_integer(func, name, value)
+    if type(value) is not int:  # the counts of every tally a batch builds are ints
+        value = _require_integer(func, name, value)
     if value < least:
         raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
     return value

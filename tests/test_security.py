@@ -978,7 +978,7 @@ _CHANNEL = ChannelSpec(total_loss_db=40.0)
 _PUBLIC_ARGS = dict(
     _STAGE_ARGS, channel=_CHANNEL, spec=_CHANNEL, eta=1e-3, p_d=1e-8, e_d=0.01,
     eta_d=0.56, alpha_db_per_km=0.168, total_loss_db=40.0, seed=1, batch_size=10**6,
-    loss_db=45.0, n_det=100, n_double=0, k=2, n_rounds=1e6, budget=None,
+    loss_db=45.0, n_det=100, n_double=0, k=2, n_rounds=1e6,
 )
 
 # Valid values where the by-name one does not fit, per callable or per
@@ -989,8 +989,6 @@ _PUBLIC_OVERRIDES = {
     "load_bundled_record": dict(loss_db=45),
     "optimize": dict(fixed_p_s=0.07),
     "binary_entropy": dict(x=0.25),
-    "key_length": dict(budget=SecurityBudget()),
-    "finite_key_rate": dict(budget=SecurityBudget()),
 }
 
 # (callable, parameter, value) pairs accepted by design.
