@@ -13,11 +13,14 @@ on both sides.  The summary records the order the pairs were run in.
 For each end-to-end metric of BENCHMARK.json the summary holds both sides'
 runs, medians and quartiles, the pairs the change won (ties count for
 neither), the relative change of the median, whether the change stays
-within the metric's bound, and whether it shows a gain: won at least nine
-tenths of the pairs, with the medians further apart than the parent's
-quartiles.  Beside them it carries each run's operation count (the
-record's extra.samples), since the harness keeps records per operation and
-peak_rss_mb grows with their number.  The output defaults to
+within the metric's bound, whether that is unresolved, and whether it shows
+a gain: won at least nine tenths of the pairs, with the medians further
+apart than the parent's quartiles.  A metric is unresolved when the
+parent's quartiles lie further apart than the bound allows, unless every
+run of the change beats every run of the parent: its runs then cannot tell
+a change of the bound's size from noise.  Beside them it carries each
+run's operation count (the record's extra.samples), since the harness
+keeps records per operation and peak_rss_mb grows with their number.  The output defaults to
 BENCH_<change commit>.json in the current directory.
 """
 
@@ -85,10 +88,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     p, c = spread(parent), spread(change)
     won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     gain = sign * (c["median"] - p["median"])
+    every_run_better = min(sign * b for b in change) > max(sign * a for a in parent)
     return {
         "parent": p, "change": c, "pairs_won": won,
         "median_change": c["median"] / p["median"] - 1.0,
         "within_bound": -gain <= bound * abs(p["median"]),
+        "unresolved": p["q3"] - p["q1"] > bound * abs(p["median"]) and not every_run_better,
         "gain_shown": won >= 0.9 * len(parent) and gain > p["q3"] - p["q1"],
     }
 
@@ -149,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}.{metric}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
                   f"({m['median_change']:+.1%}), won {m['pairs_won']}/{len(entry['seeds'])}, "
                   f"gain shown {m['gain_shown']}, within bound {m['within_bound']}"
+                  + (" (unresolved)" if m["unresolved"] else "")
                   + (f"; operations per run {ops['parent']['median']:.6g} -> "
                      f"{ops['change']['median']:.6g}" if metric == "peak_rss_mb" else ""))
     return 0

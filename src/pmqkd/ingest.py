@@ -20,33 +20,35 @@ from .security import KeyRateResult, SecurityBudget, finite_key_rate
 from .simulator import ObservedTally
 
 
+def _number(text: str) -> float:
+    """float(text), or NaN, which every rule refuses, where text is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+# Each rule reads one value's text and raises ValueError naming its domain.
 def _count(text: str) -> int:
     """A non-negative integer; an integral float such as 1e11 is accepted."""
-    value = float(text)
+    value = _number(text)
     if not (value >= 0 and value.is_integer()):
-        raise ValueError(text)
+        raise ValueError("an integer >= 0")
     return int(text) if text.isdigit() else int(value)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
 def _positive(text: str) -> float:
-    value = _finite(text)
-    if not value > 0:
-        raise ValueError(text)
+    value = _number(text)
+    if not 0 < value < math.inf:
+        raise ValueError("finite and > 0")
     return value
 
 
 def _fraction(text: str) -> float:
     """A number strictly between 0 and 1."""
-    value = _finite(text)
+    value = _number(text)
     if not 0 < value < 1:
-        raise ValueError(text)
+        raise ValueError("in (0, 1)")
     return value
 
 
@@ -54,11 +56,14 @@ def parse_flag(text: str) -> bool:
     """A boolean word of the tally schema: true/false, 1/0 or yes/no."""
     value = text.lower()
     if value not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError(text)
+        raise ValueError("true or false")
     return value in ("true", "1", "yes")
 
 
-# Every metadata key a tally may carry: key -> (parser, required).
+# Every metadata key a tally file may carry, in the order the writer writes
+# them: key -> (rule, required).  loss_db belongs to the record, and every
+# other key to the ObservedTally field _FIELD names, by default its own name.
+# An absent optional key takes the field's default, or its value in _ABSENT.
 _METADATA = {
     "loss_db": (_positive, True),
     "N": (_count, True),
@@ -72,6 +77,8 @@ _METADATA = {
     "counts_include_test": (parse_flag, False),
     "seed": (_count, False),
 }
+_FIELD = {"N": "n_rounds"}
+_ABSENT = {"m_slices": defaults.M_SLICES, "counts_include_test": False}
 
 
 @dataclass
@@ -146,7 +153,8 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
                            if required and k not in meta]
                 if missing:
                     raise SchemaError(f"missing metadata: {', '.join(missing)}", lineno)
-                m = meta.get("m_slices", defaults.M_SLICES)
+                meta = {**_ABSENT, **meta}
+                m = meta["m_slices"]
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -169,26 +177,15 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
     if not pairs:
         raise SchemaError("no data rows found")
 
-    tally = ObservedTally(
-        m_slices=m,
-        n_rounds=meta["N"],
-        mu=meta["mu"],
-        p_s=meta["p_s"],
-        n_det=meta["n_det"],
-        n_double=meta.get("n_double", 0),
-        matched=matched,
-        m_s=meta.get("m_s"),
-        n_sifted=meta.get("n_sifted"),
-        seed=meta.get("seed"),
-        counts_include_test=meta.get("counts_include_test", False),
-    )
+    loss_db = meta.pop("loss_db")
+    tally = ObservedTally(matched=matched, **{_FIELD.get(k, k): v for k, v in meta.items()})
     total = tally.total_matched()
     if not tally.n_rounds >= tally.n_det >= total >= (tally.n_sifted or 0):
         raise SchemaError(
             "counts must satisfy N >= n_det >= matched total >= n_sifted, got "
             f"N={tally.n_rounds}, n_det={tally.n_det}, matched total={total}, "
             f"n_sifted={tally.n_sifted}")
-    return ExperimentRecord(loss_db=meta["loss_db"], tally=tally, source=path)
+    return ExperimentRecord(loss_db=loss_db, tally=tally, source=path)
 
 
 def derive_observables(record: ExperimentRecord) -> DerivedObservables:

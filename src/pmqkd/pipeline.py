@@ -49,7 +49,7 @@ def expected_key_rate(
     q_mu, e_b = _gain_qber(mu, eta, channel.p_d, channel.e_d)
     # The chain's rule for M, ahead of the division by M; the chain checks
     # n_rounds, and p_s is checked above.
-    _check_slices("phase_error_discrete", m_slices)
+    m_slices = _check_slices("phase_error_discrete", m_slices)
     n_mu = _expected_sifted(q_mu, n_rounds, m_slices, p_s)
     m_s = e_b * n_mu * p_s / (1.0 - p_s)
     return finite_key_rate(

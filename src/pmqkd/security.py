@@ -133,9 +133,11 @@ def _check_sampling(stage: str, p_s: float) -> None:
         raise DomainError(f"{stage}: p_s must be in (0, 1), got {p_s}")
 
 
-def _check_slices(stage: str, m_slices: int) -> None:
+def _check_slices(stage: str, m_slices: int) -> int:
+    """m_slices as an int (8.0 is 8), or a DomainError unless it is 6 or 8."""
     if m_slices not in defaults.SUPPORTED_M_SLICES:
         raise DomainError(f"{stage}: m_slices must be 6 or 8, got {m_slices}")
+    return int(m_slices)
 
 
 def _check_efficiency(stage: str, f: float) -> None:
@@ -214,24 +216,19 @@ def _even_photon_terms(
     return vacuum, multi
 
 
-def _deviation_factors(mu: float, m_slices: int) -> list[tuple[float, float]]:
-    """(P_ub(k), sqrt(k! mu^M / (M+k)!)) for each even k < M, in order of k.
-
-    P_ub(k) is pseudo_fock_weight_ub(mu, M, k).  Needs a finite mu > 0 and
-    M in {6, 8}; callers validate.
-    """
-    power = mu ** (m_slices // 2)
-    return [(weight_ub, power * root)
-            for weight_ub, root in zip(_even_tails(mu), _FACTORIAL_ROOTS[m_slices])]
-
-
 def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:
-    """delta_k for each even k < M, in order of k; zeros at mu = 0."""
+    """delta_k = (P_ub(k) / Q) * (mu^(M/2) sqrt(k! / (M+k)!)) for each even k < M.
+
+    In order of k, and zeros at mu = 0.  P_ub(k) is
+    pseudo_fock_weight_ub(mu, M, k).  Needs mu in [0, MU_MAX], an int M in
+    {6, 8} and a finite Q > 0; callers validate.
+    """
     if mu == 0.0:
         return (0.0,) * (m_slices // 2)
+    power = mu ** (m_slices // 2)
     return tuple([
-        (weight_ub / q_mu) * factor
-        for weight_ub, factor in _deviation_factors(mu, m_slices)
+        (weight_ub / q_mu) * (power * root)
+        for weight_ub, root in zip(_even_tails(mu), _FACTORIAL_ROOTS[m_slices])
     ])
 
 
@@ -242,7 +239,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
     closed-form residue-weight bound.  Supported for M in {6, 8} and even
     k < M, matching the cases the closed-form bounds cover.
     """
-    _check_slices("deviation_bound", m_slices)
+    m_slices = _check_slices("deviation_bound", m_slices)
     k = _require_integer("deviation_bound", "k", k)
     if k % 2 != 0 or not 0 <= k < m_slices:
         raise DomainError(
@@ -290,7 +287,7 @@ def phase_error_discrete(
     vacuum_term and multiphoton_term.  The result is not clamped here; the
     key length caps it before entropy evaluation.
     """
-    _check_slices("phase_error_discrete", m_slices)
+    m_slices = _check_slices("phase_error_discrete", m_slices)
     _require_mu("phase_error_discrete", mu)
     _check_gain(q_mu)
     _check_finite_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
@@ -509,7 +506,7 @@ def finite_key_rate(
     _check_sampled(m_s, p_s)
     _require_mu("vacuum_yield_ub", mu)
     beta = _beta(budget.eps)
-    _check_slices("phase_error_discrete", m_slices)
+    m_slices = _check_slices("phase_error_discrete", m_slices)
     _check_gain(q_mu)
     e_mu = math.exp(-mu)
     y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)

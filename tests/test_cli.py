@@ -492,6 +492,16 @@ class TestSimulateReproduce:
         assert out == ""
         assert not (tmp_path / "no-such-dir").exists()
 
+    def test_simulate_refuses_a_tally_the_parser_refuses(self, capsys, tmp_path):
+        # At mu = 0 simulate once wrote '# mu=0.0', which reproduce --input
+        # then refused; the writer now refuses it, and writes no file.
+        out = tmp_path / "tally.csv"
+        code, _, err = run_cli(capsys, "simulate", "--loss-db", "20", "--mu", "0",
+                               "--n-rounds", "1e4", "-o", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err == "pmqkd: error [domain] write_tally_csv: mu must be finite and > 0, got 0.0\n"
+        assert not out.exists()
+
     def test_simulate_rejects_fractional_rounds(self, capsys, tmp_path):
         out = tmp_path / "tally.csv"
         argv = ["simulate", "--loss-db", "20", "--mu", "1e-3", "--output", str(out)]

@@ -3,10 +3,13 @@ key-rate reproduction."""
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pmqkd.errors import DomainError, NoDataError, SchemaError
 from pmqkd.ingest import (
@@ -18,7 +21,7 @@ from pmqkd.ingest import (
     reproduce_key_rate,
     result_to_json,
 )
-from pmqkd.simulator import ObservedTally
+from pmqkd.simulator import ObservedTally, _matched_pairs, write_tally_csv
 
 # Published summary values for the three bundled datasets.
 REPORTED = {
@@ -361,6 +364,70 @@ class TestCountingConvention:
                                     counts_include_test=include_test)
         derived = derive_observables(ExperimentRecord(loss_db=45.0, tally=tally)).n_mu
         assert tally_to_stats(tally)[2] == derived == n_mu
+
+
+@st.composite
+def _writable_tallies(draw):
+    """A tally the writer accepts, with its counts as the parser requires them:
+    N >= n_det >= matched total >= n_sifted, and mu, p_s and the counting
+    convention as Python or as numpy scalars."""
+    m = draw(st.sampled_from((6, 8)))
+    keys = [(a, b, det) for a, b in _matched_pairs(m) for det in (1, 2)]
+    matched = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 10**12)))
+    total = sum(matched.values())
+    n_det = total + draw(st.integers(0, 10**12))
+    numpy = draw(st.booleans())
+    to = np.float64 if numpy else float
+    return ObservedTally(
+        m_slices=m,
+        n_rounds=n_det + draw(st.integers(0, 10**15)),
+        mu=to(draw(st.floats(0.0, exclude_min=True, allow_infinity=False))),
+        p_s=to(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        n_det=n_det,
+        n_double=draw(st.integers(0, 10**12)),
+        matched=matched,
+        m_s=draw(st.none() | st.integers(0, 10**12)),
+        n_sifted=draw(st.none() | st.integers(0, total)),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        counts_include_test=(np.bool_ if numpy else bool)(draw(st.booleans())),
+    )
+
+
+class TestTallyFileRoundTrip:
+    """The writer and the parser read one table: whatever the writer writes,
+    the parser reads back to an equal tally, and whatever the parser would
+    refuse, the writer refuses, naming the key, before it opens the file."""
+
+    @given(tally=_writable_tallies(),
+           loss_db=st.floats(0.0, exclude_min=True, allow_infinity=False))
+    def test_parse_reads_back_what_write_wrote(self, tally, loss_db, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_tally_csv(tally, str(path), loss_db=loss_db)
+        record = parse_tally_csv(str(path))
+        assert record.tally == tally
+        assert record.loss_db == loss_db
+
+    @pytest.mark.parametrize("field,value,loss_db", [
+        ("mu", 0.0, 40.0),             # once written as '# mu=0.0', refused on read
+        ("mu", np.float64(1e-3), 40.0),  # set past the constructor
+        ("p_s", 1.0, 40.0),
+        (None, None, math.nan),
+        (None, None, 0.0),
+        (None, None, -3.0),
+        (None, None, math.inf),
+    ])
+    def test_write_refuses_what_parse_refuses(self, tmp_path, field, value, loss_db):
+        if field == "mu" and repr(value) == "0.001":
+            pytest.skip("this numpy writes a numpy float as a plain number")
+        tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=5,
+                              matched={(0, 0, 1): 3})
+        if field is not None:
+            setattr(tally, field, value)
+        path = tmp_path / "refused.csv"
+        key = field or "loss_db"
+        with pytest.raises(DomainError, match=rf"^write_tally_csv: {key} must"):
+            write_tally_csv(tally, str(path), loss_db=loss_db)
+        assert not path.exists()
 
 
 def test_readme_tally_schema_table_matches_the_parser():

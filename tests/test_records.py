@@ -14,17 +14,23 @@ Kato lift, replaced by ep_m_bar = 0.5, with every other term computed.
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pmqkd.channel import ChannelSpec
 from pmqkd.cli import main
 from pmqkd.ingest import load_bundled_record, reproduce_key_rate, result_to_json
+from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
     KatoCoefficients,
     KeyRateResult,
     PhaseErrorBreakdown,
     SecurityBudget,
+    deviation_bound,
     finite_key_rate,
+    phase_error_discrete,
 )
+from pmqkd.simulator import ProtocolParams, simulate
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,3 +158,38 @@ class TestRecordValues:
         assert type(back) is cls
         assert back == record
         assert getattr(back, field) == getattr(record, field)
+
+
+# Calls that raised TypeError (the first four, at mu = 0) or numpy's
+# IndexError (simulate) with m_slices=8.0.
+_SLICE_CALLS = {
+    "phase_error_discrete": lambda m: phase_error_discrete(0.0, m, 1e-5, 1e-6),
+    "deviation_bound": lambda m: deviation_bound(0.0, m, 2, 1e-5),
+    "expected_key_rate": lambda m: expected_key_rate(ChannelSpec(total_loss_db=30.0), 0.0, m),
+    "finite_key_rate": lambda m: finite_key_rate(
+        mu=0.0, m_slices=m, n_rounds=1e10, p_s=0.07, f=1.16, q_mu=1e-5, e_b=0.01,
+        n_mu=1e5, m_s=10.0, budget=SecurityBudget()),
+    "simulate": lambda m: simulate(ProtocolParams(
+        mu=np.float64(1e-3), m_slices=m, n_rounds=1e5, p_s=np.float64(0.07),
+        channel=ChannelSpec(total_loss_db=20.0)), seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SLICE_CALLS))
+def test_records_store_the_numbers_the_code_uses(name):
+    # m_slices=8.0 gives the result of the same call with 8, field for field
+    # and type for type (repr tells 8.0 from 8).
+    got, want = _SLICE_CALLS[name](8.0), _SLICE_CALLS[name](8)
+    assert repr(got) == repr(want)
+    if hasattr(got, "m_slices"):
+        assert type(got.m_slices) is int
+
+
+def test_inputs_store_ints_and_python_floats():
+    # A numpy float mu was once written to a tally file as np.float64(0.001).
+    params = ProtocolParams(mu=np.float64(1e-3), m_slices=8.0, n_rounds=1e6,
+                            p_s=np.float64(0.07), channel=ChannelSpec(total_loss_db=20.0))
+    tally = simulate(params, seed=5)
+    for record in (params, tally):
+        assert [type(v) for v in (record.mu, record.m_slices, record.n_rounds, record.p_s)] \
+            == [float, int, int, float]

@@ -90,6 +90,17 @@ def test_bench_pairs():
     assert ops["parent"]["runs"] == [1000] * 10 and ops["parent"]["median"] == 1000
     assert ops["change"]["runs"] == [1400 + seed for seed in range(1, 11)]
     assert ops["change"]["median"] == 1405.5
+    # The parent's setup quartiles, 0.1325 and 0.1775 s, span 29% of its
+    # median, more than the 25% bound: within bound, but unresolved.  The
+    # work and memory spreads are narrow.
+    assert setup["within_bound"] and setup["unresolved"]
+    assert not work["unresolved"] and not rss["unresolved"]
+    # As wide a spread is resolved when every run of the change beats every
+    # run of the parent, the fastest of which took 0.11 s.
+    compare = _load_bench_pairs().compare
+    parent_setup = [0.10 + seed / 100 for seed in range(1, 11)]
+    assert not compare(parent_setup, [0.105] * 10, "lower", 0.25)["unresolved"]
+    assert compare(parent_setup, [0.105] * 9 + [0.115], "lower", 0.25)["unresolved"]
 
 
 _STUB_RUN = """

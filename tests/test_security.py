@@ -218,20 +218,22 @@ class TestDeviationBound:
             deviation_bound(1e-3, 8, k, 1e-5)
 
     def test_factors_within_four_ulps_of_60_digits(self):
-        # Each factor sqrt(k! mu^M / (M+k)!) over mu in [1e-12, 700], and the
-        # tails are pseudo_fock_weight_ub's, bit for bit.
+        # Each delta_k = (P_ub(k) / Q) * sqrt(k! mu^M / (M+k)!) over mu in
+        # [1e-12, 700], against the 60-digit product of pseudo_fock_weight_ub's
+        # tail and the exact factor.
         rng = random.Random(21)
         top = math.log10(700.0)  # 10 ** top rounds above it, so clip
         mus = [min(10 ** (-12 + (top + 12) * i / 399), 700.0) for i in range(400)]
         mus += [min(10 ** rng.uniform(-12, top), 700.0) for _ in range(400)]
+        q_mu = 3.7e-6
         for mu in [*mus, 1e-12, 0.5, 1.0, 700.0]:
             for m in (6, 8):
-                factors = security._deviation_factors(mu, m)
-                assert len(factors) == m // 2
-                for k, (weight_ub, factor) in zip(range(0, m, 2), factors):
-                    assert weight_ub == pseudo_fock_weight_ub(mu, m, k)
-                    exact = mp.sqrt(mp.factorial(k) * mp.mpf(mu) ** m / mp.factorial(m + k))
-                    assert abs(factor / exact - 1) <= 4 * 2.0 ** -52, (mu, m, k)
+                deviations = security._deviations(mu, m, q_mu)
+                assert len(deviations) == m // 2
+                for k, delta in zip(range(0, m, 2), deviations):
+                    exact = (mp.mpf(pseudo_fock_weight_ub(mu, m, k)) / mp.mpf(q_mu)
+                             * mp.sqrt(mp.factorial(k) * mp.mpf(mu) ** m / mp.factorial(m + k)))
+                    assert abs(delta / exact - 1) <= 4 * 2.0 ** -52, (mu, m, k)
 
 
 @pytest.mark.parametrize("call", [

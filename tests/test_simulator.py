@@ -72,6 +72,39 @@ class TestRecordsRejectBadFields:
         with pytest.raises(DomainError, match=r"\bn_det must"):
             ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=-5)
 
+    @pytest.mark.parametrize("matched,match", [
+        # The negative count once gave error_count() = -50 and the (9, 9)
+        # entry was dropped by the writer without a word.
+        ({(0, 0, 1): 100000, (0, 0, 2): -50, (9, 9, 1): 7},
+         r"matched\[\(0, 0, 2\)\] must be >= 0, got -50"),
+        ({(0, 0, 1): 2.5}, r"matched\[\(0, 0, 1\)\] must be an integer, got 2.5"),
+        ({(9, 9, 1): 7}, r"matched key \(9, 9, 1\) must be a matched phase pair"),
+        ({(0, 1, 1): 7}, r"matched key \(0, 1, 1\) must"),   # not a matched pair
+        ({(0, 4, 3): 7}, r"matched key \(0, 4, 3\) must"),   # no detector 3
+    ])
+    def test_tally_matched_entries_checked(self, matched, match):
+        with pytest.raises(DomainError, match=match):
+            ObservedTally(m_slices=8, n_rounds=10**6, mu=1e-3, p_s=0.07, matched=matched)
+
+    def test_tally_matched_keys_follow_m(self):
+        # (0, 3) is matched at M = 6 (delta = pi) and not at M = 8.
+        ObservedTally(m_slices=6, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
+        with pytest.raises(DomainError, match=r"matched key \(0, 3, 2\) must"):
+            ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
+        # A declared M of 1e12 checks the keys the tally has, without
+        # building the 4e12 it could have.
+        half = 5 * 10**11
+        ObservedTally(m_slices=2 * half, n_rounds=100, mu=1e-3, p_s=0.07,
+                      matched={(7, 7 + half, 1): 3})
+
+    def test_tally_key_equal_to_a_valid_key_accepted(self):
+        # A key equal to a valid one is accepted, as the dict finds it, in
+        # either order of first sight.
+        for key in [(0, 4, 1), (0.0, 4, 1), (1.0, 5, 1), (1, 5, 1)]:
+            tally = ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07,
+                                  matched={key: 2})
+            assert tally.error_count() == 2
+
     def test_integral_float_counts_are_ints(self):
         tally = ObservedTally(m_slices=8.0, n_rounds=1e11, mu=1e-3, p_s=0.07, n_det=4.0,
                               m_s=2.0)
