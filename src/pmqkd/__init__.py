@@ -12,10 +12,12 @@ from .errors import (
 )
 from .ingest import (
     ExperimentRecord,
+    ObservedTally,
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
     reproduce_key_rate,
+    write_tally_csv,
 )
 from .numerics import (
     PseudoFockWeight,
@@ -42,13 +44,7 @@ from .security import (
     phase_error_discrete,
     vacuum_yield_ub,
 )
-from .simulator import (
-    ObservedTally,
-    ProtocolParams,
-    simulate,
-    tally_to_stats,
-    write_tally_csv,
-)
+from .simulator import ProtocolParams, simulate, tally_to_stats
 
 __version__ = "0.1.0"
 

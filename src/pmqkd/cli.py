@@ -33,11 +33,12 @@ from .ingest import (
     parse_tally_csv,
     reproduce_key_rate,
     result_to_json,
+    write_tally_csv,
 )
 from .optimizer import SearchBounds, optimize
 from .pipeline import expected_key_rate
 from .security import KeyRateResult, SecurityBudget
-from .simulator import DEFAULT_BATCH_SIZE, ProtocolParams, simulate, write_tally_csv
+from .simulator import DEFAULT_BATCH_SIZE, ProtocolParams, simulate
 
 EXIT_CODES = {
     "usage": 2,

@@ -1,23 +1,185 @@
-"""Parsing and reproduction of experimental tally tables.
+"""The detector tally, its CSV file, and reproduction from it.
 
-Reads the per-phase-pair detector counts (the schema produced by
-:func:`pmqkd.simulator.write_tally_csv` and used by the bundled datasets),
-derives the observables (QBER, sifted size, reconstructed sampled error
-count), and feeds them through the security chain.
+:class:`ObservedTally` holds the counts the simulator draws and the bundled
+datasets carry; :func:`write_tally_csv` and :func:`parse_tally_csv` are the
+two ends of its file.  The observables derived from a tally (QBER, sifted
+size, reconstructed sampled error count) feed the security chain.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from importlib import resources
 
 from . import defaults
 from .channel import ChannelSpec, gain, transmittance
 from .errors import DomainError, NoDataError, SchemaError
+from .numerics import _require_count
 from .security import KeyRateResult, SecurityBudget, finite_key_rate
-from .simulator import ObservedTally
+
+
+@dataclass
+class ObservedTally:
+    """Detector counts accumulated over a run.
+
+    ``matched`` maps (phase_a, phase_b, detector) to a count, where phases
+    are slice indices (multiples of 2 pi / M, M even) of the total modulated
+    phase of a matched pair and detector is 1 or 2; the constructor refuses
+    any other key, and a count that is not an integer >= 0.
+    ``counts_include_test``, a bool, is the counting convention: True when the
+    matched counts include the rounds later drawn into the test sample, so
+    n_sifted + sampled-out = sum(matched), as in every simulated tally;
+    False when they are the post-sampling sifted key alone, as in the
+    transcribed tables.
+
+    ``m_s`` and ``n_sifted`` are None when the dataset does not carry them
+    (transcribed tables); the simulator always fills them in.
+    """
+
+    m_slices: int
+    n_rounds: int
+    mu: float
+    p_s: float
+    n_det: int = 0
+    n_double: int = 0
+    matched: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    m_s: int | None = None
+    n_sifted: int | None = None
+    seed: int | None = None
+    counts_include_test: bool = True
+
+    def __post_init__(self):
+        # The counts are integers: an integral float such as 1e11 is stored as
+        # an int.  mu and p_s are stored as Python floats.
+        self.m_slices = _require_slices("ObservedTally", self.m_slices)
+        self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
+        if not 0.0 <= self.mu < math.inf:
+            raise DomainError(f"ObservedTally: mu must be finite and >= 0, got {self.mu}")
+        if not 0.0 < self.p_s < 1.0:
+            raise DomainError(f"ObservedTally: p_s must be in (0, 1), got {self.p_s}")
+        self.mu, self.p_s = float(self.mu), float(self.p_s)
+        self.n_det = _require_count("ObservedTally", "n_det", self.n_det)
+        self.n_double = _require_count("ObservedTally", "n_double", self.n_double)
+        for name in ("m_s", "n_sifted", "seed"):  # None when unknown
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _require_count("ObservedTally", name, value))
+        valid = _matched_keys(self.m_slices)
+        for key, count in self.matched.items():
+            if key not in valid:
+                if not _is_matched_key(key, self.m_slices):
+                    raise DomainError(
+                        f"ObservedTally: matched key {key} must be a matched phase pair "
+                        f"at m_slices={self.m_slices} and detector 1 or 2")
+                valid.add(key)
+            if type(count) is not int or count < 0:
+                _require_count("ObservedTally", f"matched[{key}]", count)
+        flag = self.counts_include_test
+        numpy = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+        if not (type(flag) is bool or numpy and isinstance(flag, numpy.bool_)):
+            raise DomainError(f"ObservedTally: counts_include_test must be a bool, got {flag!r}")
+        self.counts_include_test = bool(flag)
+
+    def total_matched(self) -> int:
+        return sum(self.matched.values())
+
+    def sifted_size(self) -> float:
+        """The sifted size n_mu, by the one rule every reader of a tally uses.
+
+        The declared n_sifted when known; else the matched total, less its
+        expected test share p_s when the counts include the test sample.
+        """
+        if self.n_sifted is not None:
+            return float(self.n_sifted)
+        return self.total_matched() * (1.0 - self.p_s if self.counts_include_test else 1.0)
+
+    def error_count(self) -> int:
+        """Wrong-detector clicks: D2 at delta = 0 (a == b at an even M), D1 at pi."""
+        return sum(count for (a, b, det), count in self.matched.items()
+                   if (a == b) == (det == 2))
+
+    def merge(self, other: "ObservedTally") -> "ObservedTally":
+        """Combine two batch tallies; associative and commutative.
+
+        Both must share M, mu, p_s and the counting convention.  An m_s or
+        n_sifted unknown on either side stays unknown: a partial count must
+        not pass for a measured total.  The seed is kept only when both
+        share it: no one seed reproduces a merge of two streams.
+        """
+        differ = [k for k in ("m_slices", "mu", "p_s", "counts_include_test")
+                  if getattr(self, k) != getattr(other, k)]
+        if differ:
+            raise DomainError(f"ObservedTally.merge: tallies differ in {', '.join(differ)}")
+        merged = dict(self.matched)
+        for key, count in other.matched.items():
+            merged[key] = merged.get(key, 0) + count
+        return ObservedTally(
+            self.m_slices,
+            self.n_rounds + other.n_rounds,
+            self.mu,
+            self.p_s,
+            self.n_det + other.n_det,
+            self.n_double + other.n_double,
+            merged,
+            _sum_known(self.m_s, other.m_s),
+            _sum_known(self.n_sifted, other.n_sifted),
+            self.seed if self.seed == other.seed else None,
+            self.counts_include_test,
+        )
+
+
+def _sum_known(a: int | None, b: int | None) -> int | None:
+    return None if a is None or b is None else a + b
+
+
+def _even_slices(m: int) -> int:
+    """The one rule for M: even, so that each slice has one partner at delta = pi."""
+    if m < 2 or m % 2:
+        raise ValueError("an even integer >= 2")
+    return m
+
+
+def _require_slices(func: str, value) -> int:
+    """value as the int M by :func:`_even_slices`, or a DomainError naming m_slices."""
+    m = _require_count(func, "m_slices", value)
+    try:
+        return _even_slices(m)
+    except ValueError as exc:
+        raise DomainError(f"{func}: m_slices must be {exc}, got {m}") from None
+
+
+def _matched_pairs(m: int) -> list[tuple[int, int]]:
+    """Matched phase pairs in canonical order: all delta = 0, then delta = pi."""
+    return [(a, (a + offset) % m) for offset in (0, m // 2) for a in range(m)]
+
+
+def _is_matched_key(key, m: int) -> bool:
+    """Whether key equals a (phase_a, phase_b, detector) a tally at M = m may count.
+
+    Equal as dict keys are, so the answer does not depend on which equal
+    key :func:`_matched_keys` met first.
+    """
+    try:
+        a = int(key[0])
+    except (TypeError, ValueError, OverflowError, IndexError):
+        return False
+    b = (a + m // 2) % m
+    return 0 <= a < m and key in {(a, a, 1), (a, a, 2), (a, b, 1), (a, b, 2)}
+
+
+@functools.cache
+def _matched_keys(m: int) -> set[tuple[int, int, int]]:
+    """The keys at M = m that :func:`_is_matched_key` has passed so far.
+
+    Each key is checked once per M and then found by one lookup.  The set is
+    filled as keys occur, not built whole, so a large declared M costs
+    nothing; it never holds more than the 4 M valid keys.
+    """
+    return set()
 
 
 def _number(text: str) -> float:
@@ -70,7 +232,7 @@ _METADATA = {
     "mu": (_positive, True),
     "p_s": (_fraction, True),
     "n_det": (_count, True),
-    "m_slices": (_count, False),
+    "m_slices": (lambda text: _even_slices(_count(text)), False),
     "n_double": (_count, False),
     "m_s": (_count, False),
     "n_sifted": (_count, False),
@@ -79,6 +241,7 @@ _METADATA = {
 }
 _FIELD = {"N": "n_rounds"}
 _ABSENT = {"m_slices": defaults.M_SLICES, "counts_include_test": False}
+_HEADER = "phase_a,phase_b,d1_count,d2_count"  # the column header after the metadata
 
 
 @dataclass
@@ -113,13 +276,13 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
     """Parse a tally CSV into an ExperimentRecord, reading each line once.
 
     The file starts with '# key=value' metadata lines, each key of
-    _METADATA at most once, then a 'phase_a,phase_b,d1_count,d2_count'
-    header, then at most one row per matched phase pair.  Phases are slice
-    indices, i.e. multiples of 2 pi / M (pi/4 steps at M = 8, pi/3 steps at
-    M = 6).  The counts must satisfy N >= n_det >= matched total >= n_sifted.
-    A violation is rejected with its line number or the fields it involves.
-    The tally's counting convention is the file's counts_include_test, false
-    when absent (a transcribed table).
+    _METADATA at most once, then the _HEADER row, then at most one row per
+    matched phase pair.  Phases are slice indices, i.e. multiples of 2 pi / M
+    (pi/4 steps at M = 8, pi/3 steps at M = 6).  The counts must satisfy
+    N >= n_det >= matched total >= n_sifted.  A violation is rejected with
+    its line number or the fields it involves.  The tally's counting
+    convention is the file's counts_include_test, false when absent (a
+    transcribed table).
     """
     meta: dict[str, object] = {}
     matched: dict[tuple[int, int, int], int] = {}
@@ -147,7 +310,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
                     raise SchemaError(f"bad value for {key}: {value!r}", lineno)
                 continue
             if m is None:
-                if line.replace(" ", "") != "phase_a,phase_b,d1_count,d2_count":
+                if line.replace(" ", "") != _HEADER:
                     raise SchemaError(f"expected header row, got {line!r}", lineno)
                 missing = [k for k, (_, required) in _METADATA.items()
                            if required and k not in meta]
@@ -165,7 +328,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
                 raise SchemaError(f"fields must be non-negative integers: {line!r}", lineno)
             if not (a < m and b < m):
                 raise SchemaError(f"phase index out of range for M={m}: ({a}, {b})", lineno)
-            if (a - b) % m not in (0, m // 2):
+            if not _is_matched_key((a, b, 1), m):  # detector 1 stands for the pair
                 raise SchemaError(f"non-matched phase pair ({a}, {b}) for M={m}", lineno)
             if (a, b) in pairs:
                 raise SchemaError(f"repeated phase pair ({a}, {b})", lineno)
@@ -186,6 +349,36 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
             f"N={tally.n_rounds}, n_det={tally.n_det}, matched total={total}, "
             f"n_sifted={tally.n_sifted}")
     return ExperimentRecord(loss_db=loss_db, tally=tally, source=path)
+
+
+def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
+    """Serialize a tally in the ingestible CSV schema (bit-exact counts).
+
+    The metadata lines walk ``_METADATA``: each known value once, in order, a
+    flag as its lower-case word (true/false) and any other value as its repr.
+    A value the parser would refuse raises a DomainError naming its key before
+    the file is opened.  Rows are in canonical order (:func:`_matched_pairs`),
+    so equal tallies give byte-identical files, which :func:`parse_tally_csv`
+    reads back to an equal tally.
+    """
+    lines = []
+    for key, (rule, _) in _METADATA.items():
+        value = loss_db if key == "loss_db" else getattr(tally, _FIELD.get(key, key))
+        if value is None:  # unknown
+            continue
+        text = str(value).lower() if rule is parse_flag else repr(value)
+        try:
+            rule(text)
+        except ValueError as exc:
+            raise DomainError(f"write_tally_csv: {key} must be {exc}, got {text}") from None
+        lines.append(f"# {key}={text}")
+    lines.append(_HEADER)
+    for a, b in _matched_pairs(tally.m_slices):
+        d1 = tally.matched.get((a, b, 1), 0)
+        d2 = tally.matched.get((a, b, 2), 0)
+        lines.append(f"{a},{b},{d1},{d2}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def derive_observables(record: ExperimentRecord) -> DerivedObservables:

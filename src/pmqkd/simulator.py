@@ -26,12 +26,12 @@ batch_size) alone.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
+from .ingest import ObservedTally, _matched_pairs, _require_slices, write_tally_csv  # noqa: F401
 from .numerics import _require_count
 
 DEFAULT_BATCH_SIZE = 10**10
@@ -57,158 +57,11 @@ class ProtocolParams:
             object.__setattr__(self, name, float(value))
         if self.mu < 0:
             raise DomainError(f"ProtocolParams: mu must be >= 0, got {self.mu}")
-        m = _require_count("ProtocolParams", "m_slices", self.m_slices)
-        if m < 2 or m % 2 != 0:
-            raise DomainError(f"ProtocolParams: m_slices must be an even integer >= 2, got {m}")
-        object.__setattr__(self, "m_slices", m)
+        object.__setattr__(self, "m_slices", _require_slices("ProtocolParams", self.m_slices))
         if not 0.0 < self.p_s < 1.0:
             raise DomainError(f"ProtocolParams: p_s must be in (0, 1), got {self.p_s}")
         object.__setattr__(self, "n_rounds", _require_count(
             "ProtocolParams", "n_rounds", self.n_rounds, least=1))
-
-
-@dataclass
-class ObservedTally:
-    """Detector counts accumulated over a run.
-
-    ``matched`` maps (phase_a, phase_b, detector) to a count, where phases
-    are slice indices (multiples of 2 pi / M) of the total modulated phase
-    of a matched pair and detector is 1 or 2; the constructor refuses any
-    other key, and a count that is not an integer >= 0.
-    ``counts_include_test`` is the counting convention: True when the
-    matched counts include the rounds later drawn into the test sample, so
-    n_sifted + sampled-out = sum(matched), as in every simulated tally;
-    False when they are the post-sampling sifted key alone, as in the
-    transcribed tables.
-
-    ``m_s`` and ``n_sifted`` are None when the dataset does not carry them
-    (transcribed tables); the simulator always fills them in.
-    """
-
-    m_slices: int
-    n_rounds: int
-    mu: float
-    p_s: float
-    n_det: int = 0
-    n_double: int = 0
-    matched: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    m_s: int | None = None
-    n_sifted: int | None = None
-    seed: int | None = None
-    counts_include_test: bool = True
-
-    def __post_init__(self):
-        # The counts are integers: an integral float such as 1e11 is stored as
-        # an int.  mu and p_s are stored as Python floats.
-        self.m_slices = _require_count("ObservedTally", "m_slices", self.m_slices, least=2)
-        self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
-        if not 0.0 <= self.mu < math.inf:
-            raise DomainError(f"ObservedTally: mu must be finite and >= 0, got {self.mu}")
-        if not 0.0 < self.p_s < 1.0:
-            raise DomainError(f"ObservedTally: p_s must be in (0, 1), got {self.p_s}")
-        self.mu, self.p_s = float(self.mu), float(self.p_s)
-        self.n_det = _require_count("ObservedTally", "n_det", self.n_det)
-        self.n_double = _require_count("ObservedTally", "n_double", self.n_double)
-        for name in ("m_s", "n_sifted", "seed"):  # None when unknown
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, _require_count("ObservedTally", name, value))
-        valid = _matched_keys(self.m_slices)
-        for key, count in self.matched.items():
-            if key not in valid:
-                if not _is_matched_key(key, self.m_slices):
-                    raise DomainError(
-                        f"ObservedTally: matched key {key} must be a matched phase pair "
-                        f"at m_slices={self.m_slices} and detector 1 or 2")
-                valid.add(key)
-            if type(count) is not int or count < 0:
-                _require_count("ObservedTally", f"matched[{key}]", count)
-
-    def total_matched(self) -> int:
-        return sum(self.matched.values())
-
-    def sifted_size(self) -> float:
-        """The sifted size n_mu, by the one rule every reader of a tally uses.
-
-        The declared n_sifted when known; else the matched total, less its
-        expected test share p_s when the counts include the test sample.
-        """
-        if self.n_sifted is not None:
-            return float(self.n_sifted)
-        return self.total_matched() * (1.0 - self.p_s if self.counts_include_test else 1.0)
-
-    def error_count(self) -> int:
-        """Wrong-detector clicks: D2 at phase difference 0, D1 at pi."""
-        half = self.m_slices // 2
-        total = 0
-        for (a, b, det), count in self.matched.items():
-            delta = (a - b) % self.m_slices
-            if (delta == 0 and det == 2) or (delta == half and det == 1):
-                total += count
-        return total
-
-    def merge(self, other: "ObservedTally") -> "ObservedTally":
-        """Combine two batch tallies; associative and commutative.
-
-        Both must share M, mu, p_s and the counting convention.  An m_s or
-        n_sifted unknown on either side stays unknown: a partial count must
-        not pass for a measured total.  The seed is kept only when both
-        share it: no one seed reproduces a merge of two streams.
-        """
-        differ = [k for k in ("m_slices", "mu", "p_s", "counts_include_test")
-                  if getattr(self, k) != getattr(other, k)]
-        if differ:
-            raise DomainError(f"ObservedTally.merge: tallies differ in {', '.join(differ)}")
-        merged = dict(self.matched)
-        for key, count in other.matched.items():
-            merged[key] = merged.get(key, 0) + count
-        return ObservedTally(
-            self.m_slices,
-            self.n_rounds + other.n_rounds,
-            self.mu,
-            self.p_s,
-            self.n_det + other.n_det,
-            self.n_double + other.n_double,
-            merged,
-            _sum_known(self.m_s, other.m_s),
-            _sum_known(self.n_sifted, other.n_sifted),
-            self.seed if self.seed == other.seed else None,
-            self.counts_include_test,
-        )
-
-
-def _sum_known(a: int | None, b: int | None) -> int | None:
-    return None if a is None or b is None else a + b
-
-
-def _matched_pairs(m: int) -> list[tuple[int, int]]:
-    """Matched phase pairs in canonical order: all delta = 0, then delta = pi."""
-    return [(a, (a + offset) % m) for offset in (0, m // 2) for a in range(m)]
-
-
-def _is_matched_key(key, m: int) -> bool:
-    """Whether key equals a (phase_a, phase_b, detector) a tally at M = m may count.
-
-    Equal as dict keys are, so the answer does not depend on which equal
-    key :func:`_matched_keys` met first.
-    """
-    try:
-        a = int(key[0])
-    except (TypeError, ValueError, OverflowError, IndexError):
-        return False
-    b = (a + m // 2) % m
-    return 0 <= a < m and key in {(a, a, 1), (a, a, 2), (a, b, 1), (a, b, 2)}
-
-
-@functools.cache
-def _matched_keys(m: int) -> set[tuple[int, int, int]]:
-    """The keys at M = m that :func:`_is_matched_key` has passed so far.
-
-    Each key is checked once per M and then found by one lookup.  The set is
-    filled as keys occur, not built whole, so a large declared M costs
-    nothing; it never holds more than the 4 M valid keys.
-    """
-    return set()
 
 
 def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
@@ -336,37 +189,3 @@ def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
     q_emp = tally.n_det / tally.n_rounds
     e_b_emp = tally.error_count() / total_matched
     return q_emp, e_b_emp, tally.sifted_size()
-
-
-def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
-    """Serialize a tally in the ingestible CSV schema (bit-exact counts).
-
-    The metadata lines follow the parser's table, ``pmqkd.ingest._METADATA``:
-    each known value once, in the table's order, a flag as its lower-case
-    word (true/false) and any other value as its repr.  A value the parser
-    would refuse raises a DomainError naming its key before the file is
-    opened.  Rows are emitted in canonical order (all delta = 0 pairs, then
-    all delta = pi pairs), so equal tallies produce byte-identical files,
-    and :func:`pmqkd.ingest.parse_tally_csv` reads a file back to an equal
-    tally, its counting convention included.
-    """
-    from .ingest import _FIELD, _METADATA, parse_flag  # ingest imports this module
-
-    lines = []
-    for key, (rule, _) in _METADATA.items():
-        value = loss_db if key == "loss_db" else getattr(tally, _FIELD.get(key, key))
-        if value is None:  # unknown
-            continue
-        text = str(value).lower() if rule is parse_flag else repr(value)
-        try:
-            rule(text)
-        except ValueError as exc:
-            raise DomainError(f"write_tally_csv: {key} must be {exc}, got {text}") from None
-        lines.append(f"# {key}={text}")
-    lines.append("phase_a,phase_b,d1_count,d2_count")
-    for a, b in _matched_pairs(tally.m_slices):
-        d1 = tally.matched.get((a, b, 1), 0)
-        d2 = tally.matched.get((a, b, 2), 0)
-        lines.append(f"{a},{b},{d1},{d2}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -15,13 +15,15 @@ from pmqkd.errors import DomainError, NoDataError, SchemaError
 from pmqkd.ingest import (
     _METADATA,
     ExperimentRecord,
+    ObservedTally,
+    _matched_pairs,
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
     reproduce_key_rate,
     result_to_json,
+    write_tally_csv,
 )
-from pmqkd.simulator import ObservedTally, _matched_pairs, write_tally_csv
 
 # Published summary values for the three bundled datasets.
 REPORTED = {
@@ -236,6 +238,8 @@ class TestParser:
         ({2: "# mu=0"}, "line 3: bad value for mu: '0'"),
         ({2: "# mu=-9.78e-4"}, "line 3: bad value for mu: '-9.78e-4'"),
         ({0: "# loss_db=0"}, "line 1: bad value for loss_db: '0'"),
+        ({5: "# m_slices=7"}, "line 6: bad value for m_slices: '7'"),
+        ({5: "# m_slices=1"}, "line 6: bad value for m_slices: '1'"),
     ])
     def test_schema_violation_rejected(self, tmp_path, edit, match):
         # blank lines are skipped, so each slot keeps its line number
@@ -371,7 +375,7 @@ def _writable_tallies(draw):
     """A tally the writer accepts, with its counts as the parser requires them:
     N >= n_det >= matched total >= n_sifted, and mu, p_s and the counting
     convention as Python or as numpy scalars."""
-    m = draw(st.sampled_from((6, 8)))
+    m = draw(st.sampled_from((2, 4, 6, 8, 10)))
     keys = [(a, b, det) for a, b in _matched_pairs(m) for det in (1, 2)]
     matched = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 10**12)))
     total = sum(matched.values())
@@ -411,6 +415,7 @@ class TestTallyFileRoundTrip:
         ("mu", 0.0, 40.0),             # once written as '# mu=0.0', refused on read
         ("mu", np.float64(1e-3), 40.0),  # set past the constructor
         ("p_s", 1.0, 40.0),
+        ("m_slices", 7, 40.0),         # set past the constructor
         (None, None, math.nan),
         (None, None, 0.0),
         (None, None, -3.0),

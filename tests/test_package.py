@@ -1,12 +1,17 @@
 """Public surface of the package."""
 
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import pmqkd
+from pmqkd import cli, ingest, simulator
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -65,3 +70,28 @@ def test_simulate_loads_numpy(tmp_path):
             "--output", str(tmp_path / "tally.csv")]
     code = f"import pmqkd.cli\nassert pmqkd.cli.main({argv!r}) == 0"
     assert "numpy" in _heavy_modules_after(code)
+
+
+def test_benchmark_tracer_finds_every_span(tmp_path, capsys):
+    # benchmarks/tracer.py wraps functions by module and name, so a moved or
+    # renamed function must still be found where the tracer looks.  The tally
+    # lives in ingest and the simulator names the same objects.
+    for name in ("ObservedTally", "write_tally_csv", "_matched_pairs"):
+        assert getattr(simulator, name) is getattr(ingest, name)
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    for _, module, attr in tracer_module.SPANS:
+        owner, leaf = tracer_module._resolve(module, attr)
+        assert callable(getattr(owner, leaf)), f"{module}.{attr}"
+    tracer = tracer_module.Tracer()
+    argv = ["simulate", "--loss-db", "20", "--mu", "1e-2", "--n-rounds", "3e4",
+            "--batch-size", "10000", "--output", str(tmp_path / "tally.csv")]
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    spans = tracer.arrays()
+    (sim,) = tracer.spans_named(spans, "simulator.simulate")
+    # One merge per batch after the first: 3 batches, 2 merges.
+    assert tracer.children_count(spans, "simulator.simulate", "simulator.merge") == {sim: 2}
+    assert len(tracer.spans_named(spans, "simulator.write_tally_csv")) == 1

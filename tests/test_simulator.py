@@ -72,19 +72,24 @@ class TestRecordsRejectBadFields:
         with pytest.raises(DomainError, match=r"\bn_det must"):
             ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=-5)
 
-    @pytest.mark.parametrize("matched,match", [
+    @pytest.mark.parametrize("fields,match", [
         # The negative count once gave error_count() = -50 and the (9, 9)
         # entry was dropped by the writer without a word.
-        ({(0, 0, 1): 100000, (0, 0, 2): -50, (9, 9, 1): 7},
+        ({"matched": {(0, 0, 1): 100000, (0, 0, 2): -50, (9, 9, 1): 7}},
          r"matched\[\(0, 0, 2\)\] must be >= 0, got -50"),
-        ({(0, 0, 1): 2.5}, r"matched\[\(0, 0, 1\)\] must be an integer, got 2.5"),
-        ({(9, 9, 1): 7}, r"matched key \(9, 9, 1\) must be a matched phase pair"),
-        ({(0, 1, 1): 7}, r"matched key \(0, 1, 1\) must"),   # not a matched pair
-        ({(0, 4, 3): 7}, r"matched key \(0, 4, 3\) must"),   # no detector 3
+        ({"matched": {(0, 0, 1): 2.5}}, r"matched\[\(0, 0, 1\)\] must be an integer, got 2.5"),
+        ({"matched": {(9, 9, 1): 7}}, r"matched key \(9, 9, 1\) must be a matched phase pair"),
+        ({"matched": {(0, 1, 1): 7}}, r"matched key \(0, 1, 1\) must"),  # not a matched pair
+        ({"matched": {(0, 4, 3): 7}}, r"matched key \(0, 4, 3\) must"),  # no detector 3
+        # An odd M was accepted and written, and the file was then refused.
+        ({"m_slices": 7}, r"m_slices must be an even integer >= 2, got 7"),
+        # A truthy string was read as True, and written as 'false'.
+        ({"counts_include_test": "false"}, r"counts_include_test must be a bool, got .false."),
     ])
-    def test_tally_matched_entries_checked(self, matched, match):
+    def test_tally_matched_entries_checked(self, fields, match):
         with pytest.raises(DomainError, match=match):
-            ObservedTally(m_slices=8, n_rounds=10**6, mu=1e-3, p_s=0.07, matched=matched)
+            ObservedTally(**{"m_slices": 8, "n_rounds": 10**6, "mu": 1e-3, "p_s": 0.07,
+                             **fields})
 
     def test_tally_matched_keys_follow_m(self):
         # (0, 3) is matched at M = 6 (delta = pi) and not at M = 8.
