@@ -37,7 +37,7 @@ from .ingest import (
 )
 from .optimizer import SearchBounds, optimize
 from .pipeline import expected_key_rate
-from .security import KeyRateResult, SecurityBudget
+from .security import KeyRateResult, SecurityBudget, _check_slices
 from .simulator import DEFAULT_BATCH_SIZE, ProtocolParams, simulate
 
 EXIT_CODES = {
@@ -80,6 +80,12 @@ def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
                    help="misalignment error probability")
 
 
+def _number(text: str) -> int | float:
+    """A number as typed, integral ones as ints (8.0 is 8), for a rule to judge."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 class _StoreFixedPs(argparse.Action):
     """Stores --p-s and notes that it was given, which --optimize-ps refuses."""
 
@@ -93,7 +99,7 @@ def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
     if mu:
         g.add_argument("--mu", type=float, default=None,
                        help="total pulse intensity (mu_a = mu_b = mu/2)")
-    g.add_argument("--m-slices", type=int, default=defaults.M_SLICES,
+    g.add_argument("--m-slices", type=_number, default=defaults.M_SLICES,
                    help="number of random phase slices (6 or 8)")
     g.add_argument("--n-rounds", type=float, default=defaults.N_ROUNDS,
                    help="number of rounds N")
@@ -150,13 +156,6 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise DomainError(f"--{name.replace('_', '-')} is required")
-
-
-def _require_slices(args) -> None:
-    """The chain's bounds cover 6 and 8 slices; simulate takes any even count."""
-    if args.m_slices not in defaults.SUPPORTED_M_SLICES:
-        raise DomainError(f"--m-slices must be 6 or 8 (the slice counts the bound "
-                          f"chain supports), got {args.m_slices}")
 
 
 def _require_jobs(args) -> None:
@@ -261,7 +260,6 @@ def _serialize_result(result, fmt: str) -> str:
 
 def cmd_keyrate(args) -> int:
     _require(args, "mu")
-    _require_slices(args)
     channel = _channel_from(args)
     result = expected_key_rate(
         channel, args.mu, m_slices=args.m_slices, n_rounds=args.n_rounds,
@@ -323,7 +321,6 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
 def cmd_scan(args) -> int:
     _require(args, "d_min", "d_max", "step")
     _require_jobs(args)
-    _require_slices(args)
     if args.mu is not None and args.optimize_ps:
         raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
@@ -338,7 +335,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    _require_slices(args)
     losses = _range_points(args.loss_min, args.loss_max, args.step,
                            "--loss-min/--loss-max")
     channels = [_channel_from(args, loss_db=loss) for loss in losses]
@@ -398,7 +394,6 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _require_slices(args)
     channel = _channel_from(args)
     bounds = SearchBounds(mu=(args.mu_min, args.mu_max))
     opt = optimize(
@@ -566,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if p_s_flag and getattr(args, "optimize_ps", False):
             raise DomainError("--optimize-ps cannot be combined with a fixed --p-s")
+        if hasattr(args, "m_slices"):  # the chain's rule, for every command that has it
+            _check_slices("--m-slices", args.m_slices)
         with _output_first(args.output):
             return args.func(args)
     except PmqkdError as exc:

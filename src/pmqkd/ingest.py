@@ -18,8 +18,8 @@ from importlib import resources
 from . import defaults
 from .channel import ChannelSpec, gain, transmittance
 from .errors import DomainError, NoDataError, SchemaError
-from .numerics import _require_count
-from .security import KeyRateResult, SecurityBudget, finite_key_rate
+from .numerics import MU_MAX, _require_count, _require_mu
+from .security import KeyRateResult, SecurityBudget, _check_slices, _slice_count, finite_key_rate
 
 
 @dataclass
@@ -27,9 +27,10 @@ class ObservedTally:
     """Detector counts accumulated over a run.
 
     ``matched`` maps (phase_a, phase_b, detector) to a count, where phases
-    are slice indices (multiples of 2 pi / M, M even) of the total modulated
-    phase of a matched pair and detector is 1 or 2; the constructor refuses
-    any other key, and a count that is not an integer >= 0.
+    are slice indices (multiples of 2 pi / M) of the total modulated phase of
+    a matched pair and detector is 1 or 2; the constructor refuses any other
+    key, and a count that is not an integer >= 0.  M and mu must lie in the
+    bound chain's domains, so every tally can be rated.
     ``counts_include_test``, a bool, is the counting convention: True when the
     matched counts include the rounds later drawn into the test sample, so
     n_sifted + sampled-out = sum(matched), as in every simulated tally;
@@ -55,10 +56,9 @@ class ObservedTally:
     def __post_init__(self):
         # The counts are integers: an integral float such as 1e11 is stored as
         # an int.  mu and p_s are stored as Python floats.
-        self.m_slices = _require_slices("ObservedTally", self.m_slices)
+        self.m_slices = _check_slices("ObservedTally", self.m_slices)
         self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
-        if not 0.0 <= self.mu < math.inf:
-            raise DomainError(f"ObservedTally: mu must be finite and >= 0, got {self.mu}")
+        _require_mu("ObservedTally", self.mu)
         if not 0.0 < self.p_s < 1.0:
             raise DomainError(f"ObservedTally: p_s must be in (0, 1), got {self.p_s}")
         self.mu, self.p_s = float(self.mu), float(self.p_s)
@@ -71,11 +71,9 @@ class ObservedTally:
         valid = _matched_keys(self.m_slices)
         for key, count in self.matched.items():
             if key not in valid:
-                if not _is_matched_key(key, self.m_slices):
-                    raise DomainError(
-                        f"ObservedTally: matched key {key} must be a matched phase pair "
-                        f"at m_slices={self.m_slices} and detector 1 or 2")
-                valid.add(key)
+                raise DomainError(
+                    f"ObservedTally: matched key {key} must be a matched phase pair "
+                    f"at m_slices={self.m_slices} and detector 1 or 2")
             if type(count) is not int or count < 0:
                 _require_count("ObservedTally", f"matched[{key}]", count)
         flag = self.counts_include_test
@@ -136,50 +134,19 @@ def _sum_known(a: int | None, b: int | None) -> int | None:
     return None if a is None or b is None else a + b
 
 
-def _even_slices(m: int) -> int:
-    """The one rule for M: even, so that each slice has one partner at delta = pi."""
-    if m < 2 or m % 2:
-        raise ValueError("an even integer >= 2")
-    return m
-
-
-def _require_slices(func: str, value) -> int:
-    """value as the int M by :func:`_even_slices`, or a DomainError naming m_slices."""
-    m = _require_count(func, "m_slices", value)
-    try:
-        return _even_slices(m)
-    except ValueError as exc:
-        raise DomainError(f"{func}: m_slices must be {exc}, got {m}") from None
-
-
 def _matched_pairs(m: int) -> list[tuple[int, int]]:
     """Matched phase pairs in canonical order: all delta = 0, then delta = pi."""
     return [(a, (a + offset) % m) for offset in (0, m // 2) for a in range(m)]
 
 
-def _is_matched_key(key, m: int) -> bool:
-    """Whether key equals a (phase_a, phase_b, detector) a tally at M = m may count.
-
-    Equal as dict keys are, so the answer does not depend on which equal
-    key :func:`_matched_keys` met first.
-    """
-    try:
-        a = int(key[0])
-    except (TypeError, ValueError, OverflowError, IndexError):
-        return False
-    b = (a + m // 2) % m
-    return 0 <= a < m and key in {(a, a, 1), (a, a, 2), (a, b, 1), (a, b, 2)}
-
-
 @functools.cache
-def _matched_keys(m: int) -> set[tuple[int, int, int]]:
-    """The keys at M = m that :func:`_is_matched_key` has passed so far.
+def _matched_keys(m: int) -> frozenset[tuple[int, int, int]]:
+    """The 4 M keys (phase_a, phase_b, detector) a tally at M = m may count.
 
-    Each key is checked once per M and then found by one lookup.  The set is
-    filled as keys occur, not built whole, so a large declared M costs
-    nothing; it never holds more than the 4 M valid keys.
+    Built whole, once per M; M is a slice count of the chain, so there are
+    at most as many sets as it covers.
     """
-    return set()
+    return frozenset((a, b, det) for a, b in _matched_pairs(m) for det in (1, 2))
 
 
 def _number(text: str) -> float:
@@ -206,6 +173,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _intensity(text: str) -> float:
+    """mu: > 0, and at most MU_MAX, the largest intensity the chain sums at."""
+    value = _positive(text)
+    if value > MU_MAX:
+        raise ValueError(f"<= {MU_MAX:g}")
+    return value
+
+
 def _fraction(text: str) -> float:
     """A number strictly between 0 and 1."""
     value = _number(text)
@@ -229,10 +204,10 @@ def parse_flag(text: str) -> bool:
 _METADATA = {
     "loss_db": (_positive, True),
     "N": (_count, True),
-    "mu": (_positive, True),
+    "mu": (_intensity, True),
     "p_s": (_fraction, True),
     "n_det": (_count, True),
-    "m_slices": (lambda text: _even_slices(_count(text)), False),
+    "m_slices": (lambda text: _slice_count(_number(text)), False),
     "n_double": (_count, False),
     "m_s": (_count, False),
     "n_sifted": (_count, False),
@@ -287,7 +262,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
     meta: dict[str, object] = {}
     matched: dict[tuple[int, int, int], int] = {}
     pairs: set[tuple[int, int]] = set()
-    m = None  # slice count, fixed once the header is read
+    m = None  # slice count, fixed once the header is read, with its keys
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -318,6 +293,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
                     raise SchemaError(f"missing metadata: {', '.join(missing)}", lineno)
                 meta = {**_ABSENT, **meta}
                 m = meta["m_slices"]
+                keys = _matched_keys(m)
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -328,7 +304,7 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
                 raise SchemaError(f"fields must be non-negative integers: {line!r}", lineno)
             if not (a < m and b < m):
                 raise SchemaError(f"phase index out of range for M={m}: ({a}, {b})", lineno)
-            if not _is_matched_key((a, b, 1), m):  # detector 1 stands for the pair
+            if (a, b, 1) not in keys:  # detector 1 stands for the pair
                 raise SchemaError(f"non-matched phase pair ({a}, {b}) for M={m}", lineno)
             if (a, b) in pairs:
                 raise SchemaError(f"repeated phase pair ({a}, {b})", lineno)
@@ -357,23 +333,23 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     The metadata lines walk ``_METADATA``: each known value once, in order, a
     flag as its lower-case word (true/false) and any other value as its repr.
     A value the parser would refuse raises a DomainError naming its key before
-    the file is opened.  Rows are in canonical order (:func:`_matched_pairs`),
-    so equal tallies give byte-identical files, which :func:`parse_tally_csv`
-    reads back to an equal tally.
+    the file is opened.  Rows are in canonical order (:func:`_matched_pairs`)
+    at the M the parser reads, so equal tallies give byte-identical files,
+    which :func:`parse_tally_csv` reads back to an equal tally.
     """
-    lines = []
+    lines, read = [], {}
     for key, (rule, _) in _METADATA.items():
         value = loss_db if key == "loss_db" else getattr(tally, _FIELD.get(key, key))
         if value is None:  # unknown
             continue
         text = str(value).lower() if rule is parse_flag else repr(value)
         try:
-            rule(text)
+            read[key] = rule(text)
         except ValueError as exc:
             raise DomainError(f"write_tally_csv: {key} must be {exc}, got {text}") from None
         lines.append(f"# {key}={text}")
     lines.append(_HEADER)
-    for a, b in _matched_pairs(tally.m_slices):
+    for a, b in _matched_pairs(read["m_slices"]):
         d1 = tally.matched.get((a, b, 1), 0)
         d2 = tally.matched.get((a, b, 2), 0)
         lines.append(f"{a},{b},{d1},{d2}")
@@ -424,9 +400,6 @@ def reproduce_key_rate(
     if budget is None:
         budget = SecurityBudget()
     tally = record.tally
-    if tally.m_slices not in defaults.SUPPORTED_M_SLICES:
-        raise DomainError(f"tally m_slices={tally.m_slices}: the bound chain "
-                          f"supports m_slices 6 or 8 only")
     obs = derive_observables(record)
     spec = ChannelSpec(eta_d=eta_d, p_d=p_d, total_loss_db=record.loss_db)
     return finite_key_rate(

@@ -133,11 +133,21 @@ def _check_sampling(stage: str, p_s: float) -> None:
         raise DomainError(f"{stage}: p_s must be in (0, 1), got {p_s}")
 
 
-def _check_slices(stage: str, m_slices: int) -> int:
-    """m_slices as an int (8.0 is 8), or a DomainError unless it is 6 or 8."""
-    if m_slices not in defaults.SUPPORTED_M_SLICES:
-        raise DomainError(f"{stage}: m_slices must be 6 or 8, got {m_slices}")
-    return int(m_slices)
+def _slice_count(m) -> int:
+    """The one rule for M: a slice count the chain's closed forms cover, as an
+    int (8.0 is 8), or a ValueError naming that domain.  The chain, the tally,
+    its file and the CLI all read M through it."""
+    if m not in defaults.SUPPORTED_M_SLICES:
+        raise ValueError(" or ".join(map(str, defaults.SUPPORTED_M_SLICES)))
+    return int(m)
+
+
+def _check_slices(stage: str, m_slices) -> int:
+    """m_slices by :func:`_slice_count`, or a DomainError naming it."""
+    try:
+        return _slice_count(m_slices)
+    except ValueError as exc:
+        raise DomainError(f"{stage}: m_slices must be {exc}, got {m_slices}") from None
 
 
 def _check_efficiency(stage: str, f: float) -> None:

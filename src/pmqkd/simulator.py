@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
-from .ingest import ObservedTally, _matched_pairs, _require_slices, write_tally_csv  # noqa: F401
-from .numerics import _require_count
+from .ingest import ObservedTally, _matched_pairs, write_tally_csv  # noqa: F401
+from .numerics import _require_count, _require_mu
+from .security import _check_slices
 
 DEFAULT_BATCH_SIZE = 10**10
 
@@ -55,9 +56,8 @@ class ProtocolParams:
             if not math.isfinite(value):
                 raise DomainError(f"ProtocolParams: {name} must be finite, got {value}")
             object.__setattr__(self, name, float(value))
-        if self.mu < 0:
-            raise DomainError(f"ProtocolParams: mu must be >= 0, got {self.mu}")
-        object.__setattr__(self, "m_slices", _require_slices("ProtocolParams", self.m_slices))
+        _require_mu("ProtocolParams", self.mu)
+        object.__setattr__(self, "m_slices", _check_slices("ProtocolParams", self.m_slices))
         if not 0.0 < self.p_s < 1.0:
             raise DomainError(f"ProtocolParams: p_s must be in (0, 1), got {self.p_s}")
         object.__setattr__(self, "n_rounds", _require_count(

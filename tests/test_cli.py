@@ -502,6 +502,17 @@ class TestSimulateReproduce:
         assert err == "pmqkd: error [domain] write_tally_csv: mu must be finite and > 0, got 0.0\n"
         assert not out.exists()
 
+    def test_simulate_refuses_a_mu_the_chain_refuses(self, capsys, tmp_path):
+        # At mu = 800 simulate once wrote a tally that reproduce refused
+        # with a chain stage's message, which names no key of the file.
+        out = tmp_path / "tally.csv"
+        code, _, err = run_cli(capsys, "simulate", "--loss-db", "20", "--mu", "800",
+                               "--n-rounds", "1e5", "-o", str(out))
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] ProtocolParams: mu must be finite and "
+                       "in [0, 700], got 800.0\n")
+        assert not out.exists()
+
     def test_simulate_rejects_fractional_rounds(self, capsys, tmp_path):
         out = tmp_path / "tally.csv"
         argv = ["simulate", "--loss-db", "20", "--mu", "1e-3", "--output", str(out)]
@@ -577,36 +588,55 @@ class TestFixedPsWithOptimizePs:
 
 
 class TestUnsupportedSliceCount:
+    """Every command with --m-slices reads it by the chain's one rule, in main,
+    before any work: any count the chain does not cover exits 3 naming it."""
+
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
         ["scan", "--d-min", "50", "--d-max", "60", "--step", "10"],
         ["optimize", "--loss-db", "30"],
         ["deviation", "--loss-min", "30", "--loss-max", "31"],
+        ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
     ])
-    @pytest.mark.parametrize("m", ["7", "4", "10"])
+    @pytest.mark.parametrize("m", ["0", "2", "4", "7", "10", "66", "1000000000000", "8.5",
+                                   "nan"])
     def test_named_before_any_evaluation(self, capsys, tmp_path, monkeypatch, argv, m):
         def no_chain(*args, **kwargs):
             raise AssertionError("the chain ran")
         monkeypatch.setattr(cli, "expected_key_rate", no_chain)
         monkeypatch.setattr(cli, "optimize", no_chain)
+        monkeypatch.setattr(cli, "simulate", no_chain)
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, *argv, "--m-slices", m, "--output", str(out))
         assert code == EXIT_CODES["domain"]
-        assert err == (f"pmqkd: error [domain] --m-slices must be 6 or 8 (the slice "
-                       f"counts the bound chain supports), got {m}\n")
+        assert err == f"pmqkd: error [domain] --m-slices: m_slices must be 6 or 8, got {m}\n"
         assert not out.exists()
 
-    def test_simulate_keeps_any_even_count(self, capsys, tmp_path):
+    def test_simulate_writes_no_tally_the_chain_refuses(self, capsys, tmp_path):
+        # simulate once took any even count: an M = 4 tally was written, and
+        # reproduce then refused it.
         tally = tmp_path / "t4.csv"
-        code, _, _ = run_cli(capsys, "simulate", "--loss-db", "20", "--mu", "1e-2",
-                             "--m-slices", "4", "--n-rounds", "1e5",
-                             "--output", str(tally))
-        assert code == 0
-        assert "# m_slices=4" in tally.read_text()
-        code, _, err = run_cli(capsys, "reproduce", "--input", str(tally))
+        code, _, err = run_cli(capsys, "simulate", "--loss-db", "20", "--mu", "1e-2",
+                               "--m-slices", "4", "--n-rounds", "1e5",
+                               "--output", str(tally))
         assert code == EXIT_CODES["domain"]
-        assert err == ("pmqkd: error [domain] tally m_slices=4: the bound chain "
-                       "supports m_slices 6 or 8 only\n")
+        assert err == "pmqkd: error [domain] --m-slices: m_slices must be 6 or 8, got 4\n"
+        assert not tally.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
+        ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
+    ])
+    @pytest.mark.parametrize("m", ["6", "8"])
+    def test_integral_float_is_the_count(self, capsys, tmp_path, argv, m):
+        # --m-slices 8.0 is 8, as it is for the chain, the tally and its file.
+        outputs = []
+        for given in (m, m + ".0"):
+            out = tmp_path / f"out-{given}"
+            code, _, _ = run_cli(capsys, *argv, "--m-slices", given, "--output", str(out))
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestNeverOptimistic:

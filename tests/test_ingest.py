@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pmqkd.channel import ChannelSpec
 from pmqkd.errors import DomainError, NoDataError, SchemaError
 from pmqkd.ingest import (
     _METADATA,
@@ -24,6 +25,10 @@ from pmqkd.ingest import (
     result_to_json,
     write_tally_csv,
 )
+from pmqkd.numerics import MU_MAX
+from pmqkd.pipeline import expected_key_rate
+from pmqkd.security import SecurityBudget, finite_key_rate
+from pmqkd.simulator import ProtocolParams
 
 # Published summary values for the three bundled datasets.
 REPORTED = {
@@ -240,6 +245,8 @@ class TestParser:
         ({0: "# loss_db=0"}, "line 1: bad value for loss_db: '0'"),
         ({5: "# m_slices=7"}, "line 6: bad value for m_slices: '7'"),
         ({5: "# m_slices=1"}, "line 6: bad value for m_slices: '1'"),
+        ({5: "# m_slices=4"}, "line 6: bad value for m_slices: '4'"),
+        ({2: "# mu=800"}, "line 3: bad value for mu: '800'"),
     ])
     def test_schema_violation_rejected(self, tmp_path, edit, match):
         # blank lines are skipped, so each slot keeps its line number
@@ -375,7 +382,7 @@ def _writable_tallies(draw):
     """A tally the writer accepts, with its counts as the parser requires them:
     N >= n_det >= matched total >= n_sifted, and mu, p_s and the counting
     convention as Python or as numpy scalars."""
-    m = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    m = draw(st.sampled_from((6, 8)))
     keys = [(a, b, det) for a, b in _matched_pairs(m) for det in (1, 2)]
     matched = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 10**12)))
     total = sum(matched.values())
@@ -385,7 +392,7 @@ def _writable_tallies(draw):
     return ObservedTally(
         m_slices=m,
         n_rounds=n_det + draw(st.integers(0, 10**15)),
-        mu=to(draw(st.floats(0.0, exclude_min=True, allow_infinity=False))),
+        mu=to(draw(st.floats(0.0, MU_MAX, exclude_min=True))),
         p_s=to(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
         n_det=n_det,
         n_double=draw(st.integers(0, 10**12)),
@@ -416,6 +423,8 @@ class TestTallyFileRoundTrip:
         ("mu", np.float64(1e-3), 40.0),  # set past the constructor
         ("p_s", 1.0, 40.0),
         ("m_slices", 7, 40.0),         # set past the constructor
+        ("m_slices", 4, 40.0),
+        ("mu", 800.0, 40.0),
         (None, None, math.nan),
         (None, None, 0.0),
         (None, None, -3.0),
@@ -433,6 +442,64 @@ class TestTallyFileRoundTrip:
         with pytest.raises(DomainError, match=rf"^write_tally_csv: {key} must"):
             write_tally_csv(tally, str(path), loss_db=loss_db)
         assert not path.exists()
+
+
+def _tally_at(m):
+    return ObservedTally(m_slices=m, n_rounds=10**6, mu=1e-3, p_s=0.07, n_det=50,
+                         matched={(0, 0, 1): 30, (0, 0, 2): 1})
+
+
+def _past_the_constructor(m):
+    tally = _tally_at(8)
+    tally.m_slices = m
+    return tally
+
+
+def _parse_at(m, tmp_path):
+    path = tmp_path / "tally.csv"
+    path.write_text(f"# loss_db=40\n# N=1e6\n# mu=1e-3\n# p_s=0.07\n# n_det=50\n"
+                    f"# m_slices={m!r}\nphase_a,phase_b,d1_count,d2_count\n0,0,30,1\n")
+    return parse_tally_csv(str(path))
+
+
+# Each boundary a slice count crosses on its way from a file or a caller to
+# the bound chain, as a call of M.
+_SLICE_BOUNDARIES = {
+    "ObservedTally": lambda m, tmp_path: _tally_at(m),
+    "ProtocolParams": lambda m, tmp_path: ProtocolParams(
+        mu=1e-3, m_slices=m, n_rounds=10, p_s=0.07, channel=ChannelSpec(total_loss_db=20)),
+    "parse_tally_csv": _parse_at,
+    "write_tally_csv": lambda m, tmp_path: write_tally_csv(
+        _past_the_constructor(m), str(tmp_path / "out.csv"), loss_db=40.0),
+    "expected_key_rate": lambda m, tmp_path: expected_key_rate(
+        ChannelSpec(total_loss_db=40.0), 1e-3, m_slices=m),
+    "finite_key_rate": lambda m, tmp_path: finite_key_rate(
+        mu=1e-3, m_slices=m, n_rounds=1e11, p_s=0.07, f=1.16, q_mu=3e-6, e_b=0.01,
+        n_mu=2e5, m_s=200.0, budget=SecurityBudget()),
+    "reproduce_key_rate": lambda m, tmp_path: reproduce_key_rate(
+        ExperimentRecord(loss_db=40.0, tally=_past_the_constructor(m))),
+}
+
+
+class TestOneSliceCountRule:
+    """A slice count has one domain, the bound chain's, from the file to the
+    chain: any other is refused at every boundary, naming m_slices, so no
+    tally is built, written or read that the chain would refuse."""
+
+    @pytest.mark.parametrize("boundary", _SLICE_BOUNDARIES)
+    @pytest.mark.parametrize("m", [0, 2, 4, 7, 10, 66, 10**12, 8.5, math.nan])
+    def test_refused(self, tmp_path, boundary, m):
+        with pytest.raises((DomainError, SchemaError), match=r"\bm_slices\b"):
+            _SLICE_BOUNDARIES[boundary](m, tmp_path)
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("boundary", _SLICE_BOUNDARIES)
+    @pytest.mark.parametrize("m", [6, 8, 8.0])
+    def test_accepted(self, tmp_path, boundary, m):
+        got = _SLICE_BOUNDARIES[boundary](m, tmp_path)
+        record = getattr(got, "tally", got)  # a parsed file is a record
+        if hasattr(record, "m_slices"):
+            assert record.m_slices == m and type(record.m_slices) is int
 
 
 def test_readme_tally_schema_table_matches_the_parser():

@@ -38,6 +38,8 @@ class TestParamsValidation:
             ProtocolParams(mu=-1, m_slices=8, n_rounds=10, p_s=0.1, channel=ch)
         with pytest.raises(DomainError):
             ProtocolParams(mu=1e-3, m_slices=7, n_rounds=10, p_s=0.1, channel=ch)
+        with pytest.raises(DomainError, match=r"ProtocolParams: mu must be finite and in"):
+            ProtocolParams(mu=800.0, m_slices=8, n_rounds=10, p_s=0.1, channel=ch)
         with pytest.raises(DomainError):
             ProtocolParams(mu=1e-3, m_slices=8, n_rounds=10, p_s=0.0, channel=ch)
         with pytest.raises(DomainError):
@@ -82,9 +84,11 @@ class TestRecordsRejectBadFields:
         ({"matched": {(0, 1, 1): 7}}, r"matched key \(0, 1, 1\) must"),  # not a matched pair
         ({"matched": {(0, 4, 3): 7}}, r"matched key \(0, 4, 3\) must"),  # no detector 3
         # An odd M was accepted and written, and the file was then refused.
-        ({"m_slices": 7}, r"m_slices must be an even integer >= 2, got 7"),
+        ({"m_slices": 7}, r"ObservedTally: m_slices must be 6 or 8, got 7"),
         # A truthy string was read as True, and written as 'false'.
         ({"counts_include_test": "false"}, r"counts_include_test must be a bool, got .false."),
+        # A mu the chain cannot sum was written, and then refused by a chain stage.
+        ({"mu": 800.0}, r"ObservedTally: mu must be finite and in \[0, 700\], got 800.0"),
     ])
     def test_tally_matched_entries_checked(self, fields, match):
         with pytest.raises(DomainError, match=match):
@@ -96,11 +100,12 @@ class TestRecordsRejectBadFields:
         ObservedTally(m_slices=6, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
         with pytest.raises(DomainError, match=r"matched key \(0, 3, 2\) must"):
             ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
-        # A declared M of 1e12 checks the keys the tally has, without
-        # building the 4e12 it could have.
+        # A declared M of 1e12 was accepted, and its file would have held
+        # 2e12 rows; the chain covers no such count.
         half = 5 * 10**11
-        ObservedTally(m_slices=2 * half, n_rounds=100, mu=1e-3, p_s=0.07,
-                      matched={(7, 7 + half, 1): 3})
+        with pytest.raises(DomainError, match=r"m_slices must be 6 or 8, got 1000000000000"):
+            ObservedTally(m_slices=2 * half, n_rounds=100, mu=1e-3, p_s=0.07,
+                          matched={(7, 7 + half, 1): 3})
 
     def test_tally_key_equal_to_a_valid_key_accepted(self):
         # A key equal to a valid one is accepted, as the dict finds it, in
