@@ -80,8 +80,9 @@ def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
                    help="misalignment error probability")
 
 
-def _number(text: str) -> int | float:
-    """A number as typed, integral ones as ints (8.0 is 8), for a rule to judge."""
+def number(text: str) -> int | float:
+    """A number as typed, integral ones as ints (8.0 is 8), for a rule to judge.
+    Named for argparse's message on a word that is no number."""
     value = float(text)
     return int(value) if value.is_integer() else value
 
@@ -99,7 +100,7 @@ def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
     if mu:
         g.add_argument("--mu", type=float, default=None,
                        help="total pulse intensity (mu_a = mu_b = mu/2)")
-    g.add_argument("--m-slices", type=_number, default=defaults.M_SLICES,
+    g.add_argument("--m-slices", type=number, default=defaults.M_SLICES,
                    help="number of random phase slices (6 or 8)")
     g.add_argument("--n-rounds", type=float, default=defaults.N_ROUNDS,
                    help="number of rounds N")
