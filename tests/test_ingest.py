@@ -463,7 +463,7 @@ def _parse_at(m, tmp_path):
 
 
 # Each boundary a slice count crosses on its way from a file or a caller to
-# the bound chain, as a call of M.
+# the bound chain: its name -> a call of it at M.
 _SLICE_BOUNDARIES = {
     "ObservedTally": lambda m, tmp_path: _tally_at(m),
     "ProtocolParams": lambda m, tmp_path: ProtocolParams(
