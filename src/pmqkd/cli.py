@@ -35,6 +35,7 @@ from .ingest import (
     result_to_json,
     write_tally_csv,
 )
+from .numerics import _require_count
 from .optimizer import SearchBounds, optimize
 from .pipeline import expected_key_rate
 from .security import KeyRateResult, SecurityBudget, _check_slices
@@ -353,13 +354,10 @@ def cmd_deviation(args) -> int:
 def cmd_simulate(args) -> int:
     _require(args, "mu", "output")
     _require_jobs(args)
-    if not math.isfinite(args.n_rounds):
-        raise DomainError(f"--n-rounds must be finite, got {args.n_rounds}")
-    if not args.n_rounds.is_integer():
-        raise DomainError(f"--n-rounds must be a whole number, got {args.n_rounds}")
+    n_rounds = _require_count("--n-rounds", "n_rounds", args.n_rounds, least=1)
     channel = _channel_from(args)
     params = ProtocolParams(
-        mu=args.mu, m_slices=args.m_slices, n_rounds=int(args.n_rounds),
+        mu=args.mu, m_slices=args.m_slices, n_rounds=n_rounds,
         p_s=args.p_s, channel=channel,
     )
     tally = simulate(params, args.seed, batch_size=args.batch_size)

@@ -19,7 +19,8 @@ from . import defaults
 from .channel import ChannelSpec, gain, transmittance
 from .errors import DomainError, NoDataError, SchemaError
 from .numerics import MU_MAX, _require_count, _require_mu
-from .security import KeyRateResult, SecurityBudget, _check_slices, _slice_count, finite_key_rate
+from .security import (
+    KeyRateResult, SecurityBudget, _check_sampling, _check_slices, _slice_count, finite_key_rate)
 
 
 @dataclass
@@ -29,7 +30,8 @@ class ObservedTally:
     ``matched`` maps (phase_a, phase_b, detector) to a count, where phases
     are slice indices (multiples of 2 pi / M) of the total modulated phase of
     a matched pair and detector is 1 or 2; the constructor refuses any other
-    key, and a count that is not an integer >= 0.  M and mu must lie in the
+    key, a count that is not an integer >= 0, and counts out of the order
+    N >= n_det >= matched total >= n_sifted.  M, mu and p_s must lie in the
     bound chain's domains, so every tally can be rated.
     ``counts_include_test``, a bool, is the counting convention: True when the
     matched counts include the rounds later drawn into the test sample, so
@@ -59,9 +61,7 @@ class ObservedTally:
         self.m_slices = _check_slices("ObservedTally", self.m_slices)
         self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
         _require_mu("ObservedTally", self.mu)
-        if not 0.0 < self.p_s < 1.0:
-            raise DomainError(f"ObservedTally: p_s must be in (0, 1), got {self.p_s}")
-        self.mu, self.p_s = float(self.mu), float(self.p_s)
+        self.mu, self.p_s = float(self.mu), _check_sampling("ObservedTally", self.p_s)
         self.n_det = _require_count("ObservedTally", "n_det", self.n_det)
         self.n_double = _require_count("ObservedTally", "n_double", self.n_double)
         for name in ("m_s", "n_sifted", "seed"):  # None when unknown
@@ -81,6 +81,17 @@ class ObservedTally:
         if not (type(flag) is bool or numpy and isinstance(flag, numpy.bool_)):
             raise DomainError(f"ObservedTally: counts_include_test must be a bool, got {flag!r}")
         self.counts_include_test = bool(flag)
+        self._check_count_order("ObservedTally")
+
+    def _check_count_order(self, stage: str) -> None:
+        """The one count-order rule: the sifted key is drawn from the matched
+        clicks, and they from the valid clicks of the rounds sent."""
+        total = self.total_matched()
+        if not self.n_rounds >= self.n_det >= total >= (self.n_sifted or 0):
+            raise DomainError(
+                f"{stage}: counts must satisfy N >= n_det >= matched total >= n_sifted, "
+                f"got N={self.n_rounds}, n_det={self.n_det}, matched total={total}, "
+                f"n_sifted={self.n_sifted}")
 
     def total_matched(self) -> int:
         return sum(self.matched.values())
@@ -253,11 +264,10 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
     The file starts with '# key=value' metadata lines, each key of
     _METADATA at most once, then the _HEADER row, then at most one row per
     matched phase pair.  Phases are slice indices, i.e. multiples of 2 pi / M
-    (pi/4 steps at M = 8, pi/3 steps at M = 6).  The counts must satisfy
-    N >= n_det >= matched total >= n_sifted.  A violation is rejected with
-    its line number or the fields it involves.  The tally's counting
-    convention is the file's counts_include_test, false when absent (a
-    transcribed table).
+    (pi/4 steps at M = 8, pi/3 steps at M = 6).  A violation is rejected with
+    its line number, and counts out of the tally's order with the tally's
+    message, which names them.  The tally's counting convention is the file's
+    counts_include_test, false when absent (a transcribed table).
     """
     meta: dict[str, object] = {}
     matched: dict[tuple[int, int, int], int] = {}
@@ -317,13 +327,10 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
         raise SchemaError("no data rows found")
 
     loss_db = meta.pop("loss_db")
-    tally = ObservedTally(matched=matched, **{_FIELD.get(k, k): v for k, v in meta.items()})
-    total = tally.total_matched()
-    if not tally.n_rounds >= tally.n_det >= total >= (tally.n_sifted or 0):
-        raise SchemaError(
-            "counts must satisfy N >= n_det >= matched total >= n_sifted, got "
-            f"N={tally.n_rounds}, n_det={tally.n_det}, matched total={total}, "
-            f"n_sifted={tally.n_sifted}")
+    try:
+        tally = ObservedTally(matched=matched, **{_FIELD.get(k, k): v for k, v in meta.items()})
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
     return ExperimentRecord(loss_db=loss_db, tally=tally, source=path)
 
 
@@ -332,10 +339,11 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
 
     The metadata lines walk ``_METADATA``: each known value once, in order, a
     flag as its lower-case word (true/false) and any other value as its repr.
-    A value the parser would refuse raises a DomainError naming its key before
-    the file is opened.  Rows are in canonical order (:func:`_matched_pairs`)
-    at the M the parser reads, so equal tallies give byte-identical files,
-    which :func:`parse_tally_csv` reads back to an equal tally.
+    A value the parser would refuse raises a DomainError naming its key, and
+    counts out of the tally's order one naming the counts, before the file is
+    opened.  Rows are in canonical order (:func:`_matched_pairs`) at the M the
+    parser reads, so equal tallies give byte-identical files, which
+    :func:`parse_tally_csv` reads back to an equal tally.
     """
     lines, read = [], {}
     for key, (rule, _) in _METADATA.items():
@@ -348,6 +356,7 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
         except ValueError as exc:
             raise DomainError(f"write_tally_csv: {key} must be {exc}, got {text}") from None
         lines.append(f"# {key}={text}")
+    tally._check_count_order("write_tally_csv")
     lines.append(_HEADER)
     for a, b in _matched_pairs(read["m_slices"]):
         d1 = tally.matched.get((a, b, 1), 0)
@@ -367,6 +376,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     integer, and flagged.  Ties round up, toward more sampled errors.
     """
     tally = record.tally
+    tally._check_count_order("derive_observables")  # counts set past the constructor
     total = tally.total_matched()
     if total == 0:
         raise NoDataError("derive_observables: record has no matched counts")
@@ -418,19 +428,14 @@ def reproduce_key_rate(
     )
 
 
-def bundled_tally_path(loss_db: int):
-    """Path to one of the packaged reference datasets (35, 40 or 45 dB)."""
+def load_bundled_record(loss_db: int) -> ExperimentRecord:
+    """Load one of the packaged reference datasets (35, 40 or 45 dB)."""
     if loss_db not in defaults.BUNDLED_TALLIES:
         raise DomainError(
             f"no bundled dataset: loss_db must be one of "
             f"{sorted(defaults.BUNDLED_TALLIES)}, got {loss_db}"
         )
-    return resources.files("pmqkd.data") / defaults.BUNDLED_TALLIES[loss_db]
-
-
-def load_bundled_record(loss_db: int) -> ExperimentRecord:
-    """Load one of the packaged reference datasets."""
-    return parse_tally_csv(str(bundled_tally_path(loss_db)))
+    return parse_tally_csv(str(resources.files("pmqkd.data") / defaults.BUNDLED_TALLIES[loss_db]))
 
 
 def _finite_or_null(value):

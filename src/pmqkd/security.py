@@ -128,9 +128,11 @@ def _check_rounds(stage: str, n_rounds: float) -> None:
         raise DomainError(f"{stage}: n_rounds must be positive, got {n_rounds}")
 
 
-def _check_sampling(stage: str, p_s: float) -> None:
+def _check_sampling(stage: str, p_s: float) -> float:
+    """The one rule for p_s: in (0, 1), returned as a float, or a DomainError."""
     if not 0.0 < p_s < 1.0:
         raise DomainError(f"{stage}: p_s must be in (0, 1), got {p_s}")
+    return float(p_s)
 
 
 def _slice_count(m) -> int:

@@ -33,7 +33,7 @@ from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
 from .ingest import ObservedTally, _matched_pairs, write_tally_csv  # noqa: F401
 from .numerics import _require_count, _require_mu
-from .security import _check_slices
+from .security import _check_sampling, _check_slices
 
 DEFAULT_BATCH_SIZE = 10**10
 
@@ -51,15 +51,10 @@ class ProtocolParams:
     def __post_init__(self):
         # Stored as the types the code computes with: an integral float such
         # as 8.0 as an int, a numpy float as a Python float.
-        for name in ("mu", "p_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"ProtocolParams: {name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "mu", float(self.mu))
         _require_mu("ProtocolParams", self.mu)
         object.__setattr__(self, "m_slices", _check_slices("ProtocolParams", self.m_slices))
-        if not 0.0 < self.p_s < 1.0:
-            raise DomainError(f"ProtocolParams: p_s must be in (0, 1), got {self.p_s}")
+        object.__setattr__(self, "p_s", _check_sampling("ProtocolParams", self.p_s))
         object.__setattr__(self, "n_rounds", _require_count(
             "ProtocolParams", "n_rounds", self.n_rounds, least=1))
 

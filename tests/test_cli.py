@@ -454,15 +454,16 @@ class TestSimulateReproduce:
         code, _, err = run_cli(capsys, "reproduce")
         assert code == EXIT_CODES["domain"]
 
-    @pytest.mark.parametrize("flag,value,field", [
-        ("--loss-db", "nan", "total_loss_db"),
-        ("--loss-db", "inf", "total_loss_db"),
-        ("--mu", "nan", "mu"),
-        ("--mu", "inf", "mu"),
-        ("--p-s", "nan", "p_s"),
-        ("--n-rounds", "nan", "--n-rounds"),
-    ])
-    def test_simulate_rejects_non_finite(self, capsys, tmp_path, flag, value, field):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--loss-db", "nan", "total_loss_db must be finite"),
+        ("--loss-db", "inf", "total_loss_db must be finite"),
+        ("--mu", "nan", "mu must be finite"),
+        ("--mu", "inf", "mu must be finite"),
+        # Each by the rule that owns it: p_s by the chain's, the round count by a count's.
+        ("--p-s", "nan", "p_s must be in (0, 1)"),
+        ("--n-rounds", "nan", "--n-rounds: n_rounds must be an integer"),
+    ], ids=lambda v: v.split()[0].rstrip(":"))  # the first word of each value
+    def test_simulate_rejects_non_finite(self, capsys, tmp_path, flag, value, message):
         out = tmp_path / "tally.csv"
         args = {"--loss-db": "20", "--mu": "1e-3", "--n-rounds": "1e6", "--p-s": "0.07"}
         args[flag] = value
@@ -472,7 +473,7 @@ class TestSimulateReproduce:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CODES["domain"]
         assert err.startswith("pmqkd: error [domain]")
-        assert f"{field} must be finite" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,flag,verb", [
@@ -518,7 +519,8 @@ class TestSimulateReproduce:
         argv = ["simulate", "--loss-db", "20", "--mu", "1e-3", "--output", str(out)]
         code, _, err = run_cli(capsys, *argv, "--n-rounds", "1000.7")
         assert code == EXIT_CODES["domain"]
-        assert err == "pmqkd: error [domain] --n-rounds must be a whole number, got 1000.7\n"
+        assert err == ("pmqkd: error [domain] --n-rounds: n_rounds must be an integer, "
+                       "got 1000.7\n")
         assert not out.exists()
         # An integral float is a whole number, as in the tally schema.
         code, _, _ = run_cli(capsys, *argv, "--n-rounds", "2.5e3")

@@ -379,7 +379,7 @@ class TestCountingConvention:
 
 @st.composite
 def _writable_tallies(draw):
-    """A tally the writer accepts, with its counts as the parser requires them:
+    """A tally the writer accepts, with its counts as the tally requires them:
     N >= n_det >= matched total >= n_sifted, and mu, p_s and the counting
     convention as Python or as numpy scalars."""
     m = draw(st.sampled_from((6, 8)))
@@ -407,7 +407,8 @@ def _writable_tallies(draw):
 class TestTallyFileRoundTrip:
     """The writer and the parser read one table: whatever the writer writes,
     the parser reads back to an equal tally, and whatever the parser would
-    refuse, the writer refuses, naming the key, before it opens the file."""
+    refuse, the writer refuses, naming the key or the counts, before it opens
+    the file."""
 
     @given(tally=_writable_tallies(),
            loss_db=st.floats(0.0, exclude_min=True, allow_infinity=False))
@@ -425,6 +426,7 @@ class TestTallyFileRoundTrip:
         ("m_slices", 7, 40.0),         # set past the constructor
         ("m_slices", 4, 40.0),
         ("mu", 800.0, 40.0),
+        ("n_sifted", 4, 40.0),         # set past the constructor, above the matched 3
         (None, None, math.nan),
         (None, None, 0.0),
         (None, None, -3.0),
@@ -438,10 +440,43 @@ class TestTallyFileRoundTrip:
         if field is not None:
             setattr(tally, field, value)
         path = tmp_path / "refused.csv"
-        key = field or "loss_db"
+        # A value is refused by its key's rule, and an n_sifted by the count order.
+        key = "counts" if field == "n_sifted" else field or "loss_db"
         with pytest.raises(DomainError, match=rf"^write_tally_csv: {key} must"):
             write_tally_csv(tally, str(path), loss_db=loss_db)
         assert not path.exists()
+
+
+class TestCountOrder:
+    """The tally owns the order N >= n_det >= matched total >= n_sifted: the
+    sifted key is drawn from the matched clicks, and they from the valid
+    clicks of the rounds sent.  Counts out of that order are refused, naming
+    them, so no such tally is built, written or rated."""
+
+    ORDER = "counts must satisfy N >= n_det >= matched total >= n_sifted, got "
+
+    @pytest.mark.parametrize("counts,got", [
+        # n_sifted at 2x and 10x the 91 781 matched clicks of the bundled
+        # 45 dB counts was rated 1.92x and 6.09x their true rate.
+        ({"n_sifted": 183562}, "N=100000000000, n_det=363094, matched total=91781, "
+                               "n_sifted=183562"),
+        ({"n_sifted": 917810}, "N=100000000000, n_det=363094, matched total=91781, "
+                               "n_sifted=917810"),
+        ({"n_det": 91780}, "N=100000000000, n_det=91780, matched total=91781, "
+                           "n_sifted=None"),
+        ({"n_rounds": 363093}, "N=363093, n_det=363094, matched total=91781, "
+                               "n_sifted=None"),
+    ], ids=["n_sifted=2x", "n_sifted=10x", "n_det<matched", "N<n_det"])
+    def test_refused(self, counts, got):
+        tally = load_bundled_record(45).tally
+        with pytest.raises(DomainError, match=f"^ObservedTally: {re.escape(self.ORDER + got)}$"):
+            dataclasses.replace(tally, **counts)
+        # Counts set past the constructor are not rated either.
+        for name, value in counts.items():
+            setattr(tally, name, value)
+        with pytest.raises(DomainError,
+                           match=f"^derive_observables: {re.escape(self.ORDER + got)}$"):
+            reproduce_key_rate(ExperimentRecord(loss_db=45.0, tally=tally))
 
 
 def _tally_at(m):
@@ -503,12 +538,11 @@ class TestOneSliceCountRule:
 
 
 def test_readme_tally_schema_table_matches_the_parser():
-    # A key added to or dropped from the parser, or a changed requirement,
-    # cannot leave the README's schema table behind.
+    # A key added to, dropped from or moved in the parser's table, or a
+    # changed requirement, cannot leave the README's schema table behind.
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("## Tally CSV schema", 1)[1].split("\n## ", 1)[0]
-    rows = dict(re.findall(r"^\| `(\w+)` \| .* \| (required|optional.*) \|$", section,
-                           flags=re.MULTILINE))
-    assert rows.keys() == _METADATA.keys()
-    assert {k for k, v in rows.items() if v == "required"} == {
-        k for k, (_, required) in _METADATA.items() if required}
+    rows = re.findall(r"^\| `(\w+)` \| .* \| (required|optional)\b.* \|$", section,
+                      flags=re.MULTILINE)
+    assert rows == [(key, "required" if required else "optional")
+                    for key, (_, required) in _METADATA.items()]

@@ -987,7 +987,8 @@ _PUBLIC_ARGS = dict(
 # "callable.parameter" guarded.
 _PUBLIC_OVERRIDES = {
     "ChannelSpec.distance_km": dict(total_loss_db=None, distance_km=100.0),
-    "ObservedTally": dict(m_s=5, n_sifted=50, seed=1),
+    # n_sifted is drawn from the matched clicks, and they from the n_det = 100 clicks.
+    "ObservedTally": dict(m_s=5, n_sifted=50, seed=1, matched={(0, 0, 1): 60}),
     "load_bundled_record": dict(loss_db=45),
     "optimize": dict(fixed_p_s=0.07),
     "binary_entropy": dict(x=0.25),

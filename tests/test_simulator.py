@@ -45,13 +45,17 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             ProtocolParams(mu=1e-3, m_slices=8, n_rounds=0, p_s=0.1, channel=ch)
 
-    @pytest.mark.parametrize("name", ["mu", "p_s"])
+    # Each by the chain's one rule for it.
+    @pytest.mark.parametrize("name,rule", [
+        ("mu", r"must be finite and in \[0, 700\]"),
+        ("p_s", r"must be in \(0, 1\)"),
+    ], ids=["mu", "p_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite(self, name, value):
+    def test_rejects_non_finite(self, name, rule, value):
         fields = dict(mu=1e-3, m_slices=8, n_rounds=10, p_s=0.1,
                       channel=ChannelSpec(total_loss_db=20))
         fields[name] = value
-        with pytest.raises(DomainError, match=f"{name} must be finite"):
+        with pytest.raises(DomainError, match=rf"^ProtocolParams: {name} {rule}, got {value}$"):
             ProtocolParams(**fields)
 
 
@@ -97,21 +101,23 @@ class TestRecordsRejectBadFields:
 
     def test_tally_matched_keys_follow_m(self):
         # (0, 3) is matched at M = 6 (delta = pi) and not at M = 8.
-        ObservedTally(m_slices=6, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
+        ObservedTally(m_slices=6, n_rounds=100, mu=1e-3, p_s=0.07, n_det=1,
+                      matched={(0, 3, 2): 1})
         with pytest.raises(DomainError, match=r"matched key \(0, 3, 2\) must"):
-            ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07, matched={(0, 3, 2): 1})
+            ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07, n_det=1,
+                          matched={(0, 3, 2): 1})
         # A declared M of 1e12 was accepted, and its file would have held
         # 2e12 rows; the chain covers no such count.
         half = 5 * 10**11
         with pytest.raises(DomainError, match=r"m_slices must be 6 or 8, got 1000000000000"):
-            ObservedTally(m_slices=2 * half, n_rounds=100, mu=1e-3, p_s=0.07,
+            ObservedTally(m_slices=2 * half, n_rounds=100, mu=1e-3, p_s=0.07, n_det=3,
                           matched={(7, 7 + half, 1): 3})
 
     def test_tally_key_equal_to_a_valid_key_accepted(self):
         # A key equal to a valid one is accepted, as the dict finds it, in
         # either order of first sight.
         for key in [(0, 4, 1), (0.0, 4, 1), (1.0, 5, 1), (1, 5, 1)]:
-            tally = ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07,
+            tally = ObservedTally(m_slices=8, n_rounds=100, mu=1e-3, p_s=0.07, n_det=2,
                                   matched={key: 2})
             assert tally.error_count() == 2
 
@@ -273,7 +279,7 @@ class TestTallyToStats:
     def test_error_convention(self):
         # D2 at delta = 0 and D1 at delta = pi are the error counts
         tally = ObservedTally(
-            m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=40,
+            m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=140,
             matched={(0, 0, 2): 3, (2, 6, 1): 4, (0, 0, 1): 93}, n_sifted=100,
         )
         assert tally.error_count() == 7
@@ -305,8 +311,8 @@ class TestCsvRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_merge_keeps_unknown_counts_unknown(self):
-        known = ObservedTally(m_slices=8, n_rounds=10, mu=1e-3, p_s=0.07,
-                              m_s=2, n_sifted=5)
+        known = ObservedTally(m_slices=8, n_rounds=10, mu=1e-3, p_s=0.07, n_det=5,
+                              matched={(0, 0, 1): 5}, m_s=2, n_sifted=5)
         unknown = ObservedTally(m_slices=8, n_rounds=10, mu=1e-3, p_s=0.07)
         for merged in (known.merge(unknown), unknown.merge(known)):
             assert merged.m_s is None and merged.n_sifted is None
