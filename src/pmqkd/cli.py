@@ -73,12 +73,17 @@ def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
     if alpha:
         g.add_argument("--alpha", type=float, default=defaults.ALPHA_DB_PER_KM,
                        help="attenuation coefficient in dB/km")
+    _add_detector_args(g)
+    g.add_argument("--e-d", type=float, default=defaults.E_D,
+                   help="misalignment error probability")
+
+
+def _add_detector_args(g) -> None:
+    """The detector options of every command that models the detectors."""
     g.add_argument("--eta-d", type=float, default=defaults.ETA_D,
                    help="detector efficiency")
     g.add_argument("--p-d", type=float, default=defaults.P_D,
                    help="dark count probability per pulse per detector")
-    g.add_argument("--e-d", type=float, default=defaults.E_D,
-                   help="misalignment error probability")
 
 
 def number(text: str) -> int | float:
@@ -455,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p, loss=False, alpha=False); _add_protocol_args(p)
     _add_budget_args(p)
     p.add_argument("--output", "-o", help="CSV output path (default: stdout)")
-    p.add_argument("--loss-min", type=float, default=10.0)
-    p.add_argument("--loss-max", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=1.0)
+    p.add_argument("--loss-min", type=float, default=10.0, help="start loss, dB")
+    p.add_argument("--loss-max", type=float, default=50.0, help="end loss, dB")
+    p.add_argument("--step", type=float, default=1.0, help="loss step, dB")
     p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("simulate", help="Monte Carlo run; writes a tally CSV")
@@ -477,15 +482,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", default=None, help="tally CSV path")
     p.add_argument("--bundled", type=int, choices=sorted(defaults.BUNDLED_TALLIES),
                    default=None, help="use a packaged reference dataset (dB)")
-    p.add_argument("--eta-d", type=float, default=defaults.ETA_D)
-    p.add_argument("--p-d", type=float, default=defaults.P_D)
+    _add_detector_args(p)
     _add_output_args(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("optimize", help="best (mu, p_s) at one channel point")
     _add_channel_args(p); _add_protocol_args(p, mu=False); _add_budget_args(p)
-    p.add_argument("--mu-min", type=float, default=defaults.MU_BOUNDS[0])
-    p.add_argument("--mu-max", type=float, default=defaults.MU_BOUNDS[1])
+    p.add_argument("--mu-min", type=float, default=defaults.MU_BOUNDS[0],
+                   help="lower end of the mu search")
+    p.add_argument("--mu-max", type=float, default=defaults.MU_BOUNDS[1],
+                   help="upper end of the mu search")
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
     p.add_argument("--trace", action="store_true",

@@ -18,7 +18,7 @@ ALPHA_DB_PER_KM = 0.168  # fiber attenuation coefficient
 # Protocol shape.
 M_SLICES = 8          # phase slice count
 # The slice counts the bound chain's closed forms cover: the one statement of
-# M's domain, which every boundary reads through security._slice_count.
+# M's domain, which every boundary reads through security._check_slices.
 SUPPORTED_M_SLICES = (6, 8)
 P_S = 0.07            # sampling fraction for parameter estimation
 N_ROUNDS = 1e11       # default data size (pulse pairs sent)

@@ -18,9 +18,9 @@ from importlib import resources
 from . import defaults
 from .channel import ChannelSpec, gain, transmittance
 from .errors import DomainError, NoDataError, SchemaError
-from .numerics import MU_MAX, _require_count, _require_mu
+from .numerics import _require_count, _require_mu
 from .security import (
-    KeyRateResult, SecurityBudget, _check_sampling, _check_slices, _slice_count, finite_key_rate)
+    KeyRateResult, SecurityBudget, _check_probability, _check_slices, finite_key_rate)
 
 
 @dataclass
@@ -56,36 +56,37 @@ class ObservedTally:
     counts_include_test: bool = True
 
     def __post_init__(self):
-        # The counts are integers: an integral float such as 1e11 is stored as
-        # an int.  mu and p_s are stored as Python floats.
-        self.m_slices = _check_slices("ObservedTally", self.m_slices)
-        self.n_rounds = _require_count("ObservedTally", "n_rounds", self.n_rounds)
-        _require_mu("ObservedTally", self.mu)
-        self.mu, self.p_s = float(self.mu), _check_sampling("ObservedTally", self.p_s)
-        self.n_det = _require_count("ObservedTally", "n_det", self.n_det)
-        self.n_double = _require_count("ObservedTally", "n_double", self.n_double)
+        self._check("ObservedTally")
+
+    def _check(self, stage: str) -> None:
+        """The one statement of the tally's rules, for the constructor and for
+        every reader of a tally changed since: a DomainError names stage and
+        the field.  A count is stored as an int (1e11 too), mu and p_s as
+        floats, the flag as a bool.  The sifted key is drawn from the matched
+        clicks, and they from the valid clicks of the rounds sent."""
+        self.m_slices = _check_slices(stage, self.m_slices)
+        self.n_rounds = _require_count(stage, "n_rounds", self.n_rounds)
+        _require_mu(stage, self.mu)
+        self.mu, self.p_s = float(self.mu), _check_probability(stage, "p_s", self.p_s)
+        self.n_det = _require_count(stage, "n_det", self.n_det)
+        self.n_double = _require_count(stage, "n_double", self.n_double)
         for name in ("m_s", "n_sifted", "seed"):  # None when unknown
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, _require_count("ObservedTally", name, value))
+                setattr(self, name, _require_count(stage, name, value))
         valid = _matched_keys(self.m_slices)
         for key, count in self.matched.items():
             if key not in valid:
                 raise DomainError(
-                    f"ObservedTally: matched key {key} must be a matched phase pair "
+                    f"{stage}: matched key {key} must be a matched phase pair "
                     f"at m_slices={self.m_slices} and detector 1 or 2")
-            if type(count) is not int or count < 0:
-                _require_count("ObservedTally", f"matched[{key}]", count)
+            if type(count) is not int or count < 0:  # a bool too, which the file cannot hold
+                self.matched[key] = _require_count(stage, f"matched[{key}]", count)
         flag = self.counts_include_test
         numpy = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
         if not (type(flag) is bool or numpy and isinstance(flag, numpy.bool_)):
-            raise DomainError(f"ObservedTally: counts_include_test must be a bool, got {flag!r}")
+            raise DomainError(f"{stage}: counts_include_test must be a bool, got {flag!r}")
         self.counts_include_test = bool(flag)
-        self._check_count_order("ObservedTally")
-
-    def _check_count_order(self, stage: str) -> None:
-        """The one count-order rule: the sifted key is drawn from the matched
-        clicks, and they from the valid clicks of the rounds sent."""
         total = self.total_matched()
         if not self.n_rounds >= self.n_det >= total >= (self.n_sifted or 0):
             raise DomainError(
@@ -168,36 +169,10 @@ def _number(text: str) -> float:
         return math.nan
 
 
-# Each rule reads one value's text and raises ValueError naming its domain.
 def _count(text: str) -> int:
-    """A non-negative integer; an integral float such as 1e11 is accepted."""
-    value = _number(text)
-    if not (value >= 0 and value.is_integer()):
-        raise ValueError("an integer >= 0")
-    return int(text) if text.isdigit() else int(value)
-
-
-def _positive(text: str) -> float:
-    value = _number(text)
-    if not 0 < value < math.inf:
-        raise ValueError("finite and > 0")
-    return value
-
-
-def _intensity(text: str) -> float:
-    """mu: > 0, and at most MU_MAX, the largest intensity the chain sums at."""
-    value = _positive(text)
-    if value > MU_MAX:
-        raise ValueError(f"<= {MU_MAX:g}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    """A number strictly between 0 and 1."""
-    value = _number(text)
-    if not 0 < value < 1:
-        raise ValueError("in (0, 1)")
-    return value
+    """A count by the record's rule (an integral float such as 1e11 too), its
+    digits read exactly."""
+    return _require_count(_READ, "count", int(text) if text.isdigit() else _number(text))
 
 
 def parse_flag(text: str) -> bool:
@@ -208,17 +183,44 @@ def parse_flag(text: str) -> bool:
     return value in ("true", "1", "yes")
 
 
+def _check_loss(stage: str, loss_db: float) -> float:
+    """The one rule for a record's declared loss: finite and > 0, as a float."""
+    if not 0 < loss_db < math.inf:
+        raise DomainError(f"{stage}: loss_db must be finite and > 0, got {loss_db}")
+    return float(loss_db)
+
+
+def _check_measured_mu(stage: str, mu: float) -> float:
+    """The one rule for a record's mu: the chain's, and > 0, since measured
+    counts at mu = 0 carry no key (a simulated vacuum tally may have it)."""
+    _require_mu(stage, mu)
+    if not mu > 0:
+        raise DomainError(f"{stage}: mu must be finite and > 0, got {mu}")
+    return float(mu)
+
+
+def _check_record(stage: str, loss_db: float, tally: ObservedTally) -> float:
+    """A record's whole check, for the writer and the rating; loss_db as a float."""
+    loss_db = _check_loss(stage, loss_db)
+    tally._check(stage)
+    _check_measured_mu(stage, tally.mu)
+    return loss_db
+
+
 # Every metadata key a tally file may carry, in the order the writer writes
-# them: key -> (rule, required).  loss_db belongs to the record, and every
-# other key to the ObservedTally field _FIELD names, by default its own name.
-# An absent optional key takes the field's default, or its value in _ABSENT.
+# them: key -> (rule, required).  A rule parses the text, then applies the
+# record's rule, whose DomainError is a ValueError.  loss_db belongs to the
+# record, and every other key to the ObservedTally field _FIELD names, by
+# default its own name.  An absent optional key takes the field's default,
+# or its value in _ABSENT.
+_READ = "parse_tally_csv"  # the rules' stage; the parser's message names key and line
 _METADATA = {
-    "loss_db": (_positive, True),
+    "loss_db": (lambda text: _check_loss(_READ, _number(text)), True),
     "N": (_count, True),
-    "mu": (_intensity, True),
-    "p_s": (_fraction, True),
+    "mu": (lambda text: _check_measured_mu(_READ, _number(text)), True),
+    "p_s": (lambda text: _check_probability(_READ, "p_s", _number(text)), True),
     "n_det": (_count, True),
-    "m_slices": (lambda text: _slice_count(_number(text)), False),
+    "m_slices": (lambda text: _check_slices(_READ, _number(text)), False),
     "n_double": (_count, False),
     "m_s": (_count, False),
     "n_sifted": (_count, False),
@@ -243,11 +245,8 @@ class ExperimentRecord:
     source: str | None = None
 
     def __post_init__(self):
-        if not 0 < self.loss_db < math.inf:
-            raise DomainError(
-                f"ExperimentRecord: loss_db must be finite and > 0, got {self.loss_db}")
-        if not self.tally.mu > 0:
-            raise DomainError(f"ExperimentRecord: mu must be > 0, got {self.tally.mu}")
+        self.loss_db = _check_loss("ExperimentRecord", self.loss_db)
+        _check_measured_mu("ExperimentRecord", self.tally.mu)
 
 
 @dataclass(frozen=True)
@@ -337,28 +336,23 @@ def parse_tally_csv(path: str) -> ExperimentRecord:
 def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     """Serialize a tally in the ingestible CSV schema (bit-exact counts).
 
-    The metadata lines walk ``_METADATA``: each known value once, in order, a
-    flag as its lower-case word (true/false) and any other value as its repr.
-    A value the parser would refuse raises a DomainError naming its key, and
-    counts out of the tally's order one naming the counts, before the file is
-    opened.  Rows are in canonical order (:func:`_matched_pairs`) at the M the
-    parser reads, so equal tallies give byte-identical files, which
-    :func:`parse_tally_csv` reads back to an equal tally.
+    The record's rules, which the parser reads each value by, run first: a
+    value it would refuse raises a DomainError naming its field, or the
+    counts, before the file is opened.  The metadata lines walk
+    ``_METADATA``: each known value once, in order, a flag as its lower-case
+    word (true/false) and any other value as its repr.  Rows are in
+    canonical order (:func:`_matched_pairs`), so equal tallies give
+    byte-identical files, which :func:`parse_tally_csv` reads back to an
+    equal tally.
     """
-    lines, read = [], {}
-    for key, (rule, _) in _METADATA.items():
+    loss_db = _check_record("write_tally_csv", loss_db, tally)
+    lines = []
+    for key in _METADATA:
         value = loss_db if key == "loss_db" else getattr(tally, _FIELD.get(key, key))
-        if value is None:  # unknown
-            continue
-        text = str(value).lower() if rule is parse_flag else repr(value)
-        try:
-            read[key] = rule(text)
-        except ValueError as exc:
-            raise DomainError(f"write_tally_csv: {key} must be {exc}, got {text}") from None
-        lines.append(f"# {key}={text}")
-    tally._check_count_order("write_tally_csv")
+        if value is not None:  # None is unknown
+            lines.append(f"# {key}={str(value).lower() if type(value) is bool else repr(value)}")
     lines.append(_HEADER)
-    for a, b in _matched_pairs(read["m_slices"]):
+    for a, b in _matched_pairs(tally.m_slices):
         d1 = tally.matched.get((a, b, 1), 0)
         d2 = tally.matched.get((a, b, 2), 0)
         lines.append(f"{a},{b},{d1},{d2}")
@@ -376,7 +370,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     integer, and flagged.  Ties round up, toward more sampled errors.
     """
     tally = record.tally
-    tally._check_count_order("derive_observables")  # counts set past the constructor
+    _check_record("derive_observables", record.loss_db, tally)  # set past the constructors
     total = tally.total_matched()
     if total == 0:
         raise NoDataError("derive_observables: record has no matched counts")

@@ -44,7 +44,7 @@ from .channel import ChannelSpec
 from .errors import DomainError
 from .numerics import MU_MAX, _require_count
 from .pipeline import expected_key_rate
-from .security import KeyRateResult, SecurityBudget
+from .security import KeyRateResult, SecurityBudget, _check_probability
 
 GRID_SHAPE = (50, 10)  # (mu points, p_s points) of the pre-scan
 LOG_MU_TOL = 1e-9      # absolute tolerance, in log10(mu), of the 1-D search
@@ -125,8 +125,8 @@ def optimize(
         budget = SecurityBudget()
     if bounds is None:
         bounds = SearchBounds()
-    if fixed_p_s is not None and not 0.0 < fixed_p_s < 1.0:
-        raise DomainError(f"optimize: fixed_p_s must be in (0, 1), got {fixed_p_s}")
+    if fixed_p_s is not None:
+        _check_probability("optimize", "fixed_p_s", fixed_p_s)
     _require_count("optimize", "seed", seed)
 
     trace: list[tuple[float, float, float]] = []

@@ -17,7 +17,7 @@ from .channel import (
 from .security import (
     KeyRateResult,
     SecurityBudget,
-    _check_sampling,
+    _check_probability,
     _check_slices,
     finite_key_rate,
 )
@@ -39,7 +39,7 @@ def expected_key_rate(
     smooth in the parameters.  p_s must lie in (0, 1): the expected sampled
     errors divide by 1 - p_s, and the vacuum bound by p_s.
     """
-    _check_sampling("expected_key_rate", p_s)
+    _check_probability("expected_key_rate", "p_s", p_s)
     if budget is None:
         budget = SecurityBudget()
     eta = transmittance(channel)

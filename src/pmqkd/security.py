@@ -65,12 +65,8 @@ class SecurityBudget:
     xi_prime: float = defaults.XI_PRIME
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise DomainError(f"SecurityBudget: eps must be in (0, 1), got {self.eps}")
-        if not 0.0 < self.eps_ka < 1.0:
-            raise DomainError(
-                f"SecurityBudget: eps_ka must be in (0, 1), got {self.eps_ka}"
-            )
+        _check_probability("SecurityBudget", "eps", self.eps)
+        _check_probability("SecurityBudget", "eps_ka", self.eps_ka)
         for name in ("xi", "xi_prime"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -97,9 +93,7 @@ def compose_epsilons(budget: SecurityBudget) -> tuple[float, float, float]:
 
 
 def _beta(eps: float) -> float:
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"Chernoff bound: eps must be in (0, 1), got {eps}")
-    return math.log(1.0 / eps)
+    return math.log(1.0 / _check_probability("Chernoff bound", "eps", eps))
 
 
 def _expected_ub(x: float, beta: float) -> float:
@@ -128,28 +122,21 @@ def _check_rounds(stage: str, n_rounds: float) -> None:
         raise DomainError(f"{stage}: n_rounds must be positive, got {n_rounds}")
 
 
-def _check_sampling(stage: str, p_s: float) -> float:
-    """The one rule for p_s: in (0, 1), returned as a float, or a DomainError."""
-    if not 0.0 < p_s < 1.0:
-        raise DomainError(f"{stage}: p_s must be in (0, 1), got {p_s}")
-    return float(p_s)
-
-
-def _slice_count(m) -> int:
-    """The one rule for M: a slice count the chain's closed forms cover, as an
-    int (8.0 is 8), or a ValueError naming that domain.  The chain, the tally,
-    its file and the CLI all read M through it."""
-    if m not in defaults.SUPPORTED_M_SLICES:
-        raise ValueError(" or ".join(map(str, defaults.SUPPORTED_M_SLICES)))
-    return int(m)
+def _check_probability(stage: str, name: str, value: float) -> float:
+    """The one rule for a probability in (0, 1): the value as a float."""
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{stage}: {name} must be in (0, 1), got {value}")
+    return float(value)
 
 
 def _check_slices(stage: str, m_slices) -> int:
-    """m_slices by :func:`_slice_count`, or a DomainError naming it."""
-    try:
-        return _slice_count(m_slices)
-    except ValueError as exc:
-        raise DomainError(f"{stage}: m_slices must be {exc}, got {m_slices}") from None
+    """The one rule for M: a slice count the chain's closed forms cover, as an
+    int (8.0 is 8), or a DomainError naming that domain.  The chain, the
+    tally, its file and the CLI all read M through it."""
+    if m_slices not in defaults.SUPPORTED_M_SLICES:
+        domain = " or ".join(map(str, defaults.SUPPORTED_M_SLICES))
+        raise DomainError(f"{stage}: m_slices must be {domain}, got {m_slices}")
+    return int(m_slices)
 
 
 def _check_efficiency(stage: str, f: float) -> None:
@@ -181,7 +168,7 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 def _check_sampled(m_s: float, p_s: float) -> None:
     if not 0.0 <= m_s < math.inf:
         raise DomainError(f"vacuum_yield_ub: m_s must be finite and >= 0, got {m_s}")
-    _check_sampling("vacuum_yield_ub", p_s)
+    _check_probability("vacuum_yield_ub", "p_s", p_s)
 
 
 def _vacuum_yield(m_s: float, p_s: float, n_rounds: float, e_mu: float,
@@ -333,8 +320,7 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     """
     _check_trials(n)
     _check_successes(n, lambda_n)
-    if not 0.0 < eps_ka < 1.0:
-        raise DomainError(f"kato_correction: eps_ka must be in (0, 1), got {eps_ka}")
+    _check_probability("kato_correction", "eps_ka", eps_ka)
     return _kato(n, lambda_n, eps_ka)
 
 

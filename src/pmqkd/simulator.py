@@ -33,7 +33,7 @@ from .channel import ChannelSpec, transmittance
 from .errors import DomainError, NoDataError
 from .ingest import ObservedTally, _matched_pairs, write_tally_csv  # noqa: F401
 from .numerics import _require_count, _require_mu
-from .security import _check_sampling, _check_slices
+from .security import _check_probability, _check_slices
 
 DEFAULT_BATCH_SIZE = 10**10
 
@@ -54,7 +54,7 @@ class ProtocolParams:
         object.__setattr__(self, "mu", float(self.mu))
         _require_mu("ProtocolParams", self.mu)
         object.__setattr__(self, "m_slices", _check_slices("ProtocolParams", self.m_slices))
-        object.__setattr__(self, "p_s", _check_sampling("ProtocolParams", self.p_s))
+        object.__setattr__(self, "p_s", _check_probability("ProtocolParams", "p_s", self.p_s))
         object.__setattr__(self, "n_rounds", _require_count(
             "ProtocolParams", "n_rounds", self.n_rounds, least=1))
 
@@ -174,8 +174,10 @@ def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
 
     Q = valid clicks / rounds, E_b = wrong-detector fraction of matched
     clicks, and the sifted size is :meth:`ObservedTally.sifted_size`, the
-    n_mu that ingest derives from the same tally.
+    n_mu that ingest derives from the same tally.  The tally's rules run
+    first, for fields set after it was built.
     """
+    tally._check("tally_to_stats")
     if tally.n_det == 0:
         raise NoDataError("tally_to_stats: tally has no valid detections")
     total_matched = tally.total_matched()

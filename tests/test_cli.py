@@ -1075,6 +1075,15 @@ class TestOptionSets:
         assert not out.exists()
 
 
+def test_every_option_has_help():
+    # An option without help prints as a bare flag in --help.
+    commands = cli.build_parser().get_default("commands")
+    bare = [(name, action.option_strings[0])
+            for name, sub in commands.items() for action in sub._actions
+            if action.option_strings and not action.help]
+    assert bare == []
+
+
 def test_readme_command_table_names_only_real_options():
     # A deleted or misplaced option cannot linger in the README's table.
     commands = cli.build_parser().get_default("commands")

@@ -28,7 +28,7 @@ from pmqkd.ingest import (
 from pmqkd.numerics import MU_MAX
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import SecurityBudget, finite_key_rate
-from pmqkd.simulator import ProtocolParams
+from pmqkd.simulator import ProtocolParams, tally_to_stats
 
 # Published summary values for the three bundled datasets.
 REPORTED = {
@@ -421,7 +421,6 @@ class TestTallyFileRoundTrip:
 
     @pytest.mark.parametrize("field,value,loss_db", [
         ("mu", 0.0, 40.0),             # once written as '# mu=0.0', refused on read
-        ("mu", np.float64(1e-3), 40.0),  # set past the constructor
         ("p_s", 1.0, 40.0),
         ("m_slices", 7, 40.0),         # set past the constructor
         ("m_slices", 4, 40.0),
@@ -433,8 +432,6 @@ class TestTallyFileRoundTrip:
         (None, None, math.inf),
     ])
     def test_write_refuses_what_parse_refuses(self, tmp_path, field, value, loss_db):
-        if field == "mu" and repr(value) == "0.001":
-            pytest.skip("this numpy writes a numpy float as a plain number")
         tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=5,
                               matched={(0, 0, 1): 3})
         if field is not None:
@@ -445,6 +442,28 @@ class TestTallyFileRoundTrip:
         with pytest.raises(DomainError, match=rf"^write_tally_csv: {key} must"):
             write_tally_csv(tally, str(path), loss_db=loss_db)
         assert not path.exists()
+
+    def test_numpy_mu_set_past_the_constructor_is_written_as_a_float(self, tmp_path):
+        # Once refused, as '# mu=np.float64(0.001)': the writer now stores it
+        # by the tally's rules, as a Python float, before it formats.
+        tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=5,
+                              matched={(0, 0, 1): 3})
+        tally.mu = np.float64(1e-3)
+        path = tmp_path / "numpy_mu.csv"
+        write_tally_csv(tally, str(path), loss_db=40.0)
+        assert "# mu=0.001\n" in path.read_text()
+        assert parse_tally_csv(str(path)).tally == tally
+
+    def test_matched_counts_are_stored_as_ints(self, tmp_path):
+        # A bool count was kept, and written as a row '0,0,True,2.0' that the
+        # parser refuses.
+        tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=6,
+                              matched={(0, 0, 1): True, (0, 0, 2): 2.0, (1, 1, 1): np.int64(3)})
+        assert [(c, type(c)) for c in tally.matched.values()] == [(1, int), (2, int), (3, int)]
+        path = tmp_path / "counts.csv"
+        write_tally_csv(tally, str(path), loss_db=40.0)
+        assert "\n0,0,1,2\n" in path.read_text()
+        assert parse_tally_csv(str(path)).tally == tally
 
 
 class TestCountOrder:
@@ -477,6 +496,53 @@ class TestCountOrder:
         with pytest.raises(DomainError,
                            match=f"^derive_observables: {re.escape(self.ORDER + got)}$"):
             reproduce_key_rate(ExperimentRecord(loss_db=45.0, tally=tally))
+
+
+# Fields of the bundled 45 dB record (true rate 2.248e-7) set after it was
+# built, each once rated or written: name -> (change, the field its refusal
+# names).  The rate each gave is in docs/DECISIONS.md.
+_CHANGED_RECORDS = {
+    "negative count": (lambda r: r.tally.matched.__setitem__((0, 0, 2), -100),
+                       r"matched\[\(0, 0, 2\)\] must be >= 0"),
+    "detector 3": (lambda r: r.tally.matched.__setitem__((0, 0, 3), 20000),
+                   r"matched key \(0, 0, 3\) must be a matched phase pair"),
+    "m_slices 6 over M = 8 keys": (lambda r: setattr(r.tally, "m_slices", 6),
+                                   r"matched key \(6, 6, 1\) must be a matched phase pair "
+                                   r"at m_slices=6"),
+    "loss_db 0": (lambda r: setattr(r, "loss_db", 0),
+                  r"loss_db must be finite and > 0, got 0$"),
+}
+
+
+# Each reader of a record: its name -> (the stage its refusal names, a call
+# of it on the record, which may write to the path).
+_RECORD_READERS = {
+    "reproduce_key_rate": ("derive_observables",
+                           lambda record, path: reproduce_key_rate(record)),
+    "write_tally_csv": ("write_tally_csv", lambda record, path: write_tally_csv(
+        record.tally, str(path), loss_db=record.loss_db)),
+    "tally_to_stats": ("tally_to_stats", lambda record, path: tally_to_stats(record.tally)),
+}
+
+
+class TestEveryReaderRunsTheWholeCheck:
+    """Each reader of a record or a tally runs its whole check, so a field set
+    after construction is refused, naming the stage and the field, and is
+    never rated or written.  The writer and tally_to_stats take no record's
+    loss."""
+
+    @pytest.mark.parametrize("change,reader", [
+        (change, reader) for change in _CHANGED_RECORDS for reader in _RECORD_READERS
+        if change != "loss_db 0" or reader == "reproduce_key_rate"])
+    def test_refused(self, tmp_path, change, reader):
+        record = load_bundled_record(45)
+        mutate, names = _CHANGED_RECORDS[change]
+        mutate(record)
+        stage, call = _RECORD_READERS[reader]
+        path = tmp_path / "changed.csv"
+        with pytest.raises(DomainError, match=f"^{stage}: {names}"):
+            call(record, path)
+        assert not path.exists()
 
 
 def _tally_at(m):
