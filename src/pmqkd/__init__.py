@@ -22,7 +22,6 @@ from .ingest import (
 from .numerics import (
     PseudoFockWeight,
     binary_entropy,
-    poisson_pmf,
     pseudo_fock_weight,
     pseudo_fock_weight_ub,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "optimize",
     "parse_tally_csv",
     "phase_error_discrete",
-    "poisson_pmf",
     "pseudo_fock_weight",
     "pseudo_fock_weight_ub",
     "qber",

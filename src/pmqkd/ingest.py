@@ -2,7 +2,8 @@
 
 :class:`ObservedTally` holds the counts the simulator draws and the bundled
 datasets carry; :func:`write_tally_csv` and :func:`parse_tally_csv` are the
-two ends of its file.  The observables derived from a tally (QBER, sifted
+two ends of its file.  Every rule of the tally, its key order and error
+rule too, is stated here.  The observables derived from a tally (QBER, sifted
 size, reconstructed sampled error count) feed the security chain.
 """
 
@@ -108,9 +109,8 @@ class ObservedTally:
         return self.total_matched() * (1.0 - self.p_s if self.counts_include_test else 1.0)
 
     def error_count(self) -> int:
-        """Wrong-detector clicks: D2 at delta = 0 (a == b at an even M), D1 at pi."""
-        return sum(count for (a, b, det), count in self.matched.items()
-                   if (a == b) == (det == 2))
+        """Wrong-detector clicks, by :func:`_is_error`."""
+        return sum(count for key, count in self.matched.items() if _is_error(key))
 
     def merge(self, other: "ObservedTally") -> "ObservedTally":
         """Combine two batch tallies; associative and commutative.
@@ -146,19 +146,27 @@ def _sum_known(a: int | None, b: int | None) -> int | None:
     return None if a is None or b is None else a + b
 
 
-def _matched_pairs(m: int) -> list[tuple[int, int]]:
-    """Matched phase pairs in canonical order: all delta = 0, then delta = pi."""
-    return [(a, (a + offset) % m) for offset in (0, m // 2) for a in range(m)]
+@functools.cache
+def _ordered_keys(m: int) -> tuple[tuple[int, int, int], ...]:
+    """The 4 M keys (phase_a, phase_b, detector) a tally at M = m may count, in
+    the tally's one order: the pairs at delta = 0, then at delta = pi, each
+    with detector 1, then 2.  Built once per M the chain covers.
+    """
+    return tuple((a, (a + offset) % m, det)
+                 for offset in (0, m // 2) for a in range(m) for det in (1, 2))
 
 
 @functools.cache
 def _matched_keys(m: int) -> frozenset[tuple[int, int, int]]:
-    """The 4 M keys (phase_a, phase_b, detector) a tally at M = m may count.
+    """The keys of :func:`_ordered_keys` as a set, for membership."""
+    return frozenset(_ordered_keys(m))
 
-    Built whole, once per M; M is a slice count of the chain, so there are
-    at most as many sets as it covers.
-    """
-    return frozenset((a, b, det) for a, b in _matched_pairs(m) for det in (1, 2))
+
+def _is_error(key: tuple[int, int, int]) -> bool:
+    """The error rule: a wrong-detector click, D2 at delta = 0 (a == b at an
+    even M) and D1 at delta = pi."""
+    a, b, det = key
+    return (a == b) == (det == 2)
 
 
 def _number(text: str) -> float:
@@ -341,7 +349,7 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     counts, before the file is opened.  The metadata lines walk
     ``_METADATA``: each known value once, in order, a flag as its lower-case
     word (true/false) and any other value as its repr.  Rows are in
-    canonical order (:func:`_matched_pairs`), so equal tallies give
+    the order of :func:`_ordered_keys`, so equal tallies give
     byte-identical files, which :func:`parse_tally_csv` reads back to an
     equal tally.
     """
@@ -352,12 +360,30 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
         if value is not None:  # None is unknown
             lines.append(f"# {key}={str(value).lower() if type(value) is bool else repr(value)}")
     lines.append(_HEADER)
-    for a, b in _matched_pairs(tally.m_slices):
+    for a, b, _ in _ordered_keys(tally.m_slices)[::2]:
         d1 = tally.matched.get((a, b, 1), 0)
         d2 = tally.matched.get((a, b, 2), 0)
         lines.append(f"{a},{b},{d1},{d2}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _matched_counts(stage: str, tally: ObservedTally) -> tuple[int, int, float]:
+    """(wrong-detector clicks, matched total, n_mu) of a checked tally; with
+    no matched count there is no QBER, a NoDataError naming stage."""
+    total = tally.total_matched()
+    if total == 0:
+        raise NoDataError(f"{stage}: tally has no matched counts")
+    return tally.error_count(), total, tally.sifted_size()
+
+
+def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
+    """Empirical (gain, QBER, sifted size) from a tally: Q = valid clicks /
+    rounds, and E_b and n_mu as :func:`derive_observables` takes them.  The
+    tally's rules run first, for fields set after it was built."""
+    tally._check("tally_to_stats")
+    errors, total, n_mu = _matched_counts("tally_to_stats", tally)
+    return tally.n_det / tally.n_rounds, errors / total, n_mu
 
 
 def derive_observables(record: ExperimentRecord) -> DerivedObservables:
@@ -371,12 +397,8 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     """
     tally = record.tally
     _check_record("derive_observables", record.loss_db, tally)  # set past the constructors
-    total = tally.total_matched()
-    if total == 0:
-        raise NoDataError("derive_observables: record has no matched counts")
-    errors = tally.error_count()
+    errors, total, n_mu = _matched_counts("derive_observables", tally)
     e_b = errors / total
-    n_mu = tally.sifted_size()
     if tally.m_s is not None:
         return DerivedObservables(e_b=e_b, n_mu=n_mu, m_s=float(tally.m_s),
                                   m_s_reconstructed=False)

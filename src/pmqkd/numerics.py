@@ -1,13 +1,12 @@
 """Numerically stable scalar kernels.
 
-Binary entropy, Poisson photon-number weights, and the residue-class weights
+Binary entropy and the residue-class weights
 P(k) = sum_l mu^(lM+k) e^-mu / (lM+k)!  that describe a weak coherent pulse
 under M-slice discrete phase randomization, together with their closed-form
 upper bounds for even k.
 
-All functions are pure and reentrant.  poisson_pmf goes through log-gamma so
-nothing overflows past k ~ 170.  The residue series run a ratio recurrence
-from their first term, are truncated once a term drops below 1e-18 of the
+All functions are pure and reentrant.  The residue series run a ratio
+recurrence from their first term, are truncated once a term drops below 1e-18 of the
 running sum with the rest bounded by a geometric remainder, and are rounded
 up by their own error bound, so none comes out below its exact value.
 """
@@ -73,23 +72,6 @@ def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
     if value < least:
         raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
     return value
-
-
-def poisson_pmf(mu: float, k: int) -> float:
-    """Poisson weight e^-mu mu^k / k!, evaluated in the log domain.
-
-    Exact at k = 0 by construction (returns e^-mu directly).
-    """
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"poisson_pmf: mu must be finite and >= 0, got {mu}")
-    k = _require_integer("poisson_pmf", "k", k)
-    if k < 0:
-        raise DomainError(f"poisson_pmf: k must be a nonnegative integer, got {k}")
-    if k == 0:
-        return math.exp(-mu)
-    if mu == 0.0:
-        return 0.0
-    return math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ round-by-round process:
 
 Misalignment is never reported, so it is folded into the click
 probabilities.  The cost of a draw does not depend on the number of rounds.
+The tally's key order and error rule are :mod:`ingest`'s.
 
 Rounds are processed in fixed-size batches.  The random stream of batch i is
 derived from the counter-based key (seed, i) and batch boundaries depend
@@ -27,11 +28,13 @@ batch_size) alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .channel import ChannelSpec, transmittance
-from .errors import DomainError, NoDataError
-from .ingest import ObservedTally, _matched_pairs, write_tally_csv  # noqa: F401
+from .errors import DomainError
+from .ingest import (  # noqa: F401  (the tally's names, re-exported)
+    ObservedTally, _is_error, _ordered_keys, tally_to_stats, write_tally_csv)
 from .numerics import _require_count, _require_mu
 from .security import _check_probability, _check_slices
 
@@ -62,9 +65,9 @@ class ProtocolParams:
 def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
     """Probabilities of the outcomes a round can contribute to a tally.
 
-    Entry ((in_test * 2 M + j) * 2 + det - 1) is a single click on detector
-    det for the j-th pair of :func:`_matched_pairs`, in a sifted round
-    (in_test = 0) or a test round (in_test = 1).  The single clicks on
+    Entry (in_test * 4 M + j) is a single click with the j-th key of
+    :func:`_ordered_keys`, in a sifted round (in_test = 0) or a test round
+    (in_test = 1).  The single clicks on
     unmatched pairs, the double clicks and, last, no click follow.  No
     click takes the remainder, so the rare outcomes are drawn against
     conditional probabilities free of cancellation.
@@ -85,9 +88,10 @@ def _outcome_probabilities(params: ProtocolParams) -> np.ndarray:
     single = np.stack([(1.0 - e_d) * only1 + e_d * only2,
                        (1.0 - e_d) * only2 + e_d * only1], axis=1)
     half = m // 2
-    deltas = np.repeat([0, half], m)  # delta of each matched pair
+    keys = np.array(_ordered_keys(m))
+    # Each key's click: its pair's delta slice, its detector.
     matched = np.multiply.outer([1.0 - params.p_s, params.p_s],
-                                single[deltas] / (m * m))
+                                single[(keys[:, 1] - keys[:, 0]) % m, keys[:, 2] - 1] / (m * m))
     unmatched = np.delete(single, [0, half], axis=0).sum() / m
     double = (click1 * click2).sum() / m
     probs = np.concatenate([matched.ravel(), [unmatched, double, 0.0]])
@@ -111,22 +115,21 @@ def _rekey(bit_generator, seed: int, batch_index: int) -> None:
     }
 
 
-def _simulate_batch(params: ProtocolParams, probs: np.ndarray, keys: list,
-                    rng: np.random.Generator, seed: int, batch_index: int,
-                    batch_rounds: int) -> ObservedTally:
+def _simulate_batch(params: ProtocolParams, probs: np.ndarray, keys: tuple,
+                    test_errors: operator.itemgetter, rng: np.random.Generator,
+                    seed: int, batch_index: int, batch_rounds: int) -> ObservedTally:
     """One batch: a multinomial draw on the stream of (seed, batch_index).
 
-    keys are the (a, b, detector) of each matched single click, in the order
-    of :func:`_outcome_probabilities`.
+    keys are :func:`_ordered_keys`, and test_errors picks the test-round
+    outcomes of the error keys from the draw.
     """
     m = params.m_slices
     _rekey(rng.bit_generator, seed, batch_index)
     counts = rng.multinomial(batch_rounds, probs).tolist()
-    # Sifted rounds, then test rounds, each indexed by (pair, detector).
+    # Sifted rounds, then test rounds, each indexed by key.
     sifted, test = counts[: 4 * m], counts[4 * m: 8 * m]
     per_det = [a + b for a, b in zip(sifted, test)]
-    # Errors are D2 clicks at delta = 0 (first m pairs), D1 clicks at delta = pi.
-    m_s = sum(test[1: 2 * m: 2]) + sum(test[2 * m:: 2])
+    m_s = sum(test_errors(counts))
     return ObservedTally(
         m_slices=m,
         n_rounds=batch_rounds,
@@ -160,29 +163,13 @@ def simulate(
     batch_size = _require_count("simulate", "batch_size", batch_size, least=1)
     n = int(params.n_rounds)
     probs = _outcome_probabilities(params)
-    keys = [(a, b, det) for a, b in _matched_pairs(params.m_slices) for det in (1, 2)]
+    keys = _ordered_keys(params.m_slices)
+    test_errors = operator.itemgetter(
+        *(len(keys) + j for j, key in enumerate(keys) if _is_error(key)))
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw
-    total = _simulate_batch(params, probs, keys, rng, seed, 0, min(batch_size, n))
+    total = _simulate_batch(params, probs, keys, test_errors, rng, seed, 0, min(batch_size, n))
     for i in range(1, (n + batch_size - 1) // batch_size):
-        total = total.merge(_simulate_batch(
-            params, probs, keys, rng, seed, i, min(batch_size, n - i * batch_size)))
+        total = total.merge(_simulate_batch(params, probs, keys, test_errors, rng, seed, i,
+                                            min(batch_size, n - i * batch_size)))
     return total
 
-
-def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
-    """Empirical (gain, QBER, sifted size) from a tally.
-
-    Q = valid clicks / rounds, E_b = wrong-detector fraction of matched
-    clicks, and the sifted size is :meth:`ObservedTally.sifted_size`, the
-    n_mu that ingest derives from the same tally.  The tally's rules run
-    first, for fields set after it was built.
-    """
-    tally._check("tally_to_stats")
-    if tally.n_det == 0:
-        raise NoDataError("tally_to_stats: tally has no valid detections")
-    total_matched = tally.total_matched()
-    if total_matched == 0:
-        raise NoDataError("tally_to_stats: tally has no matched detections")
-    q_emp = tally.n_det / tally.n_rounds
-    e_b_emp = tally.error_count() / total_matched
-    return q_emp, e_b_emp, tally.sifted_size()

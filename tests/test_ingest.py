@@ -17,7 +17,7 @@ from pmqkd.ingest import (
     _METADATA,
     ExperimentRecord,
     ObservedTally,
-    _matched_pairs,
+    _ordered_keys,
     derive_observables,
     load_bundled_record,
     parse_tally_csv,
@@ -383,8 +383,7 @@ def _writable_tallies(draw):
     N >= n_det >= matched total >= n_sifted, and mu, p_s and the counting
     convention as Python or as numpy scalars."""
     m = draw(st.sampled_from((6, 8)))
-    keys = [(a, b, det) for a, b in _matched_pairs(m) for det in (1, 2)]
-    matched = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, 10**12)))
+    matched = draw(st.dictionaries(st.sampled_from(_ordered_keys(m)), st.integers(1, 10**12)))
     total = sum(matched.values())
     n_det = total + draw(st.integers(0, 10**12))
     numpy = draw(st.booleans())

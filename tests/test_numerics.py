@@ -21,7 +21,6 @@ from pmqkd.numerics import (
     _even_tails,
     _residue_series,
     binary_entropy,
-    poisson_pmf,
     pseudo_fock_weight,
     pseudo_fock_weight_ub,
 )
@@ -110,39 +109,6 @@ class TestBinaryEntropy:
             assert mid >= avg - 1e-12
 
 
-class TestPoissonPmf:
-    @pytest.mark.parametrize("mu", [0.0, 1e-6, 3.2e-3, 0.5, 1.0, 10.0])
-    def test_k0_exact(self, mu):
-        assert poisson_pmf(mu, 0) == math.exp(-mu)
-
-    def test_mu1_k1(self):
-        # frozen: e^-1 = 0.3678794411714423216...
-        assert poisson_pmf(1.0, 1) == pytest.approx(0.36787944117144233, rel=1e-15)
-
-    def test_normalization_small_mu(self):
-        total = math.fsum(poisson_pmf(3.2e-3, k) for k in range(201))
-        assert abs(total - 1.0) <= 1e-15
-
-    def test_large_k_no_overflow(self):
-        # naive mu^k / k! overflows past k ~ 170; the log domain does not
-        assert poisson_pmf(50.0, 200) > 0.0
-        assert poisson_pmf(50.0, 200) == pytest.approx(
-            oracle_poisson(50.0, 200), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("mu,k", [(-1.0, 0), (1.0, -1), (1.0, 1.5)])
-    def test_domain(self, mu, k):
-        with pytest.raises(DomainError):
-            poisson_pmf(mu, k)
-
-    @given(
-        st.floats(min_value=1e-6, max_value=5.0),
-        st.integers(min_value=0, max_value=40),
-    )
-    def test_against_oracle(self, mu, k):
-        assert poisson_pmf(mu, k) == pytest.approx(oracle_poisson(mu, k), rel=1e-12)
-
-
 class TestPseudoFockWeight:
     def test_vacuum_only(self):
         assert pseudo_fock_weight(0.0, 8, 0).weight == 1.0
@@ -165,7 +131,7 @@ class TestPseudoFockWeight:
         for mu in (1e-3, 0.05, 0.1):
             for k in range(5):
                 diff = abs(
-                    pseudo_fock_weight(mu, 32, k).weight - poisson_pmf(mu, k)
+                    pseudo_fock_weight(mu, 32, k).weight - oracle_poisson(mu, k)
                 )
                 assert diff < 1e-12
 
@@ -179,7 +145,7 @@ class TestPseudoFockWeight:
         if k >= m:
             k = k % m
         w = pseudo_fock_weight(mu, m, k).weight
-        assert w >= poisson_pmf(mu, k) - 1e-18
+        assert w >= oracle_poisson(mu, k) - 1e-18
 
     @pytest.mark.parametrize("mu,m,k", [(1.0, 1, 0), (1.0, 8, 8), (1.0, 8, -1), (-0.5, 8, 0),
                                         (1.0, 65, 0)])
@@ -292,7 +258,6 @@ class TestPseudoFockWeightUb:
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf])
 @pytest.mark.parametrize("func,args", [
-    (poisson_pmf, (2,)),
     (pseudo_fock_weight, (8, 0)),
     (pseudo_fock_weight_ub, (8, 0)),
     (gain, (0.1, 1e-8)),
@@ -362,8 +327,9 @@ class TestLogFactorialTable:
 
 
 class TestIntegralK:
-    """k, and M, follow poisson_pmf's rule: an integral float is used as an
-    int, and anything else is a DomainError that names the parameter."""
+    """k, and M, follow numerics._require_integer's rule: an integral float is
+    used as an int, and anything else is a DomainError that names the
+    parameter."""
 
     @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight],
                              ids=lambda f: f.__name__)
@@ -372,14 +338,13 @@ class TestIntegralK:
         assert func(1e-3, 8, 2.0) == func(1e-3, 8, 2)
         assert func(1e-3, 8.0, 2) == func(1e-3, 8, 2)
 
-    @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight, poisson_pmf],
+    @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight],
                              ids=lambda f: f.__name__)
     @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
     def test_non_integral_k_rejected(self, func, k):
         # pseudo_fock_weight(1e-3, 8, 2.5) once returned a weight, 9.5e-9
-        args = (k,) if func is poisson_pmf else (8, k)
         with pytest.raises(DomainError, match=r"\bk must be an integer"):
-            func(1e-3, *args)
+            func(1e-3, 8, k)
 
     @pytest.mark.parametrize("func", [pseudo_fock_weight_ub, pseudo_fock_weight],
                              ids=lambda f: f.__name__)

@@ -76,7 +76,7 @@ def test_benchmark_tracer_finds_every_span(tmp_path, capsys):
     # benchmarks/tracer.py wraps functions by module and name, so a moved or
     # renamed function must still be found where the tracer looks.  The tally
     # lives in ingest and the simulator names the same objects.
-    for name in ("ObservedTally", "write_tally_csv", "_matched_pairs"):
+    for name in ("ObservedTally", "write_tally_csv", "_ordered_keys", "tally_to_stats"):
         assert getattr(simulator, name) is getattr(ingest, name)
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)

@@ -3,6 +3,7 @@ round-by-round enumeration, closed-form agreement, sifting statistics, and
 CSV round-trips."""
 
 import math
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from pmqkd.ingest import ExperimentRecord
 from pmqkd.simulator import (
     ObservedTally,
     ProtocolParams,
-    _matched_pairs,
+    _ordered_keys,
     _outcome_probabilities,
     _rekey,
     simulate,
@@ -143,6 +144,29 @@ class TestRekeyedStream:
         assert np.array_equal(rng.multinomial(10**9, [0.1, 0.2, 0.7]),
                               fresh.multinomial(10**9, [0.1, 0.2, 0.7]))
         assert rng.integers(2**62) == fresh.integers(2**62)
+
+
+class TestBatchStreams:
+    def test_early_and_late_batches_match_the_outcome_table(self):
+        # Batches 0-14 of seed 1846883866 once summed to 83 valid clicks against
+        # 145.6 expected (33.35 dB, mu = 8.06e-3, M = 8), a tail of ~1e-8.  The
+        # streams (seed, i) of small i are not biased: over 200 seeds each
+        # 15-batch sum averages to the outcome table's expectation.  Batch i
+        # draws on (seed, i) whatever the run's length, so batches 15-29 are
+        # n_det(3e6 rounds) - n_det(1.5e6 rounds).
+        def n_det(n_rounds, seed):
+            params = make_params(loss_db=33.35, mu=8.06e-3, n_rounds=n_rounds)
+            return simulate(params, seed, batch_size=100_000).n_det
+
+        n = 1_500_000
+        probs = _outcome_probabilities(make_params(loss_db=33.35, mu=8.06e-3))
+        p = probs[:-2].sum()  # every outcome but a double click and no click
+        expect, sd = n * p, math.sqrt(n * p * (1 - p))
+        seeds = np.random.default_rng(2802).integers(2**32, size=200).tolist()
+        early = [n_det(n, seed) for seed in seeds]
+        late = [n_det(2 * n, seed) - first for seed, first in zip(seeds, early)]
+        for sums in (early, late):
+            assert abs(statistics.fmean(sums) - expect) <= 4 * sd / math.sqrt(len(seeds))
 
 
 class TestDeterminism:
@@ -344,14 +368,15 @@ def round_by_round_outcomes(params):
 
     Each (phase pair, misalignment, click pattern, in-test) combination is
     weighted with its probability, in mpmath arithmetic, and added to the
-    outcome it reports, in the order of ``_outcome_probabilities``.
+    outcome it reports, in the order of ``_outcome_probabilities``: the keys of
+    ``_ordered_keys`` in a sifted round, then in a test round, then the rest.
     """
     m = params.m_slices
     half = m // 2
     ch = params.channel
     x = mp.mpf(params.mu) * mp.mpf(transmittance(ch))
     p_d, e_d, p_s = mp.mpf(ch.p_d), mp.mpf(ch.e_d), mp.mpf(params.p_s)
-    pair_index = {pair: j for j, pair in enumerate(_matched_pairs(m))}
+    key_index = {key: j for j, key in enumerate(_ordered_keys(m))}
     probs = [mp.mpf(0)] * (8 * m + 3)
     for a in range(m):
         for b in range(m):
@@ -374,7 +399,7 @@ def round_by_round_outcomes(params):
                     elif delta not in (0, half):
                         probs[8 * m] += p
                     else:
-                        cell = pair_index[(a, b)] * 2 + (1 if click2 else 0)
+                        cell = key_index[(a, b, 2 if click2 else 1)]
                         probs[cell] += p * (1 - p_s)
                         probs[4 * m + cell] += p * p_s
     return np.array([float(p) for p in probs])
