@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: keyrate, scan, deviation, simulate, reproduce, optimize.  Each
+Subcommands: keyrate, scan, simulate, reproduce, optimize.  Each
 defines only the options it reads, so an option it would ignore is a usage
 error.  A key=value config file (``--config`` or the ``PMQKD_CONFIG``
 environment variable) supplies defaults that explicit flags override: the
@@ -50,7 +50,7 @@ EXIT_CODES = {
     "internal": 70,
 }
 
-MAX_RANGE_POINTS = 10**6  # a scan or deviation range holds at most this many points
+MAX_RANGE_POINTS = 10**6  # a scan range holds at most this many points
 
 _EPILOG = (
     "error codes: "
@@ -60,8 +60,7 @@ _EPILOG = (
 )
 
 
-def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
-                      alpha: bool = True) -> None:
+def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True) -> None:
     """The detector options, plus the one-point loss and the attenuation."""
     g = p.add_argument_group("channel")
     if loss:
@@ -70,9 +69,8 @@ def _add_channel_args(p: argparse.ArgumentParser, loss: bool = True,
                             help="total channel loss in dB (split over both arms)")
         one_of.add_argument("--distance-km", type=float, default=None,
                             help="total fiber length; converted at --alpha dB/km")
-    if alpha:
-        g.add_argument("--alpha", type=float, default=defaults.ALPHA_DB_PER_KM,
-                       help="attenuation coefficient in dB/km")
+    g.add_argument("--alpha", type=float, default=defaults.ALPHA_DB_PER_KM,
+                   help="attenuation coefficient in dB/km")
     _add_detector_args(g)
     g.add_argument("--e-d", type=float, default=defaults.E_D,
                    help="misalignment error probability")
@@ -137,20 +135,17 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                    help="serialization format of --output")
 
 
-def _channel_from(args, loss_db: float | None = None,
-                  distance_km: float | None = None) -> ChannelSpec:
-    """The channel of args; a scan or deviation point passes its own loss.
-
-    deviation has no --alpha: its points are losses, which need none.
-    """
-    if loss_db is None and distance_km is None:
+def _channel_from(args, distance_km: float | None = None) -> ChannelSpec:
+    """The channel of args; a scan point passes its own distance."""
+    loss_db = None
+    if distance_km is None:
         loss_db, distance_km = args.loss_db, args.distance_km
         if loss_db is None and distance_km is None:
             raise DomainError("one of --loss-db / --distance-km is required")
     return ChannelSpec(
         eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
         total_loss_db=loss_db, distance_km=distance_km,
-        alpha_db_per_km=getattr(args, "alpha", defaults.ALPHA_DB_PER_KM),
+        alpha_db_per_km=args.alpha,
     )
 
 
@@ -297,8 +292,8 @@ def _run_results(
     return results
 
 
-def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool = False,
-                   jobs: int = 1) -> Iterator[KeyRateResult]:
+def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool,
+                   jobs: int) -> Iterator[KeyRateResult]:
     """The chain result at each channel, in order, over at most jobs workers.
 
     Each worker takes one contiguous run of the points, so each of its
@@ -333,24 +328,18 @@ def cmd_scan(args) -> int:
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [_channel_from(args, distance_km=d) for d in distances]
     results = _point_results(args, channels, args.optimize_ps, args.jobs)
-    lines = ["distance_km,loss_db,mu,p_s,rate"]
-    for d_km, res in zip(distances, results):
-        lines.append(f"{d_km!r},{d_km * args.alpha!r},{res.mu!r},{res.p_s!r},"
-                     f"{res.rate!r}")
-    _emit("\n".join(lines), args.output)
-    return 0
-
-
-def cmd_deviation(args) -> int:
-    losses = _range_points(args.loss_min, args.loss_max, args.step,
-                           "--loss-min/--loss-max")
-    channels = [_channel_from(args, loss_db=loss) for loss in losses]
-    header = ["loss_db", "mu"] + [f"delta_{k}" for k in range(0, args.m_slices, 2)]
-    header += ["sum_delta", "ep_m", "sum_delta_over_ep_m"]
+    header = ["distance_km", "loss_db", "mu", "p_s", "rate"]
+    if args.detail:
+        header += ["vacuum_term", "multiphoton_term",
+                   *(f"delta_{k}" for k in range(0, args.m_slices, 2)),
+                   "ep_m", "kato_delta", "ep_m_bar"]
     lines = [",".join(header)]
-    for loss, res in zip(losses, _point_results(args, channels)):
-        total = sum(res.breakdown.deviations)
-        row = [loss, res.mu, *res.breakdown.deviations, total, res.ep_m, total / res.ep_m]
+    for d_km, res in zip(distances, results):
+        row = [d_km, d_km * args.alpha, res.mu, res.p_s, res.rate]
+        if args.detail:
+            b = res.breakdown
+            row += [b.vacuum_term, b.multiphoton_term, *b.deviations, b.ep_m,
+                    b.kato_delta, b.ep_m_bar]
         lines.append(",".join(map(repr, row)))
     _emit("\n".join(lines), args.output)
     return 0
@@ -450,20 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
     p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
+    p.add_argument("--detail", action="store_true",
+                   help="append each point's phase-error breakdown (vacuum_term,"
+                        "multiphoton_term,delta_0,...,delta_{M-2},ep_m,kato_delta,"
+                        "ep_m_bar); with --alpha 1 the distances are losses in dB")
     p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser(
-        "deviation",
-        help="discretization penalties vs loss (CSV: loss_db,mu,"
-             "delta_0,delta_2,...,sum_delta,ep_m,sum_delta_over_ep_m)",
-    )
-    _add_channel_args(p, loss=False, alpha=False); _add_protocol_args(p)
-    _add_budget_args(p)
-    p.add_argument("--output", "-o", help="CSV output path (default: stdout)")
-    p.add_argument("--loss-min", type=float, default=10.0, help="start loss, dB")
-    p.add_argument("--loss-max", type=float, default=50.0, help="end loss, dB")
-    p.add_argument("--step", type=float, default=1.0, help="loss step, dB")
-    p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("simulate", help="Monte Carlo run; writes a tally CSV")
     _add_channel_args(p); _add_protocol_args(p)

@@ -439,9 +439,7 @@ def reproduce_key_rate(
         n_mu=obs.n_mu,
         m_s=obs.m_s,
         budget=budget,
-        m_s_reconstructed=obs.m_s_reconstructed,
-        q_source="channel-model",
-    )
+    )._replace(m_s_reconstructed=obs.m_s_reconstructed, q_source="channel-model")
 
 
 def load_bundled_record(loss_db: int) -> ExperimentRecord:

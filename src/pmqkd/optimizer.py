@@ -11,13 +11,13 @@ none of those points yields a key is evaluated in full, so feasibility is
 still decided on the whole grid.  On a row that rises to one maximum and
 falls, the climb ends on the grid's own maximum; on any row it is never
 below the best of the points scanned.  A fixed-p_s call given the result at
-a neighbouring point (each point of ``scan`` and ``deviation`` after the
-first) skips the scan: it climbs from the grid point nearest that result's
+a neighbouring point (each point of ``scan`` after the first) skips
+the scan: it climbs from the grid point nearest that result's
 mu_opt, and scans as above only when that result or the climb has no key.
 On a row with one maximum it ends where the scan would; on a row with two
 it may end on the lower one (docs/DECISIONS.md, "Scans climb from the
-previous point").  At a fixed p_s (the tabletop runs,
-``scan`` and ``deviation``) the refinement runs on log10(mu) between the
+previous point").  At a fixed p_s (the tabletop runs and
+``scan``) the refinement runs on log10(mu) between the
 best grid point's two neighbours, to an absolute tolerance of
 ``LOG_MU_TOL``.  The co-optimization of mu and p_s (``--optimize-ps``)
 nests two such searches: an outer one on p_s between the best grid p_s's

@@ -481,8 +481,6 @@ def finite_key_rate(
     n_mu: float,
     m_s: float,
     budget: SecurityBudget,
-    m_s_reconstructed: bool = False,
-    q_source: str = "closed-form",
 ) -> KeyRateResult:
     """Run the full bound chain on a set of observables.
 
@@ -522,5 +520,5 @@ def finite_key_rate(
     ell, rate = _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
     return KeyRateResult(
         ell, rate, n_rounds, n_mu, e_b, m_s, mu, m_slices, p_s, f, q_mu, y0_bar,
-        breakdown, kato, budget, m_s_reconstructed, q_source,
+        breakdown, kato, budget,
     )

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -168,7 +169,6 @@ class TestScan:
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--d-min", "10", "--d-max", "20", "--mu", "1e-3"],
-        ["deviation", "--loss-min", "40", "--loss-max", "41", "--mu", "1e-3"],
     ])
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_rejected(self, capsys, tmp_path, argv, step):
@@ -263,9 +263,6 @@ class TestRange:
         (["scan", "--d-min=-inf", "--d-max", "20"], "--d-min/--d-max"),
         (["scan", "--d-min", "20", "--d-max", "10"], "--d-min/--d-max"),
         (["scan", "--d-min", "0", "--d-max", "1e7"], "--d-min/--d-max"),
-        (["deviation", "--loss-min", "nan", "--loss-max", "41"], "--loss-min/--loss-max"),
-        (["deviation", "--loss-min", "40", "--loss-max", "inf"], "--loss-min/--loss-max"),
-        (["deviation", "--loss-min", "41", "--loss-max", "40"], "--loss-min/--loss-max"),
     ])
     def test_bad_range_rejected(self, tmp_path, argv, flags):
         # An infinite range once looped forever, so each case runs in its own
@@ -282,7 +279,6 @@ class TestRange:
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--d-min", "0.1", "--d-max", "0.3", "--step", "0.1"],
-        ["deviation", "--loss-min", "40.1", "--loss-max", "40.3", "--step", "0.1"],
     ])
     def test_decimal_steps_reach_the_end(self, capsys, tmp_path, argv):
         out = tmp_path / "out.csv"
@@ -294,54 +290,59 @@ class TestRange:
             repr(round(first + i * 0.1, 9)) for i in range(3)]
 
 
+def _loss_scan(capsys, tmp_path, *argv):
+    """(header, rows) of ``scan --alpha 1 --detail``, each row a dict of its
+    column texts.  At one dB per km each distance is the point's loss in dB."""
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "scan", "--alpha", "1", "--detail", *argv,
+                           "--output", str(out))
+    assert (code, err) == (0, "")
+    header, *lines = out.read_text().splitlines()
+    names = header.split(",")
+    return names, [dict(zip(names, line.split(","), strict=True)) for line in lines]
+
+
+def _deltas(row):
+    return [float(text) for name, text in row.items() if name.startswith("delta_")]
+
+
 class TestDeviation:
+    """The discretization penalties over loss, from the breakdown columns of
+    ``scan --alpha 1 --detail``."""
+
     def test_m6_sweep_small(self, capsys, tmp_path):
-        out = tmp_path / "dev.csv"
-        code, _, _ = run_cli(
-            capsys, "deviation", "--m-slices", "6", "--loss-min", "20",
-            "--loss-max", "30", "--step", "5", "--output", str(out),
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == (
-            "loss_db,mu,delta_0,delta_2,delta_4,sum_delta,ep_m,"
-            "sum_delta_over_ep_m"
-        )
-        assert len(lines) == 4
-        for line in lines[1:]:
-            ratio = float(line.split(",")[-1])
-            assert 0 < ratio < 0.01
+        header, rows = _loss_scan(capsys, tmp_path, "--m-slices", "6", "--d-min", "20",
+                                  "--d-max", "30", "--step", "5")
+        assert header == [
+            "distance_km", "loss_db", "mu", "p_s", "rate", "vacuum_term",
+            "multiphoton_term", "delta_0", "delta_2", "delta_4", "ep_m", "kato_delta",
+            "ep_m_bar"]
+        assert len(rows) == 3
+        for row in rows:
+            assert 0 < sum(_deltas(row)) / float(row["ep_m"]) < 0.01
 
     def test_m6_rows_at_40_and_41_db(self, capsys, tmp_path):
-        out = tmp_path / "dev.csv"
-        code, _, _ = run_cli(capsys, "deviation", "--m-slices", "6", "--loss-min", "40",
-                             "--loss-max", "41", "--output", str(out))
-        assert code == 0
-        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-        assert [float(row[0]) for row in rows] == [40.0, 41.0]
-        assert all(float(row[-3]) > 0 for row in rows)  # sum_delta
+        _, rows = _loss_scan(capsys, tmp_path, "--m-slices", "6", "--d-min", "40",
+                             "--d-max", "41", "--step", "1")
+        assert [float(row["loss_db"]) for row in rows] == [40.0, 41.0]
+        assert all(sum(_deltas(row)) > 0 for row in rows)
 
     def test_optimized_rows_match_the_chain(self, capsys, tmp_path):
         # Each row is the chain's breakdown at the fixed-p_s optimum; 90 dB
         # has no key and reports the lowest grid intensity.
-        out = tmp_path / "dev.csv"
-        code, _, _ = run_cli(
-            capsys, "deviation", "--m-slices", "6", "--loss-min", "10",
-            "--loss-max", "90", "--step", "20", "--output", str(out),
-        )
-        assert code == 0
-        rows = out.read_text().splitlines()[1:]
+        _, rows = _loss_scan(capsys, tmp_path, "--m-slices", "6", "--d-min", "10",
+                             "--d-max", "90", "--step", "20")
         assert len(rows) == 5
         for row, loss in zip(rows, (10.0, 30.0, 50.0, 70.0, 90.0)):
             channel = ChannelSpec(total_loss_db=loss)
             opt = optimize(channel, 1e11, 6, fixed_p_s=0.07)
             res = expected_key_rate(channel, opt.mu_opt, m_slices=6,
                                     n_rounds=1e11, p_s=0.07)
-            devs = res.breakdown.deviations
-            want = [repr(loss), repr(opt.mu_opt)] + [repr(v) for v in devs]
-            want += [repr(sum(devs)), repr(res.ep_m), repr(sum(devs) / res.ep_m)]
-            assert row.split(",") == want
-        assert float(rows[-1].split(",")[1]) == 1e-6
+            b = res.breakdown
+            want = [loss, loss, opt.mu_opt, 0.07, res.rate, b.vacuum_term,
+                    b.multiphoton_term, *b.deviations, b.ep_m, b.kato_delta, b.ep_m_bar]
+            assert list(row.values()) == [repr(v) for v in want]
+        assert float(rows[-1]["mu"]) == 1e-6
 
     def test_one_chain_call_per_search_evaluation(self, capsys, tmp_path,
                                                   monkeypatch):
@@ -361,55 +362,41 @@ class TestDeviation:
         monkeypatch.setattr("pmqkd.optimizer.expected_key_rate", counted)
         monkeypatch.setattr(cli, "expected_key_rate", counted)
         monkeypatch.setattr(cli, "optimize", recorded)
-        code, _, _ = run_cli(
-            capsys, "deviation", "--m-slices", "6", "--loss-min", "10",
-            "--loss-max", "90", "--step", "10",
-            "--output", str(tmp_path / "dev.csv"),
-        )
-        assert code == 0
+        _loss_scan(capsys, tmp_path, "--m-slices", "6", "--d-min", "10",
+                   "--d-max", "90", "--step", "10")
         assert len(searches) == 9
         assert len(calls) == sum(o.evaluations + o.feasible for o in searches)
 
     def test_fixed_mu_deviation_ordering(self, capsys, tmp_path):
-        out = tmp_path / "dev.csv"
-        code, _, _ = run_cli(
-            capsys, "deviation", "--m-slices", "8", "--loss-min", "30",
-            "--loss-max", "30", "--step", "1", "--mu", "2e-3",
-            "--output", str(out),
-        )
-        assert code == 0
-        row = out.read_text().splitlines()[1].split(",")
-        d0, d2, d4, d6 = map(float, row[2:6])
+        _, (row,) = _loss_scan(capsys, tmp_path, "--m-slices", "8", "--d-min", "30",
+                               "--d-max", "30", "--step", "1", "--mu", "2e-3")
+        d0, d2, d4, d6 = _deltas(row)
         assert d0 > d2 > d4 > d6 > 0
 
     @pytest.mark.parametrize("argv,loss", [
-        (["--loss-min", "30", "--loss-max", "30", "--n-rounds", "1e3"], "30.0"),
-        (["--loss-min", "10", "--loss-max", "10", "--mu", "1e-9", "--p-d", "0",
+        (["--d-min", "30", "--d-max", "30", "--step", "1", "--n-rounds", "1e3"], "30.0"),
+        (["--d-min", "10", "--d-max", "10", "--step", "1", "--mu", "1e-9", "--p-d", "0",
           "--n-rounds", "1e6"], "10.0"),
     ])
     def test_point_without_a_sifted_bit_has_a_row(self, capsys, tmp_path, argv,
                                                   loss):
         # Such a point once had a fabricated ep_m of 0 and no deviations; its
         # row is now the breakdown keyrate reports at that loss and mu.
-        out = tmp_path / "dev.csv"
-        code, _, err = run_cli(capsys, "deviation", *argv, "--output", str(out))
-        assert (code, err) == (0, "")
-        header, line = out.read_text().splitlines()
-        row = line.split(",")
-        assert len(row) == len(header.split(","))
-        assert row[0] == loss
-        rest = argv[4:]  # the options after --loss-min and --loss-max
+        _, (row,) = _loss_scan(capsys, tmp_path, *argv)
+        assert row["loss_db"] == loss
+        rest = argv[6:]  # the options after the range
         if "--mu" not in rest:
-            rest += ["--mu", row[1]]  # the optimized intensity
+            rest += ["--mu", row["mu"]]  # the optimized intensity
         result = tmp_path / "keyrate.json"
         assert run_cli(capsys, "keyrate", "--loss-db", loss, *rest,
                        "--output", str(result))[0] == 0
         res = json.loads(result.read_text())
         assert res["n_mu"] < 1 and res["kato"] is None
-        devs = res["breakdown"]["deviations"]
-        assert len(devs) == 4
-        assert row[1:] == [repr(v) for v in (res["mu"], *devs, sum(devs), res["ep_m"],
-                                             sum(devs) / res["ep_m"])]
+        b = res["breakdown"]
+        assert len(b["deviations"]) == 4
+        assert list(row.values())[2:] == [repr(v) for v in (
+            res["mu"], res["p_s"], res["rate"], b["vacuum_term"], b["multiphoton_term"],
+            *b["deviations"], b["ep_m"], b["kato_delta"], b["ep_m_bar"])]
 
 
 class TestSimulateReproduce:
@@ -597,7 +584,6 @@ class TestUnsupportedSliceCount:
         ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
         ["scan", "--d-min", "50", "--d-max", "60", "--step", "10"],
         ["optimize", "--loss-db", "30"],
-        ["deviation", "--loss-min", "30", "--loss-max", "31"],
         ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
     ])
     @pytest.mark.parametrize("m", ["0", "2", "4", "7", "10", "66", "1000000000000", "8.5",
@@ -684,7 +670,6 @@ class TestNeverOptimistic:
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
-    ["deviation", "--loss-min", "40", "--loss-max", "40"],
     ["optimize", "--loss-db", "45"],
 ])
 @pytest.mark.parametrize("n_rounds", ["nan", "inf"])
@@ -716,8 +701,6 @@ def test_zero_rounds_rejected(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
-    ["deviation", "--loss-min", "10", "--loss-max", "20", "--step", "10",
-     "--mu", "1e-3"],
 ])
 @pytest.mark.parametrize("p_s", ["0", "1"])
 def test_sampling_fraction_outside_unit_interval_rejected(capsys, tmp_path, argv, p_s):
@@ -734,7 +717,8 @@ class TestNonFiniteIntensity:
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "45", "--mu", "nan"],
         ["keyrate", "--loss-db", "45", "--mu", "inf"],
-        ["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "nan"],
+        ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1",
+         "--mu", "nan", "--detail"],
     ])
     def test_rejected(self, tmp_path, argv):
         # A NaN intensity once looped forever in the residue series, so each
@@ -773,7 +757,6 @@ class TestOutputFirst:
         "reproduce": ["reproduce", "--bundled", "45"],
         "scan": ["scan", "--d-min", "10", "--d-max", "40", "--step", "1",
                  "--n-rounds", "1e12"],
-        "deviation": ["deviation", "--loss-min", "10", "--loss-max", "50"],
         "simulate": ["simulate", "--loss-db", "20", "--mu", "1e-3",
                      "--n-rounds", "1e4"],
     }
@@ -966,7 +949,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv,read", [
         (["scan", "--d-min", "50", "--d-max", "100", "--step", "25"],
          ["--alpha", "0.2", "--mu", "2e-3"]),
-        (["deviation", "--loss-min", "40", "--loss-max", "41"], ["--mu", "2e-3"]),
         (["optimize", "--loss-db", "45"], ["--alpha", "0.2"]),
     ])
     def test_config_serves_commands_without_its_keys(self, capsys, tmp_path,
@@ -1009,9 +991,8 @@ COMMAND_OPTIONS = {
     "keyrate": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
     | {"--mu", "--output", "--format"},
     "scan": {"--alpha"} | _DETECTOR | _PROTOCOL | _BUDGET
-    | {"--mu", "--output", "--d-min", "--d-max", "--step", "--optimize-ps", "--jobs"},
-    "deviation": _DETECTOR | _PROTOCOL | _BUDGET
-    | {"--mu", "--output", "--loss-min", "--loss-max", "--step"},
+    | {"--mu", "--output", "--d-min", "--d-max", "--step", "--optimize-ps", "--jobs",
+       "--detail"},
     "simulate": _LOSS | _DETECTOR | _PROTOCOL
     | {"--mu", "--seed", "--batch-size", "--jobs", "--output"},
     "reproduce": _BUDGET | {"--eta-d", "--p-d", "--input", "--bundled",
@@ -1027,12 +1008,13 @@ class TestOptionSets:
         assert {name: {opt for opt in sub._option_string_actions
                        if opt.startswith("--") and opt != "--help"}
                 for name, sub in commands.items()} == COMMAND_OPTIONS
-        assert sum(map(len, COMMAND_OPTIONS.values())) == 96
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 81
 
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
         ["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
-        ["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "1e-3"],
+        ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1",
+         "--mu", "1e-3", "--detail"],
         ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
         ["reproduce", "--bundled", "45"],
         ["optimize", "--loss-db", "45", "--n-rounds", "1e10"],
@@ -1059,11 +1041,6 @@ class TestOptionSets:
          flag, value)
         for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
                             ("--format", "json"))
-    ] + [
-        (["deviation", "--loss-min", "40", "--loss-max", "40", "--mu", "1e-3"],
-         flag, value)
-        for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
-                            ("--alpha", "0.2"), ("--format", "json"))
     ] + [(["optimize", "--loss-db", "45"], "--mu", "1e-3")])
     def test_option_a_command_ignores_is_usage_error(self, capsys, tmp_path,
                                                      argv, flag, value):
@@ -1096,6 +1073,20 @@ def test_readme_command_table_names_only_real_options():
     assert rows.keys() == commands.keys()
     for name, flags in rows.items():
         assert flags - commands[name]._option_string_actions.keys() == set(), name
+
+
+def test_readme_commands_parse():
+    # A deleted command or option cannot linger in the README's examples.
+    parser = cli.build_parser()
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.strip() for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.strip().startswith("pmqkd ")]
+    assert lines
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line.replace("$n", "1e11"), comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_console_entry_point():

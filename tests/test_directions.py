@@ -70,8 +70,6 @@ DIRECTIONS = {
         "n_mu": ("up", "more sifted bits at the same errors, and a Kato correction per "
                        "bit that shrinks"),
         "m_s": ("down", "sampled errors lift the vacuum-yield bound"),
-        "m_s_reconstructed": (None, "recorded in the result, not read by the chain"),
-        "q_source": (None, "a label recorded in the result"),
         **_BUDGET,
     },
     "reproduce_key_rate": {

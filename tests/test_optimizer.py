@@ -351,7 +351,7 @@ CURVE_KM = [10.0 + 10.0 * k for k in range(33)]
 
 
 def _cli_rows(argv):
-    """The rows of the CSV a scan or deviation command writes, as floats."""
+    """The rows of the CSV a scan writes, as floats."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
@@ -438,9 +438,10 @@ class TestSameOptimumAsTheFullGrid:
 
     @pytest.mark.parametrize("m_slices", [6, 8])
     def test_deviation_sweep(self, m_slices):
-        rows = _cli_rows(["deviation", "--m-slices", str(m_slices),
-                          "--loss-min", "10", "--loss-max", "70", "--step", "2.5"])
-        for loss_db, mu, *_ in rows:
+        # A loss sweep is a scan at one dB per km.
+        rows = _cli_rows(["scan", "--alpha", "1", "--detail", "--m-slices", str(m_slices),
+                          "--d-min", "10", "--d-max", "70", "--step", "2.5"])
+        for _, loss_db, mu, *_ in rows:
             res = optimize(ChannelSpec(total_loss_db=loss_db), 1e11, m_slices,
                            fixed_p_s=0.07).result
             assert mu == res.mu, loss_db

@@ -53,7 +53,7 @@ def _heavy_modules_after(code: str) -> set[str]:
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "100", "--step", "50"],
     ["optimize", "--loss-db", "40", "--optimize-ps"],
-    ["deviation", "--loss-min", "40", "--loss-max", "40"],
+    ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1", "--detail"],
 ])
 def test_cold_start_loads_no_numpy_or_pool(argv):
     # numpy is for sampling and the process pool for scan --jobs > 1; a

@@ -5,8 +5,9 @@ The golden files under ``tests/data`` are the exact text the CLI wrote for
 (CSV).  They pin key order, nesting and the list form of ``deviations``, so
 a change to how the records are built must leave every output byte alone.
 Two more pin the optimized outputs to the last bit: a ``scan`` at
-N = 1e12 and a ``deviation`` at M = 6, so a change to the search or to how
-the chain computes its terms must leave them alone too.  A record with
+N = 1e12, and the discretization penalties of an M = 6 loss scan
+(``scan --alpha 1 --detail``), so a change to the search or to how the chain
+computes its terms must leave them alone too.  A record with
 fewer than one sifted bit pins the one step the chain skips there: the
 Kato lift, replaced by ep_m_bar = 0.5, with every other term computed.
 """
@@ -123,14 +124,34 @@ class TestSerialisedLayout:
 @pytest.mark.parametrize("argv,golden", [
     (["scan", "--d-min", "10", "--d-max", "330", "--step", "40", "--n-rounds", "1e12"],
      "scan_1e12_10-330km.csv"),
-    (["deviation", "--m-slices", "6", "--loss-min", "20", "--loss-max", "50",
-      "--step", "10"], "deviation_m6_20-50db.csv"),
 ])
 def test_optimized_output_bytes(capsys, tmp_path, argv, golden):
     out = tmp_path / golden
     assert main([*argv, "--output", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text() == (DATA / golden).read_text()
+
+
+def test_loss_scan_detail_rebuilds_the_deviation_table(capsys, tmp_path):
+    # deviation_m6_20-50db.csv holds the loss, the optimized mu, each delta_k,
+    # their sum, ep_m and the sum's share of ep_m.  Each comes from the
+    # breakdown columns, the sum and the share as sum(deltas), then total / ep_m.
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--alpha", "1", "--m-slices", "6", "--d-min", "20",
+                 "--d-max", "50", "--step", "10", "--detail", "--output", str(out)]) == 0
+    capsys.readouterr()
+    header, *lines = out.read_text().splitlines()
+    names = header.split(",")
+    deltas = [name for name in names if name.startswith("delta_")]
+    table = [",".join(["loss_db", "mu", *deltas, "sum_delta", "ep_m",
+                       "sum_delta_over_ep_m"])]
+    for line in lines:
+        col = dict(zip(names, map(float, line.split(",")), strict=True))
+        devs = [col[name] for name in deltas]
+        total = sum(devs)
+        row = [col["loss_db"], col["mu"], *devs, total, col["ep_m"], total / col["ep_m"]]
+        table.append(",".join(map(repr, row)))
+    assert "\n".join(table) + "\n" == (DATA / "deviation_m6_20-50db.csv").read_text()
 
 
 def _records():
