@@ -169,6 +169,8 @@ class TestScan:
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--d-min", "10", "--d-max", "20", "--mu", "1e-3"],
+        ["scan", "--d-min", "40", "--d-max", "41", "--mu", "1e-3", "--alpha", "1",
+         "--detail"],
     ])
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_rejected(self, capsys, tmp_path, argv, step):
@@ -263,6 +265,12 @@ class TestRange:
         (["scan", "--d-min=-inf", "--d-max", "20"], "--d-min/--d-max"),
         (["scan", "--d-min", "20", "--d-max", "10"], "--d-min/--d-max"),
         (["scan", "--d-min", "0", "--d-max", "1e7"], "--d-min/--d-max"),
+        (["scan", "--alpha", "1", "--detail", "--d-min", "nan", "--d-max", "41"],
+         "--d-min/--d-max"),
+        (["scan", "--alpha", "1", "--detail", "--d-min", "40", "--d-max", "inf"],
+         "--d-min/--d-max"),
+        (["scan", "--alpha", "1", "--detail", "--d-min", "41", "--d-max", "40"],
+         "--d-min/--d-max"),
     ])
     def test_bad_range_rejected(self, tmp_path, argv, flags):
         # An infinite range once looped forever, so each case runs in its own
@@ -279,6 +287,8 @@ class TestRange:
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--d-min", "0.1", "--d-max", "0.3", "--step", "0.1"],
+        ["scan", "--d-min", "40.1", "--d-max", "40.3", "--step", "0.1", "--alpha", "1",
+         "--detail"],
     ])
     def test_decimal_steps_reach_the_end(self, capsys, tmp_path, argv):
         out = tmp_path / "out.csv"
@@ -584,6 +594,8 @@ class TestUnsupportedSliceCount:
         ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
         ["scan", "--d-min", "50", "--d-max", "60", "--step", "10"],
         ["optimize", "--loss-db", "30"],
+        ["scan", "--alpha", "1", "--d-min", "30", "--d-max", "31", "--step", "1",
+         "--detail"],
         ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
     ])
     @pytest.mark.parametrize("m", ["0", "2", "4", "7", "10", "66", "1000000000000", "8.5",
@@ -670,6 +682,7 @@ class TestNeverOptimistic:
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
+    ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1", "--detail"],
     ["optimize", "--loss-db", "45"],
 ])
 @pytest.mark.parametrize("n_rounds", ["nan", "inf"])
@@ -701,6 +714,8 @@ def test_zero_rounds_rejected(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1", "--mu", "1e-3"],
+    ["scan", "--alpha", "1", "--d-min", "10", "--d-max", "20", "--step", "10",
+     "--mu", "1e-3", "--detail"],
 ])
 @pytest.mark.parametrize("p_s", ["0", "1"])
 def test_sampling_fraction_outside_unit_interval_rejected(capsys, tmp_path, argv, p_s):
@@ -757,6 +772,8 @@ class TestOutputFirst:
         "reproduce": ["reproduce", "--bundled", "45"],
         "scan": ["scan", "--d-min", "10", "--d-max", "40", "--step", "1",
                  "--n-rounds", "1e12"],
+        "scan-detail": ["scan", "--alpha", "1", "--d-min", "10", "--d-max", "50",
+                        "--step", "10", "--detail"],
         "simulate": ["simulate", "--loss-db", "20", "--mu", "1e-3",
                      "--n-rounds", "1e4"],
     }
@@ -949,6 +966,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv,read", [
         (["scan", "--d-min", "50", "--d-max", "100", "--step", "25"],
          ["--alpha", "0.2", "--mu", "2e-3"]),
+        (["scan", "--alpha", "1", "--d-min", "40", "--d-max", "41", "--step", "1",
+          "--detail"], ["--mu", "2e-3"]),
         (["optimize", "--loss-db", "45"], ["--alpha", "0.2"]),
     ])
     def test_config_serves_commands_without_its_keys(self, capsys, tmp_path,
@@ -1041,6 +1060,11 @@ class TestOptionSets:
          flag, value)
         for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
                             ("--format", "json"))
+    ] + [
+        (["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1",
+          "--mu", "1e-3", "--detail"], flag, value)
+        for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
+                            ("--loss-min", "40"), ("--format", "json"))
     ] + [(["optimize", "--loss-db", "45"], "--mu", "1e-3")])
     def test_option_a_command_ignores_is_usage_error(self, capsys, tmp_path,
                                                      argv, flag, value):

@@ -1055,10 +1055,39 @@ def _public_bad_values():
     return cases
 
 
+def _stage_float_parameters():
+    """(stage, parameter) for each float parameter of each public stage function.
+
+    The stages are the public functions of pmqkd.security except the chain,
+    finite_key_rate, whose messages name the stage that reads each input.
+    """
+    return [
+        pytest.param(func, param, id=f"{name}.{param}")
+        for name, func in sorted(vars(security).items())
+        if not name.startswith("_") and inspect.isfunction(func)
+        and func.__module__ == security.__name__ and func is not finite_key_rate
+        for param, spec in inspect.signature(func).parameters.items()
+        if spec.annotation == "float"
+    ]
+
+
 class TestNaNNamesTheParameter:
-    """Generated from the signatures: NaN, an infinity or -1 in any float or int
-    parameter of a public callable, and 2.5 in an int one, is a DomainError
-    that names the parameter."""
+    """Generated from the signatures: NaN in any float parameter of a public
+    stage is a DomainError that names the parameter."""
+
+    def test_covers_every_stage(self):
+        stages = {case.values[0].__name__ for case in _stage_float_parameters()}
+        assert stages == {
+            "chernoff_expected_ub", "chernoff_observed_ub", "vacuum_yield_ub",
+            "phase_error_discrete", "deviation_bound", "kato_correction", "key_length",
+        }
+
+    @pytest.mark.parametrize("stage,name", _stage_float_parameters())
+    def test_nan_rejected_by_name(self, stage, name):
+        kw = {param: _STAGE_ARGS[param] for param in inspect.signature(stage).parameters}
+        stage(**kw)  # the valid point passes
+        with pytest.raises(DomainError, match=rf"\b{name} must"):
+            stage(**dict(kw, **{name: math.nan}))
 
     def test_covers_the_public_api(self):
         # Every name of pmqkd.__all__ is guarded or set aside with a reason.
