@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import defaults
 from .errors import DomainError, UndefinedRateError
-from .numerics import _require_count
+from .numerics import _check_range, _require_count
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,9 @@ class ChannelSpec:
             raise DomainError(
                 "ChannelSpec: exactly one of total_loss_db / distance_km required"
             )
-        if not 0.0 < self.eta_d <= 1.0:
-            raise DomainError(f"ChannelSpec: eta_d must be in (0, 1], got {self.eta_d}")
-        if not 0.0 <= self.p_d < 1.0:
-            raise DomainError(f"ChannelSpec: p_d must be in [0, 1), got {self.p_d}")
-        if not 0.0 <= self.e_d <= 0.5:
-            raise DomainError(f"ChannelSpec: e_d must be in [0, 0.5], got {self.e_d}")
+        _check_range("ChannelSpec", "eta_d", self.eta_d, 0.0, 1.0, lo_open=True, hi_open=False)
+        _check_range("ChannelSpec", "p_d", self.p_d, 0.0, 1.0)
+        _check_range("ChannelSpec", "e_d", self.e_d, 0.0, 0.5, hi_open=False)
         if self.alpha_db_per_km <= 0:
             raise DomainError("ChannelSpec: alpha_db_per_km must be positive")
         for name in ("total_loss_db", "distance_km"):
@@ -71,12 +68,9 @@ def transmittance(spec: ChannelSpec) -> float:
 
 
 def _check_gain_args(mu: float, eta: float, p_d: float, stage: str = "gain") -> None:
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"{stage}: mu must be finite and >= 0, got {mu}")
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"{stage}: eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise DomainError(f"{stage}: p_d must be in [0, 1), got {p_d}")
+    _check_range(stage, "mu", mu, 0.0)
+    _check_range(stage, "eta", eta, 0.0, 1.0, lo_open=True, hi_open=False)
+    _check_range(stage, "p_d", p_d, 0.0, 1.0)
 
 
 def _gain_qber(mu: float, eta: float, p_d: float, e_d: float) -> tuple[float, float]:
@@ -113,8 +107,7 @@ def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
     The common (1-p_d) factor is cancelled analytically, which makes the
     p_d = 0 limit return e_d exactly and the mu = 0 limit return 1/2.
     """
-    if not 0.0 <= e_d <= 0.5:
-        raise DomainError(f"qber: e_d must be in [0, 0.5], got {e_d}")
+    _check_range("qber", "e_d", e_d, 0.0, 0.5, hi_open=False)
     _check_gain_args(mu, eta, p_d, "qber")
     return _gain_qber(mu, eta, p_d, e_d)[1]
 
@@ -129,11 +122,8 @@ def expected_sifted(q_mu: float, n_rounds: float, m_slices: int, p_s: float) -> 
     Returned as a real expectation, not rounded.  It takes any M >= 2,
     p_s in [0, 1] and finite Q, N >= 0, a wider domain than the chain's.
     """
-    if not 0.0 <= q_mu < math.inf:
-        raise DomainError(f"expected_sifted: q_mu must be finite and >= 0, got {q_mu}")
+    _check_range("expected_sifted", "q_mu", q_mu, 0.0)
     m_slices = _require_count("expected_sifted", "m_slices", m_slices, least=2)
-    if not 0.0 <= p_s <= 1.0:
-        raise DomainError(f"expected_sifted: p_s must be in [0, 1], got {p_s}")
-    if not 0.0 <= n_rounds < math.inf:
-        raise DomainError(f"expected_sifted: n_rounds must be finite and >= 0, got {n_rounds}")
+    _check_range("expected_sifted", "p_s", p_s, 0.0, 1.0, hi_open=False)
+    _check_range("expected_sifted", "n_rounds", n_rounds, 0.0)
     return _expected_sifted(q_mu, n_rounds, m_slices, p_s)

@@ -19,7 +19,7 @@ from importlib import resources
 from . import defaults
 from .channel import ChannelSpec, gain, transmittance
 from .errors import DomainError, NoDataError, SchemaError
-from .numerics import _require_count, _require_mu
+from .numerics import _check_range, _require_count, _require_mu
 from .security import (
     KeyRateResult, SecurityBudget, _check_probability, _check_slices, finite_key_rate)
 
@@ -193,8 +193,7 @@ def parse_flag(text: str) -> bool:
 
 def _check_loss(stage: str, loss_db: float) -> float:
     """The one rule for a record's declared loss: finite and > 0, as a float."""
-    if not 0 < loss_db < math.inf:
-        raise DomainError(f"{stage}: loss_db must be finite and > 0, got {loss_db}")
+    _check_range(stage, "loss_db", loss_db, 0.0, lo_open=True)
     return float(loss_db)
 
 
@@ -202,8 +201,7 @@ def _check_measured_mu(stage: str, mu: float) -> float:
     """The one rule for a record's mu: the chain's, and > 0, since measured
     counts at mu = 0 carry no key (a simulated vacuum tally may have it)."""
     _require_mu(stage, mu)
-    if not mu > 0:
-        raise DomainError(f"{stage}: mu must be finite and > 0, got {mu}")
+    _check_range(stage, "mu", mu, 0.0, lo_open=True)
     return float(mu)
 
 

@@ -41,11 +41,28 @@ def binary_entropy(x: float) -> float:
     The endpoints use the limit convention 0*log2(0) = 0 and return an exact
     0.0 rather than an epsilon-clamped approximation.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary_entropy: x must be in [0, 1], got {x}")
+    _check_range("binary_entropy", "x", x, 0.0, 1.0, hi_open=False)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _check_range(stage: str, name: str, value: float, lo: float, hi: float = math.inf,
+                 lo_open: bool = False, hi_open: bool = True, finite: bool = False) -> None:
+    """The one range rule: a DomainError naming stage and name unless lo <= value < hi,
+    each end open or closed as lo_open and hi_open say; NaN fails every comparison.
+
+    A bounded range reads "in [lo, hi)", after "finite and " if finite is set,
+    and an unbounded one "finite and >= lo", each bound by :g.
+    """
+    if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
+        return
+    if hi == math.inf:
+        shape = f"finite and {'>' if lo_open else '>='} {lo:g}"
+    else:
+        shape = (f"{'finite and ' if finite else ''}in {'(' if lo_open else '['}{lo:g}, "
+                 f"{hi:g}{')' if hi_open else ']'}")
+    raise DomainError(f"{stage}: {name} must be {shape}, got {value}")
 
 
 def _require_mu(func: str, mu: float) -> None:
@@ -54,8 +71,7 @@ def _require_mu(func: str, mu: float) -> None:
     A NaN once sent the series into an endless loop, and a large finite mu
     into one of ~mu/2 steps.
     """
-    if not 0.0 <= mu <= MU_MAX:
-        raise DomainError(f"{func}: mu must be finite and in [0, {MU_MAX:g}], got {mu}")
+    _check_range(func, "mu", mu, 0.0, MU_MAX, hi_open=False, finite=True)
 
 
 def _require_integer(func: str, name: str, value: float) -> int:
@@ -133,19 +149,20 @@ def _residue_series(mu: float, start: int, step: int) -> float:
     return total + _UNIT_ROUNDOFF * bound + roundings * _TINY
 
 
-def _even_tails(mu: float) -> tuple[float, float, float, float]:
-    """The even Poisson tails sum_{n >= k, n even} mu^n e^-mu / n! for k = 0, 2, 4, 6.
+def _even_tails(mu: float, m_slices: int = 8) -> tuple[float, ...]:
+    """The even Poisson tails sum_{n >= k, n even} mu^n e^-mu / n! for each even
+    k < m_slices, 4, 6 or 8: the tails M slices read, and no other.
 
     k = 0 and k = 2 have closed forms without cancellation, (1 + e^-2mu) / 2
     and expm1(-mu)^2 / 2; k = 4 and 6, whose closed forms cancel, are
     _residue_series(mu, k, 2).  Needs a finite mu > 0; callers validate.
     """
-    return (
-        0.5 * (1.0 + math.exp(-2.0 * mu)),
-        0.5 * math.expm1(-mu) ** 2,
-        _residue_series(mu, 4, 2),
-        _residue_series(mu, 6, 2),
-    )
+    tails = (0.5 * (1.0 + math.exp(-2.0 * mu)), 0.5 * math.expm1(-mu) ** 2)
+    if m_slices > 4:
+        tails += (_residue_series(mu, 4, 2),)
+    if m_slices > 6:
+        tails += (_residue_series(mu, 6, 2),)
+    return tails
 
 
 def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
@@ -157,10 +174,7 @@ def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
     _require_mu("pseudo_fock_weight", mu)
     m_slices = _require_integer("pseudo_fock_weight", "m_slices", m_slices)
     k = _require_integer("pseudo_fock_weight", "k", k)
-    if not 2 <= m_slices <= _SLICES_MAX:
-        raise DomainError(
-            f"pseudo_fock_weight: m_slices must be in [2, {_SLICES_MAX}], got {m_slices}"
-        )
+    _check_range("pseudo_fock_weight", "m_slices", m_slices, 2, _SLICES_MAX, hi_open=False)
     if not 0 <= k < m_slices:
         raise DomainError(
             f"pseudo_fock_weight: k must satisfy 0 <= k < m_slices, got k={k}, M={m_slices}"
@@ -203,4 +217,5 @@ def pseudo_fock_weight_ub(mu: float, m_slices: int, k: int) -> float:
         )
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
-    return _even_tails(mu)[k // 2]
+    # One tail: a series for k = 4 or 6, else the closed forms of M = 4.
+    return _residue_series(mu, k, 2) if k >= 4 else _even_tails(mu, 4)[k // 2]

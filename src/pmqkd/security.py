@@ -36,13 +36,17 @@ from typing import NamedTuple
 
 from . import defaults
 from .errors import DomainError
-from .numerics import _even_tails, _require_integer, _require_mu, binary_entropy
+from .numerics import _check_range, _even_tails, _require_integer, _require_mu, binary_entropy
 
 # sqrt(k! / (M+k)!) for each even k < M: a deviation factor over mu^(M/2).
 _FACTORIAL_ROOTS = {
     m: tuple(math.sqrt(math.factorial(k) / math.factorial(m + k)) for k in range(0, m, 2))
     for m in defaults.SUPPORTED_M_SLICES
 }
+
+# Largest trial count at which every intermediate of _kato is finite, for any
+# lambda in [0, n] and eps_ka down to 5e-324 (docs/DECISIONS.md, "One range rule").
+KATO_N_MAX = 1.8e76
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,7 @@ def _check_rounds(stage: str, n_rounds: float) -> None:
 
 def _check_probability(stage: str, name: str, value: float) -> float:
     """The one rule for a probability in (0, 1): the value as a float."""
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{stage}: {name} must be in (0, 1), got {value}")
+    _check_range(stage, name, value, 0.0, 1.0, lo_open=True)
     return float(value)
 
 
@@ -166,8 +169,7 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 
 
 def _check_sampled(m_s: float, p_s: float) -> None:
-    if not 0.0 <= m_s < math.inf:
-        raise DomainError(f"vacuum_yield_ub: m_s must be finite and >= 0, got {m_s}")
+    _check_range("vacuum_yield_ub", "m_s", m_s, 0.0)
     _check_probability("vacuum_yield_ub", "p_s", p_s)
 
 
@@ -196,11 +198,6 @@ def vacuum_yield_ub(
     return _vacuum_yield(m_s, p_s, n_rounds, math.exp(-mu), _beta(eps))
 
 
-def _check_gain(q_mu: float, stage: str = "phase error") -> None:
-    if not 0.0 < q_mu < math.inf:
-        raise DomainError(f"{stage}: q_mu must be finite and > 0, got {q_mu}")
-
-
 def _even_photon_terms(
     mu: float, e_mu: float, q_mu: float, y0_bar: float
 ) -> tuple[float, float]:
@@ -227,7 +224,7 @@ def _deviations(mu: float, m_slices: int, q_mu: float) -> tuple[float, ...]:
     power = mu ** (m_slices // 2)
     return tuple([
         (weight_ub / q_mu) * (power * root)
-        for weight_ub, root in zip(_even_tails(mu), _FACTORIAL_ROOTS[m_slices])
+        for weight_ub, root in zip(_even_tails(mu, m_slices), _FACTORIAL_ROOTS[m_slices])
     ])
 
 
@@ -244,7 +241,7 @@ def deviation_bound(mu: float, m_slices: int, k: int, q_mu: float) -> float:
         raise DomainError(
             f"deviation_bound: k must be even with 0 <= k < m_slices, got k={k}"
         )
-    _check_gain(q_mu, "deviation_bound")
+    _check_range("deviation_bound", "q_mu", q_mu, 0.0, lo_open=True)
     _require_mu("deviation_bound", mu)
     return _deviations(mu, m_slices, q_mu)[k // 2]
 
@@ -288,7 +285,7 @@ def phase_error_discrete(
     """
     m_slices = _check_slices("phase_error_discrete", m_slices)
     _require_mu("phase_error_discrete", mu)
-    _check_gain(q_mu)
+    _check_range("phase error", "q_mu", q_mu, 0.0, lo_open=True)
     _check_finite_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
     return PhaseErrorBreakdown(
         *_phase_error_terms(mu, math.exp(-mu), m_slices, q_mu, y0_bar))
@@ -318,15 +315,10 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     returns the additive correction delta bounding the sum of conditional
     success probabilities above lambda_n, together with its coefficients.
     """
-    _check_trials(n)
+    _check_range("kato_correction", "n", n, 1.0, KATO_N_MAX, hi_open=False, finite=True)
     _check_successes(n, lambda_n)
     _check_probability("kato_correction", "eps_ka", eps_ka)
     return _kato(n, lambda_n, eps_ka)
-
-
-def _check_trials(n: float) -> None:
-    if not 1.0 <= n < math.inf:
-        raise DomainError(f"kato_correction: n must be finite and >= 1, got {n}")
 
 
 def _check_successes(n: float, lambda_n: float) -> None:
@@ -376,7 +368,7 @@ def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficient
     checks of n and lambda; the caller checks eps_ka.
     """
     lambda_n = min(n_mu * ep_m, n_mu)
-    _check_trials(n_mu)
+    _check_range("kato_correction", "n", n_mu, 1.0, KATO_N_MAX, hi_open=False, finite=True)
     _check_successes(n_mu, lambda_n)
     coeffs = _kato(n_mu, lambda_n, eps_ka)
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
@@ -403,10 +395,8 @@ def key_length(
 
 
 def _check_key_inputs(n_mu: float, e_b: float) -> None:
-    if not 0.0 <= n_mu < math.inf:
-        raise DomainError(f"key_length: n_mu must be finite and >= 0, got {n_mu}")
-    if not 0.0 <= e_b <= 1.0:
-        raise DomainError(f"key_length: e_b must be in [0, 1], got {e_b}")
+    _check_range("key_length", "n_mu", n_mu, 0.0)
+    _check_range("key_length", "e_b", e_b, 0.0, 1.0, hi_open=False)
 
 
 def _key_length(
@@ -498,12 +488,12 @@ def finite_key_rate(
     _check_rounds("finite_key_rate", n_rounds)
     _check_efficiency("finite_key_rate", f)
     # The stage functions' checks, each once and in the order the stages
-    # would make them (a SecurityBudget has checked eps_ka).
+    # would make them (a SecurityBudget has checked eps and eps_ka).
     _check_sampled(m_s, p_s)
     _require_mu("vacuum_yield_ub", mu)
-    beta = _beta(budget.eps)
+    beta = math.log(1.0 / budget.eps)
     m_slices = _check_slices("phase_error_discrete", m_slices)
-    _check_gain(q_mu)
+    _check_range("phase error", "q_mu", q_mu, 0.0, lo_open=True)
     e_mu = math.exp(-mu)
     y0_bar = _vacuum_yield(m_s, p_s, n_rounds, e_mu, beta)
     terms = _phase_error_terms(mu, e_mu, m_slices, q_mu, y0_bar)

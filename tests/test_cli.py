@@ -1121,3 +1121,68 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "rate" in proc.stdout
+
+
+class TestRefusalPaths:
+    """Refusals pinned in full, each run in process."""
+
+    def _refused(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--output", str(out))
+        assert not out.exists()
+        assert stdout == ""
+        return code, err
+
+    def test_reversed_range(self, capsys, tmp_path):
+        code, err = self._refused(capsys, tmp_path, "scan", "--d-min", "60", "--d-max", "50",
+                                  "--step", "1", "--mu", "1e-3")
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] --d-min/--d-max must be finite with "
+                       "min <= max, got 60.0, 50.0\n")
+
+    def test_oversized_range(self, capsys, tmp_path):
+        code, err = self._refused(capsys, tmp_path, "scan", "--d-min", "0", "--d-max", "1e7",
+                                  "--step", "1", "--mu", "1e-3")
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] --d-min/--d-max in steps of 1.0 give "
+                       "10000001 points, more than 1000000\n")
+
+    def test_seed_beyond_a_philox_key(self, capsys, tmp_path):
+        code, err = self._refused(capsys, tmp_path, "simulate", "--loss-db", "20", "--mu",
+                                  "1e-3", "--n-rounds", "1e4",
+                                  "--seed", "18446744073709551616")
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] simulate: seed must be < 2**64, "
+                       "got 18446744073709551616\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("# loss_db=45\n# N=1000000\n# mu=1e-3\n# p_s=0.07\n# n_det=10\n"
+         "phase_a,phase_b,d1_count,d2_count\n0,0,1\n",
+         "line 7: expected 4 columns, got 3"),
+        ("# loss_db 45\n", "line 1: metadata line without '=': '# loss_db 45'"),
+    ], ids=["short_row", "metadata_without_equals"])
+    def test_schema_refusal(self, capsys, tmp_path, text, message):
+        tally = tmp_path / "tally.csv"
+        tally.write_text(text)
+        code, err = self._refused(capsys, tmp_path, "reproduce", "--input", str(tally))
+        assert code == EXIT_CODES["schema"]
+        assert err == f"pmqkd: error [schema] {message}\n"
+
+    def test_n_rounds_past_the_kato_cap(self, capsys, tmp_path):
+        # The sifted size passes the cap, where the lift once returned NaN and
+        # the refusal named binary_entropy's x.
+        code, err = self._refused(capsys, tmp_path, "keyrate", "--loss-db", "45", "--mu",
+                                  "1e-3", "--n-rounds", "1e100")
+        assert code == EXIT_CODES["domain"]
+        prefix = "pmqkd: error [domain] kato_correction: n must be finite and in [1, 1.8e+76], got "
+        assert err.startswith(prefix)
+        assert float(err[len(prefix):]) > 1.8e76
+
+
+def test_config_blank_and_comment_lines_are_skipped(capsys, tmp_path):
+    plain, spaced = tmp_path / "plain.cfg", tmp_path / "spaced.cfg"
+    plain.write_text("loss_db=45\nmu=9.78e-4\n")
+    spaced.write_text("# reference point\n\nloss_db=45\n   \n  # mu from the table\nmu=9.78e-4\n\n")
+    runs = [run_cli(capsys, "--config", str(cfg), "keyrate") for cfg in (plain, spaced)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "1.354" in runs[0][1]

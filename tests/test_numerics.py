@@ -18,6 +18,7 @@ from pmqkd.channel import gain, qber
 from pmqkd.errors import DomainError
 from pmqkd.numerics import (
     MU_MAX,
+    _check_range,
     _even_tails,
     _residue_series,
     binary_entropy,
@@ -351,3 +352,80 @@ class TestIntegralK:
     def test_non_integral_m_slices_rejected(self, func):
         with pytest.raises(DomainError, match=r"\bm_slices must be an integer"):
             func(1e-3, 8.5, 2)
+
+
+class TestCheckRange:
+    """numerics._check_range: the one range rule, and the text it writes."""
+
+    @pytest.mark.parametrize("hi,value", [
+        (hi, value) for hi in (1.0, math.inf) for value in (math.nan, -math.inf, math.inf, -1.0)
+    ] + [(1.0, 2.0)])
+    def test_refused_outside_and_nan(self, hi, value):
+        with pytest.raises(DomainError, match=r"^s: x must be .*, got "):
+            _check_range("s", "x", value, 0.0, hi)
+
+    @pytest.mark.parametrize("lo_open,hi_open,inside,outside,text", [
+        (False, True, [0.0, 0.5], [1.0], "in [0, 1)"),
+        (True, True, [0.5], [0.0, 1.0], "in (0, 1)"),
+        (True, False, [0.5, 1.0], [0.0], "in (0, 1]"),
+        (False, False, [0.0, 1.0], [1.5], "in [0, 1]"),
+    ], ids=["[0, 1)", "(0, 1)", "(0, 1]", "[0, 1]"])
+    def test_each_end_open_or_closed(self, lo_open, hi_open, inside, outside, text):
+        for value in inside:
+            _check_range("s", "x", value, 0.0, 1.0, lo_open=lo_open, hi_open=hi_open)
+        for value in outside:
+            with pytest.raises(DomainError) as exc:
+                _check_range("s", "x", value, 0.0, 1.0, lo_open=lo_open, hi_open=hi_open)
+            assert str(exc.value) == f"s: x must be {text}, got {value}"
+
+    @pytest.mark.parametrize("lo_open,value,text", [
+        (False, -0.5, "s: x must be finite and >= 0, got -0.5"),
+        (True, 0.0, "s: x must be finite and > 0, got 0.0"),
+        (False, math.inf, "s: x must be finite and >= 0, got inf"),
+    ], ids=[">= 0", "> 0", "inf"])
+    def test_unbounded_reads_finite(self, lo_open, value, text):
+        _check_range("s", "x", 1e300, 0.0, lo_open=lo_open)
+        with pytest.raises(DomainError) as exc:
+            _check_range("s", "x", value, 0.0, lo_open=lo_open)
+        assert str(exc.value) == text
+
+    def test_bounds_written_by_g(self):
+        with pytest.raises(DomainError) as exc:
+            _check_range("s", "n", 1e100, 1, 1.8e76, hi_open=False, finite=True)
+        assert str(exc.value) == "s: n must be finite and in [1, 1.8e+76], got 1e+100"
+
+
+class TestEvenTailsRead:
+    """Each caller computes only the even tails it reads."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        from pmqkd import numerics
+        calls = []
+        real = numerics._residue_series
+
+        def counted(mu, start, step):
+            calls.append(start)
+            return real(mu, start, step)
+        monkeypatch.setattr(numerics, "_residue_series", counted)
+        return calls
+
+    @pytest.mark.parametrize("m,starts", [(4, []), (6, [4]), (8, [4, 6])])
+    def test_m_slices_reads_its_tails(self, series_calls, m, starts):
+        assert len(_even_tails(1e-3, m)) == m // 2
+        assert series_calls == starts
+
+    @pytest.mark.parametrize("k,starts", [(0, []), (2, []), (4, [4]), (6, [6])])
+    def test_weight_ub_reads_one_tail(self, series_calls, k, starts):
+        pseudo_fock_weight_ub(1e-3, 8, k)
+        assert series_calls == starts
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 10.0, MU_MAX])
+    def test_same_values_as_all_four(self, mu):
+        tails = _even_tails(mu)
+        assert _even_tails(mu, 6) == tails[:3]
+        assert _even_tails(mu, 4) == tails[:2]
+        assert tails[2:] == (_residue_series(mu, 4, 2), _residue_series(mu, 6, 2))
+        for m in (8, 10, 16):
+            for k in range(0, min(m - 1, 7), 2):
+                assert pseudo_fock_weight_ub(mu, m, k) == tails[k // 2]

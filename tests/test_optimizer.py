@@ -81,6 +81,13 @@ def test_non_finite_mu_bound_rejected(mu):
         SearchBounds(mu=mu)
 
 
+@pytest.mark.parametrize("p_s", [(0.5, 0.1), (0.0, 0.1), (0.1, 1.0), (math.nan, 0.1)])
+def test_bad_p_s_bounds_rejected(p_s):
+    with pytest.raises(DomainError) as exc:
+        SearchBounds(p_s=p_s)
+    assert str(exc.value) == f"SearchBounds: bad p_s bounds {p_s}"
+
+
 def test_mu_bound_beyond_the_series_rejected():
     # The residue series are summed only up to mu = 700.
     assert SearchBounds(mu=(1e-6, 700.0)).mu[1] == 700.0

@@ -34,6 +34,7 @@ from pmqkd.numerics import binary_entropy, pseudo_fock_weight_ub
 from pmqkd.optimizer import optimize
 from pmqkd.pipeline import expected_key_rate
 from pmqkd.security import (
+    KATO_N_MAX,
     KatoCoefficients,
     SecurityBudget,
     chernoff_expected_ub,
@@ -1258,3 +1259,37 @@ class TestLessInformationNeverRaisesRate:
         for merged in (tally.merge(empty), empty.merge(tally)):
             after = reproduce_key_rate(dataclasses.replace(record, tally=merged))
             assert after.rate <= before
+
+
+class TestKatoCap:
+    """n is capped at KATO_N_MAX, below which every intermediate of the Kato
+    coefficients is finite; above it the lift once returned delta = NaN."""
+
+    def test_cap_is_below_the_derived_limit(self):
+        # The largest intermediate, n^2 L (9 lambda (n - lambda) + 2 n L), is
+        # largest at lambda = n/2 and at the largest L = ln(1/eps_ka).
+        limit = (sys.float_info.max / (2.25 * -math.log(5e-324))) ** 0.25
+        assert KATO_N_MAX <= limit < 1.01 * KATO_N_MAX
+
+    def test_edge_is_finite(self):
+        coeffs = kato_correction(KATO_N_MAX, KATO_N_MAX / 2, 5e-324)
+        assert all(math.isfinite(v) for v in coeffs)
+        assert kato_epsilon(coeffs) == 5e-324
+
+    @pytest.mark.parametrize("eps_ka", [5e-324, 1e-300, 1e-10, 0.5, 1 - 2.0 ** -53])
+    def test_finite_for_every_lambda(self, eps_ka):
+        for i in range(101):
+            coeffs = kato_correction(KATO_N_MAX, KATO_N_MAX * i / 100, eps_ka)
+            assert all(math.isfinite(v) for v in coeffs), (i, coeffs)
+
+    @pytest.mark.parametrize("n", [math.nextafter(KATO_N_MAX, math.inf), 1e100])
+    @pytest.mark.parametrize("call", [
+        lambda n: kato_correction(n, n / 2, 1e-10),
+        lambda n: _lifted(n, 0.1, 1e-10),
+        lambda n: finite_key_rate(**dict(_GOOD, n_mu=n), budget=SecurityBudget()),
+    ], ids=["kato_correction", "lift", "finite_key_rate"])
+    def test_beyond_the_cap_refused(self, call, n):
+        with pytest.raises(DomainError) as exc:
+            call(n)
+        assert str(exc.value) == (
+            f"kato_correction: n must be finite and in [1, 1.8e+76], got {n}")
