@@ -157,12 +157,13 @@ def _even_tails(mu: float, m_slices: int = 8) -> tuple[float, ...]:
     and expm1(-mu)^2 / 2; k = 4 and 6, whose closed forms cancel, are
     _residue_series(mu, k, 2).  Needs a finite mu > 0; callers validate.
     """
-    tails = (0.5 * (1.0 + math.exp(-2.0 * mu)), 0.5 * math.expm1(-mu) ** 2)
-    if m_slices > 4:
-        tails += (_residue_series(mu, 4, 2),)
-    if m_slices > 6:
-        tails += (_residue_series(mu, 6, 2),)
-    return tails
+    t0 = 0.5 * (1.0 + math.exp(-2.0 * mu))
+    t2 = 0.5 * math.expm1(-mu) ** 2
+    if m_slices == 8:
+        return (t0, t2, _residue_series(mu, 4, 2), _residue_series(mu, 6, 2))
+    if m_slices == 6:
+        return (t0, t2, _residue_series(mu, 4, 2))
+    return (t0, t2)
 
 
 def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
