@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Subcommands: keyrate, scan, simulate, reproduce, optimize.  Each
-defines only the options it reads, so an option it would ignore is a usage
-error.  A key=value config file (``--config`` or the ``PMQKD_CONFIG``
+Subcommands: keyrate, scan, simulate, reproduce.  Each defines only the
+options it reads, so an option it would ignore is a usage error.  The best
+intensity at one channel point is a one-point scan.  A key=value config file (``--config`` or the ``PMQKD_CONFIG``
 environment variable) supplies defaults that explicit flags override: the
 command line is parsed, the file's entries for the command are inserted right
 after the subcommand, and the result is parsed again.  Outputs are data only
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -99,11 +98,10 @@ class _StoreFixedPs(argparse.Action):
         namespace.p_s_given = True
 
 
-def _add_protocol_args(p: argparse.ArgumentParser, mu: bool = True) -> None:
+def _add_protocol_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("protocol")
-    if mu:
-        g.add_argument("--mu", type=float, default=None,
-                       help="total pulse intensity (mu_a = mu_b = mu/2)")
+    g.add_argument("--mu", type=float, default=None,
+                   help="total pulse intensity (mu_a = mu_b = mu/2)")
     g.add_argument("--m-slices", type=number, default=defaults.M_SLICES,
                    help="number of random phase slices (6 or 8)")
     g.add_argument("--n-rounds", type=float, default=defaults.N_ROUNDS,
@@ -276,25 +274,27 @@ def cmd_keyrate(args) -> int:
 def _run_results(
     channels: list[ChannelSpec], *, n_rounds: float, m_slices: int, p_s: float,
     f: float, budget: SecurityBudget, mu: float | None, optimize_ps: bool,
-) -> list[KeyRateResult]:
-    """The chain result at each point of a run, in order: fixed mu, or optimized.
+    bounds: SearchBounds | None,
+) -> list[tuple[KeyRateResult, int]]:
+    """The chain result at each point of a run, in order, with the chain
+    evaluations that found it: fixed mu (one), or optimized (the search's).
 
     Each optimization after the first starts from the optimum before it.
     """
     if mu is not None:
-        return [expected_key_rate(channel, mu, m_slices=m_slices, n_rounds=n_rounds,
-                                  p_s=p_s, f=f, budget=budget) for channel in channels]
+        return [(expected_key_rate(channel, mu, m_slices=m_slices, n_rounds=n_rounds,
+                                   p_s=p_s, f=f, budget=budget), 1) for channel in channels]
     results, previous = [], None
     for channel in channels:
-        previous = optimize(channel, n_rounds, m_slices, budget=budget, f=f,
+        previous = optimize(channel, n_rounds, m_slices, budget=budget, bounds=bounds, f=f,
                             fixed_p_s=None if optimize_ps else p_s, previous=previous)
-        results.append(previous.result)
+        results.append((previous.result, previous.evaluations))
     return results
 
 
-def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool,
-                   jobs: int) -> Iterator[KeyRateResult]:
-    """The chain result at each channel, in order, over at most jobs workers.
+def _point_results(args, channels: list[ChannelSpec], bounds: SearchBounds | None,
+                   jobs: int) -> Iterator[tuple[KeyRateResult, int]]:
+    """_run_results at each channel, in order, over at most jobs workers.
 
     Each worker takes one contiguous run of the points, so each of its
     optimizations starts from a near neighbour's optimum.
@@ -302,7 +302,7 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool,
     run = functools.partial(
         _run_results, n_rounds=args.n_rounds, m_slices=args.m_slices,
         p_s=args.p_s, f=args.f_ec, budget=_budget_from(args), mu=args.mu,
-        optimize_ps=optimize_ps,
+        optimize_ps=args.optimize_ps, bounds=bounds,
     )
     if jobs == 1:
         yield from run(channels)
@@ -320,26 +320,40 @@ def _point_results(args, channels: list[ChannelSpec], optimize_ps: bool,
             yield from results
 
 
+def _search_bounds(args) -> SearchBounds | None:
+    """The bounds of each point's search; None at a fixed --mu, where a
+    search option would be ignored and so is a domain error."""
+    if args.mu is not None:
+        for flag, given in (("--optimize-ps", args.optimize_ps),
+                            ("--mu-min", args.mu_min is not None),
+                            ("--mu-max", args.mu_max is not None)):
+            if given:
+                raise DomainError(f"{flag} cannot be combined with a fixed --mu")
+        return None
+    lo, hi = defaults.MU_BOUNDS
+    return SearchBounds(mu=(lo if args.mu_min is None else args.mu_min,
+                            hi if args.mu_max is None else args.mu_max))
+
+
 def cmd_scan(args) -> int:
     _require(args, "d_min", "d_max", "step")
     _require_jobs(args)
-    if args.mu is not None and args.optimize_ps:
-        raise DomainError("--optimize-ps cannot be combined with a fixed --mu")
+    bounds = _search_bounds(args)
     distances = _range_points(args.d_min, args.d_max, args.step, "--d-min/--d-max")
     channels = [_channel_from(args, distance_km=d) for d in distances]
-    results = _point_results(args, channels, args.optimize_ps, args.jobs)
+    results = _point_results(args, channels, bounds, args.jobs)
     header = ["distance_km", "loss_db", "mu", "p_s", "rate"]
     if args.detail:
         header += ["vacuum_term", "multiphoton_term",
                    *(f"delta_{k}" for k in range(0, args.m_slices, 2)),
-                   "ep_m", "kato_delta", "ep_m_bar"]
+                   "ep_m", "kato_delta", "ep_m_bar", "evaluations"]
     lines = [",".join(header)]
-    for d_km, res in zip(distances, results):
+    for d_km, (res, evaluations) in zip(distances, results):
         row = [d_km, d_km * args.alpha, res.mu, res.p_s, res.rate]
         if args.detail:
             b = res.breakdown
             row += [b.vacuum_term, b.multiphoton_term, *b.deviations, b.ep_m,
-                    b.kato_delta, b.ep_m_bar]
+                    b.kato_delta, b.ep_m_bar, evaluations]
         lines.append(",".join(map(repr, row)))
     _emit("\n".join(lines), args.output)
     return 0
@@ -386,29 +400,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    channel = _channel_from(args)
-    bounds = SearchBounds(mu=(args.mu_min, args.mu_max))
-    opt = optimize(
-        channel, args.n_rounds, args.m_slices, budget=_budget_from(args),
-        bounds=bounds, f=args.f_ec,
-        fixed_p_s=None if args.optimize_ps else args.p_s,
-    )
-    if args.output:
-        payload = {
-            "mu_opt": opt.mu_opt, "p_s_opt": opt.p_s_opt,
-            "rate_opt": opt.rate_opt, "evaluations": opt.evaluations,
-            "feasible": opt.feasible,
-            "trace": [list(t) for t in opt.trace] if args.trace else None,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    print(f"mu_opt   = {opt.mu_opt:.6e}")
-    print(f"p_s_opt  = {opt.p_s_opt:.6f}")
-    print(f"rate_opt = {opt.rate_opt:.6e}")
-    print(f"evaluations = {opt.evaluations}, feasible = {opt.feasible}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmqkd",
@@ -438,11 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, help="distance step, km (required)")
     p.add_argument("--optimize-ps", action="store_true",
                    help="co-optimize p_s instead of keeping --p-s fixed")
+    p.add_argument("--mu-min", type=float, default=None,
+                   help=f"lower end of each point's mu search "
+                        f"(default {defaults.MU_BOUNDS[0]:g})")
+    p.add_argument("--mu-max", type=float, default=None,
+                   help=f"upper end of each point's mu search "
+                        f"(default {defaults.MU_BOUNDS[1]:g})")
     p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
     p.add_argument("--detail", action="store_true",
                    help="append each point's phase-error breakdown (vacuum_term,"
                         "multiphoton_term,delta_0,...,delta_{M-2},ep_m,kato_delta,"
-                        "ep_m_bar); with --alpha 1 the distances are losses in dB")
+                        "ep_m_bar) and its chain evaluations (evaluations); with "
+                        "--alpha 1 the distances are losses in dB")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("simulate", help="Monte Carlo run; writes a tally CSV")
@@ -465,19 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_args(p)
     _add_output_args(p)
     p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("optimize", help="best (mu, p_s) at one channel point")
-    _add_channel_args(p); _add_protocol_args(p, mu=False); _add_budget_args(p)
-    p.add_argument("--mu-min", type=float, default=defaults.MU_BOUNDS[0],
-                   help="lower end of the mu search")
-    p.add_argument("--mu-max", type=float, default=defaults.MU_BOUNDS[1],
-                   help="upper end of the mu search")
-    p.add_argument("--optimize-ps", action="store_true",
-                   help="co-optimize p_s instead of keeping --p-s fixed")
-    p.add_argument("--trace", action="store_true",
-                   help="include the evaluation trace in the JSON output")
-    p.add_argument("--output", "-o", default=None, help="JSON output path")
-    p.set_defaults(func=cmd_optimize)
 
     return parser
 

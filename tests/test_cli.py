@@ -15,7 +15,7 @@ from pmqkd import cli
 from pmqkd.channel import ChannelSpec
 from pmqkd.cli import EXIT_CODES, main
 from pmqkd.errors import DomainError
-from pmqkd.optimizer import optimize
+from pmqkd.optimizer import SearchBounds, optimize
 from pmqkd.pipeline import expected_key_rate
 
 
@@ -326,7 +326,7 @@ class TestDeviation:
         assert header == [
             "distance_km", "loss_db", "mu", "p_s", "rate", "vacuum_term",
             "multiphoton_term", "delta_0", "delta_2", "delta_4", "ep_m", "kato_delta",
-            "ep_m_bar"]
+            "ep_m_bar", "evaluations"]
         assert len(rows) == 3
         for row in rows:
             assert 0 < sum(_deltas(row)) / float(row["ep_m"]) < 0.01
@@ -338,19 +338,22 @@ class TestDeviation:
         assert all(sum(_deltas(row)) > 0 for row in rows)
 
     def test_optimized_rows_match_the_chain(self, capsys, tmp_path):
-        # Each row is the chain's breakdown at the fixed-p_s optimum; 90 dB
-        # has no key and reports the lowest grid intensity.
+        # Each row is the chain's breakdown at the fixed-p_s optimum, and the
+        # search's evaluations, each search after the first climbing from the
+        # one before; 90 dB has no key and reports the lowest grid intensity.
         _, rows = _loss_scan(capsys, tmp_path, "--m-slices", "6", "--d-min", "10",
                              "--d-max", "90", "--step", "20")
         assert len(rows) == 5
+        opt = None
         for row, loss in zip(rows, (10.0, 30.0, 50.0, 70.0, 90.0)):
             channel = ChannelSpec(total_loss_db=loss)
-            opt = optimize(channel, 1e11, 6, fixed_p_s=0.07)
+            opt = optimize(channel, 1e11, 6, fixed_p_s=0.07, previous=opt)
             res = expected_key_rate(channel, opt.mu_opt, m_slices=6,
                                     n_rounds=1e11, p_s=0.07)
             b = res.breakdown
             want = [loss, loss, opt.mu_opt, 0.07, res.rate, b.vacuum_term,
-                    b.multiphoton_term, *b.deviations, b.ep_m, b.kato_delta, b.ep_m_bar]
+                    b.multiphoton_term, *b.deviations, b.ep_m, b.kato_delta, b.ep_m_bar,
+                    opt.evaluations]
             assert list(row.values()) == [repr(v) for v in want]
         assert float(rows[-1]["mu"]) == 1e-6
 
@@ -404,7 +407,7 @@ class TestDeviation:
         assert res["n_mu"] < 1 and res["kato"] is None
         b = res["breakdown"]
         assert len(b["deviations"]) == 4
-        assert list(row.values())[2:] == [repr(v) for v in (
+        assert list(row.values())[2:-1] == [repr(v) for v in (
             res["mu"], res["p_s"], res["rate"], b["vacuum_term"], b["multiphoton_term"],
             *b["deviations"], b["ep_m"], b["kato_delta"], b["ep_m_bar"])]
 
@@ -525,14 +528,80 @@ class TestSimulateReproduce:
         assert "# N=2500\n" in out.read_text()
 
 
-class TestOptimizeCommand:
+def _point(loss: str, *argv: str) -> list[str]:
+    """A one-point scan at a loss in dB: the best intensity at that channel."""
+    return ["scan", "--alpha", "1", "--d-min", loss, "--d-max", loss, "--step", "1", *argv]
+
+
+# (one-point scan argv, the channel and keywords of the optimize() call it runs)
+_ONE_POINT = {
+    "45dB": (_point("45"), ChannelSpec(total_loss_db=45.0), {}),
+    "40dB-optimize-ps": (_point("40", "--optimize-ps"), ChannelSpec(total_loss_db=40.0),
+                         dict(fixed_p_s=None)),
+    "305km-1e12": (["scan", "--d-min", "305", "--d-max", "305", "--step", "1",
+                    "--n-rounds", "1e12"], ChannelSpec(distance_km=305.0),
+                   dict(n_rounds=1e12)),
+    "30dB-m6-ps0.1": (_point("30", "--m-slices", "6", "--p-s", "0.1"),
+                      ChannelSpec(total_loss_db=30.0), dict(m_slices=6, fixed_p_s=0.1)),
+    "340km-1e10-no-key": (["scan", "--d-min", "340", "--d-max", "340", "--step", "1",
+                           "--n-rounds", "1e10"], ChannelSpec(distance_km=340.0),
+                          dict(n_rounds=1e10)),
+    "45dB-mu-bounds": (_point("45", "--mu-min", "1e-4", "--mu-max", "1e-2"),
+                       ChannelSpec(total_loss_db=45.0),
+                       dict(bounds=SearchBounds(mu=(1e-4, 1e-2)))),
+}
+
+
+class TestOnePointScan:
+    """A one-point scan runs optimize() at its channel, so it is the best
+    intensity at one channel point; --detail adds the search's evaluations."""
+
+    @pytest.mark.parametrize("case", sorted(_ONE_POINT))
+    def test_row_is_the_optimum(self, capsys, tmp_path, case):
+        argv, channel, given = _ONE_POINT[case]
+        call = dict(n_rounds=1e11, m_slices=8, fixed_p_s=0.07) | given
+        opt = optimize(channel, call.pop("n_rounds"), call.pop("m_slices"), **call)
+        out = tmp_path / "scan.csv"
+        assert run_cli(capsys, *argv, "--detail", "--output", str(out))[0] == 0
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(","), strict=True))
+        assert [row[k] for k in ("mu", "p_s", "rate", "evaluations")] == [
+            repr(opt.mu_opt), repr(opt.p_s_opt), repr(opt.rate_opt), repr(opt.evaluations)]
+        assert (float(row["rate"]) > 0) == (case != "340km-1e10-no-key")
+
+    def test_evaluations_cold_then_warm(self, capsys, tmp_path):
+        # The first point's search is cold; the next one climbs from it.
+        _, rows = _loss_scan(capsys, tmp_path, "--d-min", "40", "--d-max", "41",
+                             "--step", "1")
+        first = optimize(ChannelSpec(total_loss_db=40.0), 1e11, 8, fixed_p_s=0.07)
+        second = optimize(ChannelSpec(total_loss_db=41.0), 1e11, 8, fixed_p_s=0.07,
+                          previous=first)
+        cold = optimize(ChannelSpec(total_loss_db=41.0), 1e11, 8, fixed_p_s=0.07)
+        assert second.evaluations != cold.evaluations
+        assert [row["evaluations"] for row in rows] == [
+            repr(first.evaluations), repr(second.evaluations)]
+
+    def test_fixed_mu_is_one_evaluation(self, capsys, tmp_path):
+        _, rows = _loss_scan(capsys, tmp_path, "--d-min", "40", "--d-max", "50",
+                             "--step", "10", "--mu", "1e-3")
+        assert [row["evaluations"] for row in rows] == ["1", "1"]
+
+    @pytest.mark.parametrize("flag", ["--mu-min", "--mu-max"])
+    def test_search_bound_beside_fixed_mu_rejected(self, capsys, tmp_path, flag):
+        out = tmp_path / "scan.csv"
+        code, stdout, err = run_cli(capsys, *_point("45", "--mu", "1e-3", flag, "1e-3"),
+                                    "--output", str(out))
+        assert (code, stdout) == (EXIT_CODES["domain"], "")
+        assert err == f"pmqkd: error [domain] {flag} cannot be combined with a fixed --mu\n"
+        assert not out.exists()
+
     def test_non_finite_mu_bound_rejected(self, tmp_path):
         # An infinite bound once reached the chain as a NaN intensity, after
         # a numpy warning, with a message that named neither flag.
-        out = tmp_path / "opt.json"
+        out = tmp_path / "scan.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "pmqkd.cli", "optimize", "--loss-db", "45",
-             "--mu-max", "inf", "--output", str(out)],
+            [sys.executable, "-m", "pmqkd.cli", *_point("45", "--mu-max", "inf"),
+             "--output", str(out)],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == EXIT_CODES["domain"]
@@ -540,22 +609,16 @@ class TestOptimizeCommand:
                                "(1e-06, inf)\n")
         assert not out.exists()
 
-    def test_optimize_json(self, capsys, tmp_path):
-        out = tmp_path / "opt.json"
-        code, stdout, _ = run_cli(
-            capsys, "optimize", "--loss-db", "45", "--output", str(out),
-        )
-        assert code == 0
-        assert "mu_opt" in stdout
-        data = json.loads(out.read_text())
-        assert data["feasible"] is True
-        assert data["rate_opt"] > 0
+    def test_one_point_has_a_key(self, capsys, tmp_path):
+        _, (row,) = _loss_scan(capsys, tmp_path, "--d-min", "45", "--d-max", "45",
+                               "--step", "1")
+        assert float(row["rate"]) > 0 and int(row["evaluations"]) > 0
 
 
 class TestFixedPsWithOptimizePs:
     # --optimize-ps searches p_s, so a --p-s beside it would be ignored.
     @pytest.mark.parametrize("argv", [
-        ["optimize", "--loss-db", "30", "--optimize-ps", "--p-s", "0.3"],
+        _point("30", "--optimize-ps", "--p-s", "0.3"),
         ["scan", "--d-min", "50", "--d-max", "60", "--step", "10", "--p-s", "0.3",
          "--optimize-ps"],
     ])
@@ -570,8 +633,8 @@ class TestFixedPsWithOptimizePs:
     def test_configured_p_s_is_a_default(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p_s=0.3\n")
-        configured, plain = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["optimize", "--loss-db", "30", "--optimize-ps"]
+        configured, plain = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = _point("30", "--optimize-ps")
         assert run_cli(capsys, "--config", str(cfg), *argv,
                        "--output", str(configured))[0] == 0
         assert run_cli(capsys, *argv, "--output", str(plain))[0] == 0
@@ -593,7 +656,7 @@ class TestUnsupportedSliceCount:
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
         ["scan", "--d-min", "50", "--d-max", "60", "--step", "10"],
-        ["optimize", "--loss-db", "30"],
+        _point("30"),
         ["scan", "--alpha", "1", "--d-min", "30", "--d-max", "31", "--step", "1",
          "--detail"],
         ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
@@ -683,7 +746,7 @@ class TestNeverOptimistic:
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
     ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1", "--detail"],
-    ["optimize", "--loss-db", "45"],
+    _point("45", "--mu-min", "1e-4", "--mu-max", "1e-2"),
 ])
 @pytest.mark.parametrize("n_rounds", ["nan", "inf"])
 def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
@@ -699,7 +762,7 @@ def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
 @pytest.mark.parametrize("argv", [
     ["keyrate", "--loss-db", "30", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "50", "--step", "1"],
-    ["optimize", "--loss-db", "45"],
+    _point("45", "--mu-min", "1e-4", "--mu-max", "1e-2"),
 ])
 def test_zero_rounds_rejected(capsys, tmp_path, argv):
     # keyrate once reported a rate of 0 for no rounds at all (exit 0).
@@ -768,12 +831,12 @@ class TestOutputFirst:
 
     ARGV = {
         "keyrate": ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
-        "optimize": ["optimize", "--loss-db", "45"],
         "reproduce": ["reproduce", "--bundled", "45"],
         "scan": ["scan", "--d-min", "10", "--d-max", "40", "--step", "1",
                  "--n-rounds", "1e12"],
         "scan-detail": ["scan", "--alpha", "1", "--d-min", "10", "--d-max", "50",
                         "--step", "10", "--detail"],
+        "scan-point": _point("45"),
         "simulate": ["simulate", "--loss-db", "20", "--mu", "1e-3",
                      "--n-rounds", "1e4"],
     }
@@ -929,24 +992,24 @@ class TestConfigFile:
                        "--output", str(flagged))[0] == 0
         assert configured.read_text() == flagged.read_text()
 
-    @pytest.mark.parametrize("word,traced", [
+    @pytest.mark.parametrize("word,detailed", [
         ("false", False), ("0", False), ("no", False), ("true", True)])
-    def test_trace_switch_from_config(self, capsys, tmp_path, word, traced):
+    def test_detail_switch_from_config(self, capsys, tmp_path, word, detailed):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"trace={word}\n")
-        out = tmp_path / "opt.json"
-        code, _, _ = run_cli(capsys, "--config", str(cfg), "optimize",
-                             "--loss-db", "45", "--output", str(out))
+        cfg.write_text(f"detail={word}\n")
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(capsys, "--config", str(cfg), *_point("45"),
+                             "--output", str(out))
         assert code == 0
-        assert (json.loads(out.read_text())["trace"] is not None) == traced
+        assert out.read_text().split("\n", 1)[0].endswith(",evaluations") == detailed
 
     def test_bad_switch_word_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("trace=maybe\n")
+        cfg.write_text("detail=maybe\n")
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "optimize", "--loss-db", "45"])
+            main(["--config", str(cfg), *_point("45")])
         assert exc.value.code == EXIT_CODES["usage"]
-        assert "'trace'" in capsys.readouterr().err
+        assert "'detail'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("configured,given", [
         ("loss_db=45", ["--distance-km", "100"]),
@@ -968,7 +1031,8 @@ class TestConfigFile:
          ["--alpha", "0.2", "--mu", "2e-3"]),
         (["scan", "--alpha", "1", "--d-min", "40", "--d-max", "41", "--step", "1",
           "--detail"], ["--mu", "2e-3"]),
-        (["optimize", "--loss-db", "45"], ["--alpha", "0.2"]),
+        (["scan", "--d-min", "100", "--d-max", "100", "--step", "1"],
+         ["--alpha", "0.2", "--mu", "2e-3"]),
     ])
     def test_config_serves_commands_without_its_keys(self, capsys, tmp_path,
                                                       argv, read):
@@ -1010,14 +1074,12 @@ COMMAND_OPTIONS = {
     "keyrate": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
     | {"--mu", "--output", "--format"},
     "scan": {"--alpha"} | _DETECTOR | _PROTOCOL | _BUDGET
-    | {"--mu", "--output", "--d-min", "--d-max", "--step", "--optimize-ps", "--jobs",
-       "--detail"},
+    | {"--mu", "--output", "--d-min", "--d-max", "--step", "--optimize-ps", "--mu-min",
+       "--mu-max", "--jobs", "--detail"},
     "simulate": _LOSS | _DETECTOR | _PROTOCOL
     | {"--mu", "--seed", "--batch-size", "--jobs", "--output"},
     "reproduce": _BUDGET | {"--eta-d", "--p-d", "--input", "--bundled",
                             "--output", "--format"},
-    "optimize": _LOSS | _DETECTOR | _PROTOCOL | _BUDGET
-    | {"--mu-min", "--mu-max", "--optimize-ps", "--trace", "--output"},
 }
 
 
@@ -1027,7 +1089,7 @@ class TestOptionSets:
         assert {name: {opt for opt in sub._option_string_actions
                        if opt.startswith("--") and opt != "--help"}
                 for name, sub in commands.items()} == COMMAND_OPTIONS
-        assert sum(map(len, COMMAND_OPTIONS.values())) == 81
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 64
 
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
@@ -1036,7 +1098,7 @@ class TestOptionSets:
          "--mu", "1e-3", "--detail"],
         ["simulate", "--loss-db", "20", "--mu", "1e-3", "--n-rounds", "1e4"],
         ["reproduce", "--bundled", "45"],
-        ["optimize", "--loss-db", "45", "--n-rounds", "1e10"],
+        _point("45", "--n-rounds", "1e10"),
     ])
     def test_each_option_is_read(self, capsys, tmp_path, argv):
         # The command reads every option it defines, so none is ignored.
@@ -1065,7 +1127,7 @@ class TestOptionSets:
           "--mu", "1e-3", "--detail"], flag, value)
         for flag, value in (("--loss-db", "200"), ("--distance-km", "100"),
                             ("--loss-min", "40"), ("--format", "json"))
-    ] + [(["optimize", "--loss-db", "45"], "--mu", "1e-3")])
+    ] + [(_point("45"), "--trace", "1")])
     def test_option_a_command_ignores_is_usage_error(self, capsys, tmp_path,
                                                      argv, flag, value):
         out = tmp_path / "out"
@@ -1100,17 +1162,23 @@ def test_readme_command_table_names_only_real_options():
 
 
 def test_readme_commands_parse():
-    # A deleted command or option cannot linger in the README's examples.
+    # A deleted command or option cannot linger in the examples of the README
+    # or in the commands docs/DECISIONS.md quotes, each line continued with a
+    # backslash read as one.
     parser = cli.build_parser()
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = [line.strip() for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
-             for line in block.splitlines() if line.strip().startswith("pmqkd ")]
-    assert lines
-    for line in lines:
-        try:
-            parser.parse_args(shlex.split(line.replace("$n", "1e11"), comments=True)[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line}")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for doc in ("README.md", "docs/DECISIONS.md"):
+        text = (root / doc).read_text()
+        blocks = [block.replace("\\\n", " ")
+                  for block in re.findall(r"```bash\n(.*?)```", text, re.S)]
+        lines = [line.strip() for block in blocks for line in block.splitlines()
+                 if line.strip().startswith("pmqkd ")]
+        assert lines, doc
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line.replace("$n", "1e11"), comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"{doc} command does not parse: {line}")
 
 
 def test_console_entry_point():

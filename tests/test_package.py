@@ -52,7 +52,8 @@ def _heavy_modules_after(code: str) -> set[str]:
     ["reproduce", "--bundled", "45"],
     ["keyrate", "--loss-db", "45", "--mu", "1e-3"],
     ["scan", "--d-min", "50", "--d-max", "100", "--step", "50"],
-    ["optimize", "--loss-db", "40", "--optimize-ps"],
+    ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1",
+     "--optimize-ps"],
     ["scan", "--alpha", "1", "--d-min", "40", "--d-max", "40", "--step", "1", "--detail"],
 ])
 def test_cold_start_loads_no_numpy_or_pool(argv):
