@@ -14,6 +14,7 @@ up by their own error bound, so none comes out below its exact value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -82,11 +83,14 @@ def _require_integer(func: str, name: str, value: float) -> int:
 
 
 def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
-    """An integer >= least, by _require_integer's rule for an integral float."""
+    """An integer from least to the largest double, by _require_integer's rule
+    for an integral float; the chain computes with every count as a float."""
     if type(value) is not int:  # the counts of every tally a batch builds are ints
         value = _require_integer(func, name, value)
     if value < least:
         raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
+    if value > sys.float_info.max:
+        raise DomainError(f"{func}: {name} must be <= {sys.float_info.max:g}, got {value}")
     return value
 
 

@@ -39,6 +39,7 @@ from .numerics import _require_count, _require_mu
 from .security import _check_probability, _check_slices
 
 DEFAULT_BATCH_SIZE = 10**10
+MAX_BATCHES = 10**6  # a run draws at most this many batches
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,17 @@ def simulate(
         raise DomainError(f"simulate: seed must be < 2**64, got {seed}")
     batch_size = _require_count("simulate", "batch_size", batch_size, least=1)
     n = int(params.n_rounds)
+    batches = (n + batch_size - 1) // batch_size
+    if batches > MAX_BATCHES:
+        raise DomainError(f"simulate: n_rounds={n} in batches of batch_size={batch_size} "
+                          f"give {batches} batches, more than {MAX_BATCHES}")
     probs = _outcome_probabilities(params)
     keys = _ordered_keys(params.m_slices)
     test_errors = operator.itemgetter(
         *(len(keys) + j for j, key in enumerate(keys) if _is_error(key)))
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw
     total = _simulate_batch(params, probs, keys, test_errors, rng, seed, 0, min(batch_size, n))
-    for i in range(1, (n + batch_size - 1) // batch_size):
+    for i in range(1, batches):
         total = total.merge(_simulate_batch(params, probs, keys, test_errors, rng, seed, i,
                                             min(batch_size, n - i * batch_size)))
     return total

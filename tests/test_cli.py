@@ -15,6 +15,7 @@ from pmqkd import cli
 from pmqkd.channel import ChannelSpec
 from pmqkd.cli import EXIT_CODES, main
 from pmqkd.errors import DomainError
+from pmqkd.ingest import load_bundled_record
 from pmqkd.optimizer import SearchBounds, optimize
 from pmqkd.pipeline import expected_key_rate
 
@@ -1235,6 +1236,30 @@ class TestRefusalPaths:
         code, err = self._refused(capsys, tmp_path, "reproduce", "--input", str(tally))
         assert code == EXIT_CODES["schema"]
         assert err == f"pmqkd: error [schema] {message}\n"
+
+    def test_simulate_past_the_batch_cap(self, capsys, tmp_path):
+        # At the default batch size 1e16 rounds took 38 s; 1e20 would never end.
+        code, err = self._refused(capsys, tmp_path, "simulate", "--loss-db", "20", "--mu",
+                                  "1e-3", "--n-rounds", "1e20")
+        assert code == EXIT_CODES["domain"]
+        assert err == ("pmqkd: error [domain] simulate: n_rounds=100000000000000000000 in "
+                       "batches of batch_size=10000000000 give 10000000000 batches, "
+                       "more than 1000000\n")
+
+    @pytest.mark.parametrize("line,key,value", [
+        (2, "N", "1" + "0" * 400),  # beyond a double: the rating once exited 70
+        (3, "mu", "abc"),  # no number
+    ], ids=["N_beyond_a_double", "mu_no_number"])
+    def test_bad_value_of_the_bundled_rows(self, capsys, tmp_path, line, key, value):
+        rows = load_bundled_record(45).source
+        lines = pathlib.Path(rows).read_text().splitlines(keepends=True)
+        assert lines[line - 1].startswith(f"# {key}=")
+        lines[line - 1] = f"# {key}={value}\n"
+        tally = tmp_path / "tally.csv"
+        tally.write_text("".join(lines))
+        code, err = self._refused(capsys, tmp_path, "reproduce", "--input", str(tally))
+        assert code == EXIT_CODES["schema"]
+        assert err == f"pmqkd: error [schema] line {line}: bad value for {key}: {value!r}\n"
 
     def test_n_rounds_past_the_kato_cap(self, capsys, tmp_path):
         # The sifted size passes the cap, where the lift once returned NaN and

@@ -465,6 +465,16 @@ class TestTallyFileRoundTrip:
         assert parse_tally_csv(str(path)).tally == tally
 
 
+@pytest.mark.parametrize("name", ["n_rounds", "n_det", "m_s", "n_sifted", "seed"])
+def test_count_beyond_a_double_is_refused(name):
+    # The chain computes with every count as a float: N = 10**400 was accepted,
+    # and the rating ended in "int too large to convert to float".
+    counts = dict(n_rounds=10**6, n_det=10) | {name: 10**400}
+    with pytest.raises(DomainError) as exc:
+        ObservedTally(m_slices=8, mu=1e-3, p_s=0.07, **counts)
+    assert str(exc.value) == f"ObservedTally: {name} must be <= 1.79769e+308, got {10**400}"
+
+
 class TestCountOrder:
     """The tally owns the order N >= n_det >= matched total >= n_sifted: the
     sifted key is drawn from the matched clicks, and they from the valid

@@ -13,7 +13,9 @@ from scipy import stats
 from pmqkd.channel import ChannelSpec, gain, qber, transmittance
 from pmqkd.errors import DomainError, NoDataError
 from pmqkd.ingest import ExperimentRecord
+from pmqkd import simulator
 from pmqkd.simulator import (
+    MAX_BATCHES,
     ObservedTally,
     ProtocolParams,
     _ordered_keys,
@@ -167,6 +169,29 @@ class TestBatchStreams:
         late = [n_det(2 * n, seed) - first for seed, first in zip(seeds, early)]
         for sums in (early, late):
             assert abs(statistics.fmean(sums) - expect) <= 4 * sd / math.sqrt(len(seeds))
+
+
+class TestBatchCap:
+    """A run draws at most MAX_BATCHES batches: at the default batch size
+    n_rounds = 1e16 took 38 s, and 1e20 would never end."""
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(simulator, "_simulate_batch", no_draw)
+        n = 10**16 + 1
+        with pytest.raises(DomainError) as exc:
+            simulate(make_params(n_rounds=n), seed=1)
+        assert str(exc.value) == (
+            f"simulate: n_rounds={n} in batches of batch_size=10000000000 give "
+            f"{MAX_BATCHES + 1} batches, more than {MAX_BATCHES}")
+
+    def test_the_cap_itself_runs(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_BATCHES", 3)
+        assert simulate(make_params(n_rounds=30), seed=1, batch_size=10).n_rounds == 30
+        with pytest.raises(DomainError, match="give 4 batches, more than 3$"):
+            simulate(make_params(n_rounds=31), seed=1, batch_size=10)
 
 
 class TestDeterminism:
