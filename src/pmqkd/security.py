@@ -332,10 +332,8 @@ def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
     """kato_correction on checked inputs."""
     log_e = math.log(eps_ka)  # negative
     sqrt_n = math.sqrt(n)
-    rad1 = -(n * n) * log_e * (9.0 * lambda_n * (n - lambda_n) - 2.0 * n * log_e)
-    if rad1 < 0:
-        raise ArithmeticError("kato_correction: negative radicand in a1")
-    a1 = math.sqrt(rad1)
+    # n^2 L (9 lambda (n - lambda) + 2 n L) with L = -log_e > 0: positive.
+    a1 = math.sqrt(-(n * n) * log_e * (9.0 * lambda_n * (n - lambda_n) - 2.0 * n * log_e))
     num = 3.0 * (
         72.0 * sqrt_n * lambda_n * (n - lambda_n) * log_e
         - 16.0 * n * sqrt_n * log_e * log_e
@@ -345,11 +343,19 @@ def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
         9.0 * lambda_n * (n - lambda_n) - 2.0 * n * log_e
     )
     a = num / den
+    # 18 a^2 n + L (4a + 3 sqrt(n))^2: never negative.
     rad2 = 18.0 * a * a * n - (16.0 * a * a + 24.0 * a * sqrt_n + 9.0 * n) * log_e
-    if rad2 < 0:
-        raise ArithmeticError("kato_correction: negative radicand in b")
     b = math.sqrt(rad2) / (3.0 * math.sqrt(2.0 * n))
-    delta = (b + a * (2.0 * lambda_n / n - 1.0)) * sqrt_n
+    # delta = (b - t) sqrt(n) with t = a (1 - 2 lambda/n).  Where t > 0, b and t
+    # near 0.75 sqrt(n) each cancel as lambda/n nears 0; (b^2 - t^2) / (b + t)
+    # does not, since b^2 - t^2 = 4 a^2 lambda (n - lambda) / n^2
+    # + L (4a + 3 sqrt(n))^2 / (18 n), a sum of terms >= 0.
+    t = a * (1.0 - 2.0 * lambda_n / n)
+    if t > 0.0:
+        delta = (4.0 * a * a * lambda_n * (n - lambda_n) / (n * n)
+                 - log_e * (4.0 * a + 3.0 * sqrt_n) ** 2 / (18.0 * n)) / (b + t) * sqrt_n
+    else:
+        delta = (b + a * (2.0 * lambda_n / n - 1.0)) * sqrt_n
     return KatoCoefficients(a, b, a1, n, lambda_n, eps_ka, delta)
 
 

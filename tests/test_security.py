@@ -391,6 +391,26 @@ class TestKato:
             kato_correction(n, lam, eps_ka)
 
 
+class TestKatoWithoutCancellation:
+    """delta = (b - t) sqrt(n), t = a (1 - 2 lambda/n), cancels where t > 0 and
+    lambda/n is near 0: kato_correction(1e20, 0, 1e-10).delta was -9537, an
+    optimistic correction, and 29.80 at n = 1e16.  The 60-digit value is 30.70."""
+
+    FRACTIONS = (0.0, 1e-9, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-9, 1.0)
+
+    @pytest.mark.parametrize("eps_ka", [1e-10, 5e-324])
+    def test_matches_60_digits(self, eps_ka):
+        for n in (10.0 ** e for e in range(4, 21)):
+            for frac in self.FRACTIONS:
+                want = _mp_kato_delta(n, n * frac, eps_ka)
+                got = kato_correction(n, n * frac, eps_ka).delta
+                assert abs(got - want) <= 1e-15 * max(abs(want), 1), (n, frac, got, want)
+
+    @pytest.mark.parametrize("n", [1e16, 1e20])
+    def test_no_successes(self, n):
+        assert kato_correction(n, 0.0, 1e-10).delta == pytest.approx(30.70113457325, rel=1e-12)
+
+
 def _lifted(n_mu, ep_m, eps_ka):
     """The chain's Kato lift by hand: ep_m + delta(n, n ep_m, eps_ka) / n."""
     return ep_m + kato_correction(n_mu, n_mu * ep_m, eps_ka).delta / n_mu
@@ -713,7 +733,15 @@ def _mp_chain(mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s):
     for k in range(0, m_slices, 2):
         ep += _mp_even_tail(mu, k) / q_mu * mp.sqrt(
             mp.factorial(k) * mu**m_slices / mp.factorial(m_slices + k))
-    n, lam, log_e = n_mu, min(n_mu * ep, n_mu), mp.log(eps_ka)
+    ep_bar = ep + _mp_kato_delta(n_mu, min(n_mu * ep, n_mu), eps_ka) / n_mu
+    ell = n_mu * (1 - _mp_entropy(min(ep_bar, mp.mpf("0.5"))) - f * _mp_entropy(e_b))
+    ell -= mp.log(mp.mpf(10) ** 20, 2) + mp.log(mp.mpf(10) ** 15, 2)
+    return y0, ep, ep_bar, max(ell, mp.mpf(0)) / n_rounds
+
+
+def _mp_kato_delta(n, lam, eps_ka):
+    """The Kato correction delta(n, lambda, eps_ka) at 60 digits, in its direct form."""
+    n, lam, log_e = mp.mpf(n), mp.mpf(lam), mp.log(mp.mpf(eps_ka))
     core = 9 * lam * (n - lam) - 2 * n * log_e
     a1 = mp.sqrt(-(n * n) * log_e * core)
     a = 3 * (72 * mp.sqrt(n) * lam * (n - lam) * log_e
@@ -721,10 +749,7 @@ def _mp_chain(mu, m_slices, n_rounds, p_s, q_mu, e_b, n_mu, m_s):
              + 9 * mp.sqrt(2) * (n - 2 * lam) * a1) / (4 * (9 * n - 8 * log_e) * core)
     b = mp.sqrt(18 * a * a * n - (16 * a * a + 24 * a * mp.sqrt(n) + 9 * n) * log_e) / (
         3 * mp.sqrt(2 * n))
-    ep_bar = ep + (b + a * (2 * lam / n - 1)) * mp.sqrt(n) / n
-    ell = n * (1 - _mp_entropy(min(ep_bar, mp.mpf("0.5"))) - f * _mp_entropy(e_b))
-    ell -= mp.log(mp.mpf(10) ** 20, 2) + mp.log(mp.mpf(10) ** 15, 2)
-    return y0, ep, ep_bar, max(ell, mp.mpf(0)) / n_rounds
+    return (b + a * (2 * lam / n - 1)) * mp.sqrt(n)
 
 
 def _mp_gain_qber(distance_km, mu):
