@@ -2,11 +2,12 @@
 
 Subcommands: keyrate, scan, simulate, reproduce.  Each defines only the
 options it reads, so an option it would ignore is a usage error.  The best
-intensity at one channel point is a one-point scan.  A key=value config file (``--config`` or the ``PMQKD_CONFIG``
-environment variable) supplies defaults that explicit flags override: the
-command line is parsed, the file's entries for the command are inserted right
-after the subcommand, and the result is parsed again.  Outputs are data only
-(CSV or JSON), never rendered plots.
+intensity at one channel point is a one-point scan.  A key=value config file
+(``--config`` or the ``PMQKD_CONFIG`` environment variable) supplies
+defaults that explicit flags override: the command line is parsed, the
+file's entries for the command are inserted right after the subcommand, and
+the result is parsed again.  Outputs are data only (CSV or JSON), never
+rendered plots.
 
 Every command exits nonzero on error with a one-line diagnostic of the form
 ``pmqkd: error [<code>] <message>``; codes are listed in ``--help``.

@@ -89,8 +89,9 @@ def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
         value = _require_integer(func, name, value)
     if value < least:
         raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
-    if value > sys.float_info.max:
-        raise DomainError(f"{func}: {name} must be <= {sys.float_info.max:g}, got {value}")
+    if value > sys.float_info.max:  # by its size: past 4300 digits an int has no str
+        raise DomainError(f"{func}: {name} must be <= {sys.float_info.max:g}, got an "
+                          f"integer of {value.bit_length()} bits")
     return value
 
 

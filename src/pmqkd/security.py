@@ -346,16 +346,15 @@ def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
     # 18 a^2 n + L (4a + 3 sqrt(n))^2: never negative.
     rad2 = 18.0 * a * a * n - (16.0 * a * a + 24.0 * a * sqrt_n + 9.0 * n) * log_e
     b = math.sqrt(rad2) / (3.0 * math.sqrt(2.0 * n))
-    # delta = (b - t) sqrt(n) with t = a (1 - 2 lambda/n).  Where t > 0, b and t
-    # near 0.75 sqrt(n) each cancel as lambda/n nears 0; (b^2 - t^2) / (b + t)
-    # does not, since b^2 - t^2 = 4 a^2 lambda (n - lambda) / n^2
-    # + L (4a + 3 sqrt(n))^2 / (18 n), a sum of terms >= 0.
+    # delta = (b - t) sqrt(n) cancels where t > 0 and lambda/n nears 0; there
+    # it is (b^2 - t^2) / (b + t) sqrt(n), and b^2 - t^2 = 4 a^2 lambda (n -
+    # lambda) / n^2 + L (4a + 3 sqrt(n))^2 / (18 n) is a sum of terms >= 0.
     t = a * (1.0 - 2.0 * lambda_n / n)
     if t > 0.0:
         delta = (4.0 * a * a * lambda_n * (n - lambda_n) / (n * n)
                  - log_e * (4.0 * a + 3.0 * sqrt_n) ** 2 / (18.0 * n)) / (b + t) * sqrt_n
     else:
-        delta = (b + a * (2.0 * lambda_n / n - 1.0)) * sqrt_n
+        delta = (b - t) * sqrt_n
     return KatoCoefficients(a, b, a1, n, lambda_n, eps_ka, delta)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -466,13 +467,24 @@ class TestTallyFileRoundTrip:
 
 
 @pytest.mark.parametrize("name", ["n_rounds", "n_det", "m_s", "n_sifted", "seed"])
-def test_count_beyond_a_double_is_refused(name):
+@pytest.mark.parametrize("count,bits", [(2**1024, 1025), (10**400, 1329), (10**5000, 16610)],
+                         ids=["2**1024", "10**400", "10**5000"])
+def test_count_beyond_a_double_is_refused(name, count, bits):
     # The chain computes with every count as a float: N = 10**400 was accepted,
-    # and the rating ended in "int too large to convert to float".
-    counts = dict(n_rounds=10**6, n_det=10) | {name: 10**400}
+    # and the rating ended in "int too large to convert to float".  10**5000
+    # has more digits than str() converts.
+    counts = dict(n_rounds=10**6, n_det=10) | {name: count}
     with pytest.raises(DomainError) as exc:
         ObservedTally(m_slices=8, mu=1e-3, p_s=0.07, **counts)
-    assert str(exc.value) == f"ObservedTally: {name} must be <= 1.79769e+308, got {10**400}"
+    assert str(exc.value) == (f"ObservedTally: {name} must be <= 1.79769e+308, "
+                              f"got an integer of {bits} bits")
+
+
+def test_largest_double_is_a_count():
+    largest = int(sys.float_info.max)
+    assert ObservedTally(m_slices=8, n_rounds=largest, mu=1e-3, p_s=0.07).n_rounds == largest
+    with pytest.raises(DomainError, match="got an integer of 1024 bits$"):
+        ObservedTally(m_slices=8, n_rounds=largest + 1, mu=1e-3, p_s=0.07)
 
 
 class TestCountOrder:
