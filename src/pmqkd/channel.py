@@ -33,24 +33,18 @@ class ChannelSpec:
     alpha_db_per_km: float = defaults.ALPHA_DB_PER_KM
 
     def __post_init__(self):
-        for name in ("eta_d", "p_d", "e_d", "total_loss_db", "distance_km",
-                     "alpha_db_per_km"):
+        _check_range("ChannelSpec", "eta_d", self.eta_d, 0.0, 1.0, lo_open=True, hi_open=False)
+        _check_range("ChannelSpec", "p_d", self.p_d, 0.0, 1.0)
+        _check_range("ChannelSpec", "e_d", self.e_d, 0.0, 0.5, hi_open=False)
+        for name in ("total_loss_db", "distance_km"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"ChannelSpec: {name} must be finite, got {value}")
+            if value is not None:
+                _check_range("ChannelSpec", name, value, 0.0)
+        _check_range("ChannelSpec", "alpha_db_per_km", self.alpha_db_per_km, 0.0, lo_open=True)
         if (self.total_loss_db is None) == (self.distance_km is None):
             raise DomainError(
                 "ChannelSpec: exactly one of total_loss_db / distance_km required"
             )
-        _check_range("ChannelSpec", "eta_d", self.eta_d, 0.0, 1.0, lo_open=True, hi_open=False)
-        _check_range("ChannelSpec", "p_d", self.p_d, 0.0, 1.0)
-        _check_range("ChannelSpec", "e_d", self.e_d, 0.0, 0.5, hi_open=False)
-        if self.alpha_db_per_km <= 0:
-            raise DomainError("ChannelSpec: alpha_db_per_km must be positive")
-        for name in ("total_loss_db", "distance_km"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise DomainError(f"ChannelSpec: {name} must be >= 0, got {value}")
 
     def loss_db(self) -> float:
         """Total channel attenuation in dB (excludes detector efficiency)."""

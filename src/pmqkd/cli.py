@@ -28,6 +28,8 @@ from . import defaults
 from .channel import ChannelSpec
 from .errors import DomainError, PmqkdError
 from .ingest import (
+    _check_loss,
+    _check_measured_mu,
     load_bundled_record,
     parse_flag,
     parse_tally_csv,
@@ -369,6 +371,9 @@ def cmd_simulate(args) -> int:
         mu=args.mu, m_slices=args.m_slices, n_rounds=n_rounds,
         p_s=args.p_s, channel=channel,
     )
+    # The writer's rules, before any batch is drawn.
+    _check_loss("write_tally_csv", channel.loss_db())
+    _check_measured_mu("write_tally_csv", args.mu)
     tally = simulate(params, args.seed, batch_size=args.batch_size)
     with _file_errors("--output", args.output, "write"):
         write_tally_csv(tally, args.output, loss_db=channel.loss_db())

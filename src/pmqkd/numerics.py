@@ -53,12 +53,13 @@ def _check_range(stage: str, name: str, value: float, lo: float, hi: float = mat
     """The one range rule: a DomainError naming stage and name unless lo <= value < hi,
     each end open or closed as lo_open and hi_open say; NaN fails every comparison.
 
-    A bounded range reads "in [lo, hi)", after "finite and " if finite is set,
-    and an unbounded one "finite and >= lo", each bound by :g.
+    An unbounded range, one open at hi = inf, reads "finite and >= lo"; any
+    other, [0, inf] too, reads "in [lo, hi)", after "finite and " if finite
+    is set; each bound by :g.
     """
     if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
         return
-    if hi == math.inf:
+    if hi == math.inf and hi_open:
         shape = f"finite and {'>' if lo_open else '>='} {lo:g}"
     else:
         shape = (f"{'finite and ' if finite else ''}in {'(' if lo_open else '['}{lo:g}, "
@@ -181,10 +182,7 @@ def pseudo_fock_weight(mu: float, m_slices: int, k: int) -> PseudoFockWeight:
     m_slices = _require_integer("pseudo_fock_weight", "m_slices", m_slices)
     k = _require_integer("pseudo_fock_weight", "k", k)
     _check_range("pseudo_fock_weight", "m_slices", m_slices, 2, _SLICES_MAX, hi_open=False)
-    if not 0 <= k < m_slices:
-        raise DomainError(
-            f"pseudo_fock_weight: k must satisfy 0 <= k < m_slices, got k={k}, M={m_slices}"
-        )
+    _check_range("pseudo_fock_weight", "k", k, 0, m_slices)
     if mu == 0.0:
         return PseudoFockWeight(mu, m_slices, k, 1.0 if k == 0 else 0.0)
     return PseudoFockWeight(mu, m_slices, k, _residue_series(mu, k, m_slices))

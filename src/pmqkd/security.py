@@ -8,12 +8,14 @@ failure-probability composition.
 
 Each bound has one public entry and one implementation, a private kernel
 that computes it on checked inputs.  Each chain input has one validity rule,
-a ``_check_*`` function that takes the name of the stage reporting it.  The
-public stage functions call the rules of the inputs they read and then their
-kernel; :func:`finite_key_rate` calls each rule once, with the stages'
-messages and in the order the stages would reach them, and then the same
-kernels.  So a chain evaluation computes the Chernoff parameter
-beta = ln(1/eps) and e^-mu once each, and builds one breakdown.
+which takes the name of the stage reporting it: a range, one call of
+``numerics._check_range`` at each stage that reads the input, or for M and
+the probabilities a ``_check_*`` function.  The public stage functions call
+the rules of the inputs they read and then their kernel;
+:func:`finite_key_rate` calls each rule once, with the stages' messages and
+in the order the stages would reach them, and then the same kernels.  So a
+chain evaluation computes the Chernoff parameter beta = ln(1/eps) and e^-mu
+once each, and builds one breakdown.
 
 Every operation is a pure function of its arguments: a full key-rate
 evaluation is a value-in/value-out computation that can run in parallel
@@ -71,12 +73,8 @@ class SecurityBudget:
     def __post_init__(self):
         _check_probability("SecurityBudget", "eps", self.eps)
         _check_probability("SecurityBudget", "eps_ka", self.eps_ka)
-        for name in ("xi", "xi_prime"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(
-                    f"SecurityBudget: {name} must be finite and positive, got {value}"
-                )
+        _check_range("SecurityBudget", "xi", self.xi, 0.0, lo_open=True)
+        _check_range("SecurityBudget", "xi_prime", self.xi_prime, 0.0, lo_open=True)
 
     @property
     def eps_sec(self) -> float:
@@ -108,24 +106,6 @@ def _observed_ub(x_star: float, beta: float) -> float:
     return x_star + beta / 2.0 + math.sqrt(2.0 * beta * x_star + beta * beta / 4.0)
 
 
-def _check_nonnegative(stage: str, name: str, value: float) -> None:
-    if not value >= 0.0:  # NaN too
-        raise DomainError(f"{stage}: {name} must be >= 0, got {value}")
-
-
-def _check_finite_nonnegative(stage: str, name: str, value: float) -> None:
-    _check_nonnegative(stage, name, value)
-    if value == math.inf:
-        raise DomainError(f"{stage}: {name} must be finite, got {value}")
-
-
-def _check_rounds(stage: str, n_rounds: float) -> None:
-    if not math.isfinite(n_rounds):
-        raise DomainError(f"{stage}: n_rounds must be finite, got {n_rounds}")
-    if n_rounds <= 0:
-        raise DomainError(f"{stage}: n_rounds must be positive, got {n_rounds}")
-
-
 def _check_probability(stage: str, name: str, value: float) -> float:
     """The one rule for a probability in (0, 1): the value as a float."""
     _check_range(stage, name, value, 0.0, 1.0, lo_open=True)
@@ -142,20 +122,12 @@ def _check_slices(stage: str, m_slices) -> int:
     return int(m_slices)
 
 
-def _check_efficiency(stage: str, f: float) -> None:
-    # An f below the Shannon limit of 1 would overstate the key.
-    if not (math.isfinite(f) and f >= 1.0):
-        raise DomainError(
-            f"{stage}: f must be finite and >= 1 (the Shannon limit), got {f}"
-        )
-
-
 def chernoff_expected_ub(x: float, eps: float) -> float:
     """Upper bound on an expected value given an observed count x.
 
     phi(x) = x + beta + sqrt(2 beta x + beta^2) with beta = ln(1/eps).
     """
-    _check_finite_nonnegative("chernoff_expected_ub", "x", x)
+    _check_range("chernoff_expected_ub", "x", x, 0.0)
     return _expected_ub(x, _beta(eps))
 
 
@@ -164,7 +136,7 @@ def chernoff_observed_ub(x_star: float, eps: float) -> float:
 
     Phi(x) = x + beta/2 + sqrt(2 beta x + beta^2 / 4).
     """
-    _check_finite_nonnegative("chernoff_observed_ub", "x_star", x_star)
+    _check_range("chernoff_observed_ub", "x_star", x_star, 0.0)
     return _observed_ub(x_star, _beta(eps))
 
 
@@ -193,7 +165,7 @@ def vacuum_yield_ub(
     error is attributed to vacuum.  Result is clamped to <= 1.
     """
     _check_sampled(m_s, p_s)
-    _check_rounds("vacuum_yield_ub", n_rounds)
+    _check_range("vacuum_yield_ub", "n_rounds", n_rounds, 0.0, lo_open=True)
     _require_mu("vacuum_yield_ub", mu)  # e^-mu underflows to 0 past mu ~ 745
     return _vacuum_yield(m_s, p_s, n_rounds, math.exp(-mu), _beta(eps))
 
@@ -286,7 +258,7 @@ def phase_error_discrete(
     m_slices = _check_slices("phase_error_discrete", m_slices)
     _require_mu("phase_error_discrete", mu)
     _check_range("phase error", "q_mu", q_mu, 0.0, lo_open=True)
-    _check_finite_nonnegative("phase_error_discrete", "y0_bar", y0_bar)
+    _check_range("phase_error_discrete", "y0_bar", y0_bar, 0.0)
     return PhaseErrorBreakdown(
         *_phase_error_terms(mu, math.exp(-mu), m_slices, q_mu, y0_bar))
 
@@ -316,16 +288,9 @@ def kato_correction(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficient
     success probabilities above lambda_n, together with its coefficients.
     """
     _check_range("kato_correction", "n", n, 1.0, KATO_N_MAX, hi_open=False, finite=True)
-    _check_successes(n, lambda_n)
+    _check_range("kato_correction", "lambda_n", lambda_n, 0.0, n, hi_open=False)
     _check_probability("kato_correction", "eps_ka", eps_ka)
     return _kato(n, lambda_n, eps_ka)
-
-
-def _check_successes(n: float, lambda_n: float) -> None:
-    if not 0.0 <= lambda_n <= n:
-        raise DomainError(
-            f"kato_correction: lambda_n must be in [0, n], got {lambda_n} (n={n})"
-        )
 
 
 def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
@@ -374,7 +339,7 @@ def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficient
     """
     lambda_n = min(n_mu * ep_m, n_mu)
     _check_range("kato_correction", "n", n_mu, 1.0, KATO_N_MAX, hi_open=False, finite=True)
-    _check_successes(n_mu, lambda_n)
+    _check_range("kato_correction", "lambda_n", lambda_n, 0.0, n_mu, hi_open=False)
     coeffs = _kato(n_mu, lambda_n, eps_ka)
     return coeffs, (n_mu * ep_m + coeffs.delta) / n_mu
 
@@ -393,9 +358,11 @@ def key_length(
     at 0; the rate is ell / N.
     """
     _check_key_inputs(n_mu, e_b)
-    _check_nonnegative("key_length", "ep_m_bar", ep_m_bar)
-    _check_efficiency("key_length", f)
-    _check_rounds("key_length", n_rounds)
+    # An infinite phase error is a vacuous bound, not an error.
+    _check_range("key_length", "ep_m_bar", ep_m_bar, 0.0, math.inf, hi_open=False)
+    # An f below the Shannon limit of 1 would overstate the key.
+    _check_range("key_length", "f", f, 1.0)
+    _check_range("key_length", "n_rounds", n_rounds, 0.0, lo_open=True)
     return _key_length(n_mu, ep_m_bar, e_b, f, budget, n_rounds)
 
 
@@ -490,8 +457,8 @@ def finite_key_rate(
     efficiency f below the Shannon limit of 1, are rejected first, under the
     chain's own name.
     """
-    _check_rounds("finite_key_rate", n_rounds)
-    _check_efficiency("finite_key_rate", f)
+    _check_range("finite_key_rate", "n_rounds", n_rounds, 0.0, lo_open=True)
+    _check_range("finite_key_rate", "f", f, 1.0)
     # The stage functions' checks, each once and in the order the stages
     # would make them (a SecurityBudget has checked eps and eps_ka).
     _check_sampled(m_s, p_s)

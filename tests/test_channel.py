@@ -53,15 +53,19 @@ class TestChannelSpec:
             ChannelSpec(**kwargs)
 
     @pytest.mark.parametrize(
-        "name", ["total_loss_db", "distance_km", "alpha_db_per_km", "eta_d",
-                 "p_d", "e_d"],
+        "name,shape", [("total_loss_db", "finite and >= 0"),
+                       ("distance_km", "finite and >= 0"),
+                       ("alpha_db_per_km", "finite and > 0"), ("eta_d", "in (0, 1]"),
+                       ("p_d", "in [0, 1)"), ("e_d", "in [0, 0.5]")],
+        ids=["total_loss_db", "distance_km", "alpha_db_per_km", "eta_d", "p_d", "e_d"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fields(self, name, value):
+    def test_non_finite_fields(self, name, shape, value):
         kwargs = {"distance_km": 100.0} if name == "distance_km" else {"total_loss_db": 10.0}
         kwargs[name] = value
-        with pytest.raises(DomainError, match=f"{name} must be finite"):
+        with pytest.raises(DomainError) as exc:
             ChannelSpec(**kwargs)
+        assert str(exc.value) == f"ChannelSpec: {name} must be {shape}, got {value}"
 
 
 class TestTransmittance:

@@ -756,7 +756,7 @@ def test_non_finite_rounds_rejected(capsys, tmp_path, argv, n_rounds):
                            "--output", str(out))
     assert code == EXIT_CODES["domain"]
     assert err == (f"pmqkd: error [domain] finite_key_rate: n_rounds must be "
-                   f"finite, got {n_rounds}\n")
+                   f"finite and > 0, got {n_rounds}\n")
     assert not out.exists()
 
 
@@ -771,7 +771,7 @@ def test_zero_rounds_rejected(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv, "--n-rounds", "0", "--output", str(out))
     assert code == EXIT_CODES["domain"]
     assert err == ("pmqkd: error [domain] finite_key_rate: n_rounds must be "
-                   "positive, got 0.0\n")
+                   "finite and > 0, got 0.0\n")
     assert not out.exists()
 
 
@@ -1245,6 +1245,36 @@ class TestRefusalPaths:
         assert err == ("pmqkd: error [domain] simulate: n_rounds=100000000000000000000 in "
                        "batches of batch_size=10000000000 give 10000000000 batches, "
                        "more than 1000000\n")
+
+    @pytest.mark.parametrize("loss_db,mu,message", [
+        ("0", "1e-3", "loss_db must be finite and > 0, got 0.0"),
+        ("20", "0", "mu must be finite and > 0, got 0.0"),
+    ], ids=["loss_db", "mu"])
+    def test_simulate_refuses_the_writers_values_before_drawing(
+            self, capsys, tmp_path, monkeypatch, loss_db, mu, message):
+        # At 1e15 rounds these once drew every batch (4-5 s) before the writer
+        # refused them; at the batch cap, 1e16, that took 38 s.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("simulate drew batches of a tally the writer refuses")
+
+        monkeypatch.setattr(cli, "simulate", no_draw)
+        code, err = self._refused(capsys, tmp_path, "simulate", "--loss-db", loss_db,
+                                  "--mu", mu, "--n-rounds", "1e16")
+        assert code == EXIT_CODES["domain"]
+        assert err == f"pmqkd: error [domain] write_tally_csv: {message}\n"
+
+    def test_arithmetic_error_is_internal(self, capsys, tmp_path, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("pmqkd.security._kato", overflow)
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, "keyrate", "--loss-db", "45", "--mu", "1e-3",
+                                    "--output", str(out))
+        assert code == EXIT_CODES["internal"] == 70
+        assert err == "pmqkd: error [internal] math range error\n"
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("line,key,value", [
         (2, "N", "1" + "0" * 400),  # beyond a double: the rating once exited 70

@@ -324,8 +324,10 @@ class TestPhaseErrorDiscrete:
     @pytest.mark.parametrize("y0_bar", [-1e-7, -math.inf, math.nan])
     def test_negative_vacuum_yield_rejected(self, y0_bar):
         # y0_bar = -1e-7 once lowered ep_m by 20% against y0_bar = 0.
-        with pytest.raises(DomainError, match="phase_error_discrete: y0_bar must be >= 0"):
+        with pytest.raises(DomainError) as exc:
             phase_error_discrete(1e-3, 8, 3e-6, y0_bar)
+        assert str(exc.value) == (f"phase_error_discrete: y0_bar must be finite and >= 0, "
+                                  f"got {y0_bar}")
 
 
 class TestKato:
@@ -464,9 +466,9 @@ class TestKeyLength:
     @pytest.mark.parametrize("f", [0.5, 0.999, -1.0])
     def test_efficiency_below_shannon_limit_rejected(self, f):
         # f = 0.5 once gave a key 8.6% longer than f = 1.16 did.
-        with pytest.raises(DomainError, match=r"key_length: f must be finite and >= 1 "
-                                              r"\(the Shannon limit\), got"):
+        with pytest.raises(DomainError) as exc:
             key_length(7e4, 0.05, 0.01, f, SecurityBudget(), 1e11)
+        assert str(exc.value) == f"key_length: f must be finite and >= 1, got {f}"
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -568,11 +570,13 @@ class TestFiniteKeyRate:
     @pytest.mark.parametrize("n_rounds", [0.0, -1.0])
     def test_non_positive_rounds_rejected(self, n_rounds):
         # The chain checks n_rounds first, before any stage that reads it.
-        with pytest.raises(DomainError, match="n_rounds must be positive"):
+        with pytest.raises(DomainError) as exc:
             finite_key_rate(
                 mu=1e-3, m_slices=8, n_rounds=n_rounds, p_s=0.07, f=1.16,
                 q_mu=3e-6, e_b=0.01, n_mu=0.0, m_s=0.0, budget=SecurityBudget(),
             )
+        assert str(exc.value) == (f"finite_key_rate: n_rounds must be finite and > 0, "
+                                  f"got {n_rounds}")
 
     @pytest.mark.parametrize("p_s", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_sampling_fraction_outside_unit_interval_rejected(self, p_s):
@@ -964,9 +968,10 @@ class TestNonFiniteInputs:
         (lambda v: key_length(7e4, 0.1, 0.01, v, SecurityBudget(), 1e11),
          "key_length: f must be finite and >= 1"),
         # Negated: NaN and -inf.  An inf phase error is a vacuous bound, not an error.
-        (lambda v: _lifted(1e5, -v, 1e-10), r"kato_correction: lambda_n must be in \[0, n\]"),
+        (lambda v: _lifted(1e5, -v, 1e-10),
+         r"^kato_correction: lambda_n must be in \[0, 100000\], got (nan|-inf)$"),
         (lambda v: key_length(7e4, -v, 0.01, 1.16, SecurityBudget(), 1e11),
-         "key_length: ep_m_bar must be >= 0"),
+         r"^key_length: ep_m_bar must be in \[0, inf\], got (nan|-inf)$"),
     ], ids=["phase_error_continuous.q_mu", "phase_error_discrete.q_mu",
             "deviation_bound.q_mu", "vacuum_yield_ub.m_s", "kato_correction.n",
             "phase_error_final.n_mu", "key_length.n_mu", "key_length.e_b",
