@@ -4,6 +4,10 @@ One row per site that states a range: the stage, the field, the interval and
 the value refused, byte for byte.  The rows reach each site through a public
 entry, or the private rule that owns it, so they read the same on any version
 of the package that keeps these messages.
+
+Beside them: the values each site that once held a hand-written check
+refuses, against that check's predicate, and a walk of the package that
+finds every refusal which is not a call of the rule.
 """
 
 import ast
@@ -208,10 +212,6 @@ def test_domain_did_not_move(call, bounds, refused):
     assert moved == []
 
 
-def test_every_converted_site_is_pinned():
-    assert {row[0] for row in _DOMAINS} <= {row[0] for row in _SITES}
-
-
 # Every function of the package outside the CLI that raises DomainError
 # itself, with the number of its raise statements and why each is no range.
 # Any other refusal is a range, and is a call of numerics._check_range.
@@ -238,26 +238,26 @@ _NOT_RANGES = {
 }
 
 
+def _count_raises(node, where, found):
+    """Add to found[where] each raise DomainError under node, where naming
+    the module and the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _count_raises(child, f"{where}.{child.name}", found)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "DomainError":
+                found[where] = found.get(where, 0) + 1
+        _count_raises(child, where, found)
+
+
 def _domain_error_raises():
-    """(module.qualname) -> number of raise DomainError statements in it."""
+    """module.qualname -> the number of raise DomainError statements in it."""
     found = {}
     for path in sorted(pathlib.Path(pmqkd.__file__).parent.glob("*.py")):
-        if path.name == "cli.py":  # its refusals name flags
-            continue
-
-        def visit(node, names):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    visit(child, names + [child.name])
-                    continue
-                if isinstance(child, ast.Raise) and child.exc is not None:
-                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                    if isinstance(exc, ast.Name) and exc.id == "DomainError":
-                        where = ".".join([path.stem] + names)
-                        found[where] = found.get(where, 0) + 1
-                visit(child, names)
-
-        visit(ast.parse(path.read_text()), [])
+        if path.name != "cli.py":  # its refusals name flags
+            _count_raises(ast.parse(path.read_text()), path.stem, found)
     return found
 
 
