@@ -24,7 +24,7 @@ from .security import (
     KeyRateResult, SecurityBudget, _check_probability, _check_slices, finite_key_rate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservedTally:
     """Detector counts accumulated over a run.
 
@@ -57,24 +57,33 @@ class ObservedTally:
     counts_include_test: bool = True
 
     def __post_init__(self):
-        self._check("ObservedTally")
-
-    def _check(self, stage: str) -> None:
-        """The one statement of the tally's rules, for the constructor and for
-        every reader of a tally changed since: a DomainError names stage and
-        the field.  A count is stored as an int (1e11 too), mu and p_s as
-        floats, the flag as a bool.  The sifted key is drawn from the matched
-        clicks, and they from the valid clicks of the rounds sent."""
-        self.m_slices = _check_slices(stage, self.m_slices)
-        self.n_rounds = _require_count(stage, "n_rounds", self.n_rounds)
+        """The tally's rules, once: a DomainError names the field.  A count is
+        stored as an int (1e11 too), mu and p_s as floats, the flag as a bool.
+        Frozen after, so a change is a ``dataclasses.replace``, checked anew."""
+        stage = "ObservedTally"
+        object.__setattr__(self, "m_slices", _check_slices(stage, self.m_slices))
+        object.__setattr__(self, "n_rounds", _require_count(stage, "n_rounds", self.n_rounds))
         _require_mu(stage, self.mu)
-        self.mu, self.p_s = float(self.mu), _check_probability(stage, "p_s", self.p_s)
-        self.n_det = _require_count(stage, "n_det", self.n_det)
-        self.n_double = _require_count(stage, "n_double", self.n_double)
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "p_s", _check_probability(stage, "p_s", self.p_s))
+        object.__setattr__(self, "n_det", _require_count(stage, "n_det", self.n_det))
+        object.__setattr__(self, "n_double", _require_count(stage, "n_double", self.n_double))
         for name in ("m_s", "n_sifted", "seed"):  # None when unknown
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, _require_count(stage, name, value))
+                object.__setattr__(self, name, _require_count(stage, name, value))
+        flag = self.counts_include_test
+        numpy = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+        if not (type(flag) is bool or numpy and isinstance(flag, numpy.bool_)):
+            raise DomainError(f"{stage}: counts_include_test must be a bool, got {flag!r}")
+        object.__setattr__(self, "counts_include_test", bool(flag))
+        self._check_counts(stage)
+
+    def _check_counts(self, stage: str) -> None:
+        """The rules of ``matched``, a dict whose counts can still be set in
+        place, so every reader re-runs them: its keys at M, int counts >= 0,
+        and N >= n_det >= matched total >= n_sifted, as the sifted key is
+        drawn from the matched clicks, and they from the valid clicks."""
         valid = _matched_keys(self.m_slices)
         for key, count in self.matched.items():
             if key not in valid:
@@ -83,11 +92,6 @@ class ObservedTally:
                     f"at m_slices={self.m_slices} and detector 1 or 2")
             if type(count) is not int or count < 0:  # a bool too, which the file cannot hold
                 self.matched[key] = _require_count(stage, f"matched[{key}]", count)
-        flag = self.counts_include_test
-        numpy = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
-        if not (type(flag) is bool or numpy and isinstance(flag, numpy.bool_)):
-            raise DomainError(f"{stage}: counts_include_test must be a bool, got {flag!r}")
-        self.counts_include_test = bool(flag)
         total = self.total_matched()
         if not self.n_rounds >= self.n_det >= total >= (self.n_sifted or 0):
             raise DomainError(
@@ -205,14 +209,6 @@ def _check_measured_mu(stage: str, mu: float) -> float:
     return float(mu)
 
 
-def _check_record(stage: str, loss_db: float, tally: ObservedTally) -> float:
-    """A record's whole check, for the writer and the rating; loss_db as a float."""
-    loss_db = _check_loss(stage, loss_db)
-    tally._check(stage)
-    _check_measured_mu(stage, tally.mu)
-    return loss_db
-
-
 # Every metadata key a tally file may carry, in the order the writer writes
 # them: key -> (rule, required).  A rule parses the text, then applies the
 # record's rule, whose DomainError is a ValueError.  loss_db belongs to the
@@ -238,7 +234,7 @@ _ABSENT = {"m_slices": defaults.M_SLICES, "counts_include_test": False}
 _HEADER = "phase_a,phase_b,d1_count,d2_count"  # the column header after the metadata
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentRecord:
     """One ingested dataset: the declared loss, the tally and the file it came from.
 
@@ -251,7 +247,7 @@ class ExperimentRecord:
     source: str | None = None
 
     def __post_init__(self):
-        self.loss_db = _check_loss("ExperimentRecord", self.loss_db)
+        object.__setattr__(self, "loss_db", _check_loss("ExperimentRecord", self.loss_db))
         _check_measured_mu("ExperimentRecord", self.tally.mu)
 
 
@@ -351,7 +347,9 @@ def write_tally_csv(tally: ObservedTally, path: str, loss_db: float) -> None:
     byte-identical files, which :func:`parse_tally_csv` reads back to an
     equal tally.
     """
-    loss_db = _check_record("write_tally_csv", loss_db, tally)
+    loss_db = _check_loss("write_tally_csv", loss_db)
+    tally._check_counts("write_tally_csv")
+    _check_measured_mu("write_tally_csv", tally.mu)
     lines = []
     for key in _METADATA:
         value = loss_db if key == "loss_db" else getattr(tally, _FIELD.get(key, key))
@@ -378,8 +376,8 @@ def _matched_counts(stage: str, tally: ObservedTally) -> tuple[int, int, float]:
 def tally_to_stats(tally: ObservedTally) -> tuple[float, float, float]:
     """Empirical (gain, QBER, sifted size) from a tally: Q = valid clicks /
     rounds, and E_b and n_mu as :func:`derive_observables` takes them.  The
-    tally's rules run first, for fields set after it was built."""
-    tally._check("tally_to_stats")
+    counts' rules run first, for counts set after the tally was built."""
+    tally._check_counts("tally_to_stats")
     errors, total, n_mu = _matched_counts("tally_to_stats", tally)
     return tally.n_det / tally.n_rounds, errors / total, n_mu
 
@@ -394,7 +392,7 @@ def derive_observables(record: ExperimentRecord) -> DerivedObservables:
     integer, and flagged.  Ties round up, toward more sampled errors.
     """
     tally = record.tally
-    _check_record("derive_observables", record.loss_db, tally)  # set past the constructors
+    tally._check_counts("derive_observables")  # counts set past the constructor
     errors, total, n_mu = _matched_counts("derive_observables", tally)
     e_b = errors / total
     if tally.m_s is not None:

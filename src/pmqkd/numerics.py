@@ -55,16 +55,24 @@ def _check_range(stage: str, name: str, value: float, lo: float, hi: float = mat
 
     An unbounded range, one open at hi = inf, reads "finite and >= lo"; any
     other, [0, inf] too, reads "in [lo, hi)", after "finite and " if finite
-    is set; each bound by :g.
+    is set; each bound by :g where that reads back as the bound, else in full.
     """
     if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
         return
     if hi == math.inf and hi_open:
-        shape = f"finite and {'>' if lo_open else '>='} {lo:g}"
+        shape = f"finite and {'>' if lo_open else '>='} {_bound_text(lo)}"
     else:
-        shape = (f"{'finite and ' if finite else ''}in {'(' if lo_open else '['}{lo:g}, "
-                 f"{hi:g}{')' if hi_open else ']'}")
+        shape = (f"{'finite and ' if finite else ''}in {'(' if lo_open else '['}"
+                 f"{_bound_text(lo)}, {_bound_text(hi)}{')' if hi_open else ']'}")
     raise DomainError(f"{stage}: {name} must be {shape}, got {value}")
+
+
+def _bound_text(bound: float) -> str:
+    """A range's bound by :g, or its str (a float's repr) where :g, six
+    significant digits, would name another number: a bound that is another
+    input, such as lambda_n's n, may need more."""
+    text = f"{bound:g}"
+    return text if float(text) == bound else str(bound)
 
 
 def _require_mu(func: str, mu: float) -> None:
@@ -85,11 +93,12 @@ def _require_integer(func: str, name: str, value: float) -> int:
 
 def _require_count(func: str, name: str, value: float, least: int = 0) -> int:
     """An integer from least to the largest double, by _require_integer's rule
-    for an integral float; the chain computes with every count as a float."""
+    for an integral float and the range rule's floor; the chain computes with
+    every count as a float."""
     if type(value) is not int:  # the counts of every tally a batch builds are ints
         value = _require_integer(func, name, value)
-    if value < least:
-        raise DomainError(f"{func}: {name} must be >= {least}, got {value}")
+    if value < least:  # refused by the range rule; a valid count costs one comparison
+        _check_range(func, name, value, least)
     if value > sys.float_info.max:  # by its size: past 4300 digits an int has no str
         raise DomainError(f"{func}: {name} must be <= {sys.float_info.max:g}, got an "
                           f"integer of {value.bit_length()} bits")

@@ -324,11 +324,15 @@ def _kato(n: float, lambda_n: float, eps_ka: float) -> KatoCoefficients:
 
 
 def kato_epsilon(coeffs: KatoCoefficients) -> float:
-    """Failure probability implied by (a, b): the bound's right-hand side."""
+    """Failure probability implied by (a, b): the bound's right-hand side.
+
+    Its denominator 1 + 4a / (3 sqrt(n)) must be > 0: at lambda_n = n it is 0
+    or a rounding below, and the bound says nothing.
+    """
     a, b, n = coeffs.a, coeffs.b, coeffs.n
-    return math.exp(
-        -2.0 * (b * b - a * a) / (1.0 + 4.0 * a / (3.0 * math.sqrt(n))) ** 2
-    )
+    den = 1.0 + 4.0 * a / (3.0 * math.sqrt(n))
+    _check_range("kato_epsilon", "1 + 4a / (3 sqrt(n))", den, 0.0, lo_open=True)
+    return math.exp(-2.0 * (b * b - a * a) / den ** 2)
 
 
 def _kato_lift(n_mu: float, ep_m: float, eps_ka: float) -> tuple[KatoCoefficients, float]:

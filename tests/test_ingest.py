@@ -39,6 +39,17 @@ REPORTED = {
 }
 
 
+def _replaced(record, name, value):
+    """record with name set to value.  The records are frozen, so setting the
+    field raises and leaves it as it was; the change is a replace, which runs
+    the constructor's check."""
+    before = getattr(record, name)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'$"):
+        setattr(record, name, value)
+    assert getattr(record, name) is before
+    return dataclasses.replace(record, **{name: value})
+
+
 class TestBundledDatasets:
     def test_45db_exact_sums(self):
         record = load_bundled_record(45)
@@ -434,21 +445,26 @@ class TestTallyFileRoundTrip:
     def test_write_refuses_what_parse_refuses(self, tmp_path, field, value, loss_db):
         tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=5,
                               matched={(0, 0, 1): 3})
-        if field is not None:
-            setattr(tally, field, value)
         path = tmp_path / "refused.csv"
-        # A value is refused by its key's rule, and an n_sifted by the count order.
+        # A value is refused by its key's rule, and an n_sifted by the count
+        # order: a tally's field by the constructor of the replaced tally, and
+        # the record's rules, loss_db and a measured mu > 0, by the writer.
+        # The constructor keeps mu = 0, a simulated vacuum tally's.
         key = "counts" if field == "n_sifted" else field or "loss_db"
-        with pytest.raises(DomainError, match=rf"^write_tally_csv: {key} must"):
+        stage = "write_tally_csv" if field is None or value == 0.0 else "ObservedTally"
+        with pytest.raises(DomainError, match=rf"^{stage}: {key} must"):
+            if field is not None:
+                tally = _replaced(tally, field, value)
             write_tally_csv(tally, str(path), loss_db=loss_db)
         assert not path.exists()
 
     def test_numpy_mu_set_past_the_constructor_is_written_as_a_float(self, tmp_path):
-        # Once refused, as '# mu=np.float64(0.001)': the writer now stores it
-        # by the tally's rules, as a Python float, before it formats.
+        # Once refused, as '# mu=np.float64(0.001)': a numpy mu set past the
+        # constructor is now a replace, which stores it as a Python float.
         tally = ObservedTally(m_slices=8, n_rounds=1000, mu=1e-3, p_s=0.07, n_det=5,
                               matched={(0, 0, 1): 3})
-        tally.mu = np.float64(1e-3)
+        tally = _replaced(tally, "mu", np.float64(1e-3))
+        assert type(tally.mu) is float
         path = tmp_path / "numpy_mu.csv"
         write_tally_csv(tally, str(path), loss_db=40.0)
         assert "# mu=0.001\n" in path.read_text()
@@ -509,28 +525,28 @@ class TestCountOrder:
     ], ids=["n_sifted=2x", "n_sifted=10x", "n_det<matched", "N<n_det"])
     def test_refused(self, counts, got):
         tally = load_bundled_record(45).tally
+        # Counts set past the constructor cannot be: the change is a replace.
+        (name, value), = counts.items()
         with pytest.raises(DomainError, match=f"^ObservedTally: {re.escape(self.ORDER + got)}$"):
-            dataclasses.replace(tally, **counts)
-        # Counts set past the constructor are not rated either.
-        for name, value in counts.items():
-            setattr(tally, name, value)
-        with pytest.raises(DomainError,
-                           match=f"^derive_observables: {re.escape(self.ORDER + got)}$"):
-            reproduce_key_rate(ExperimentRecord(loss_db=45.0, tally=tally))
+            _replaced(tally, name, value)
+        assert reproduce_key_rate(ExperimentRecord(loss_db=45.0, tally=tally)).n_mu == 91781
 
 
 # Fields of the bundled 45 dB record (true rate 2.248e-7) set after it was
-# built, each once rated or written: name -> (change, the field its refusal
-# names).  The rate each gave is in docs/DECISIONS.md.
+# built, each once rated or written: name -> (change, the stage that refuses
+# it, None for the reader, and the field its refusal names).  A count in
+# matched is set in place, and each reader refuses it; any other field is
+# frozen, and its change, a replace, is refused by the constructor.  The
+# rate each gave is in docs/DECISIONS.md.
 _CHANGED_RECORDS = {
-    "negative count": (lambda r: r.tally.matched.__setitem__((0, 0, 2), -100),
-                       r"matched\[\(0, 0, 2\)\] must be >= 0"),
-    "detector 3": (lambda r: r.tally.matched.__setitem__((0, 0, 3), 20000),
+    "negative count": (lambda r: r.tally.matched.__setitem__((0, 0, 2), -100), None,
+                       r"matched\[\(0, 0, 2\)\] must be finite and >= 0"),
+    "detector 3": (lambda r: r.tally.matched.__setitem__((0, 0, 3), 20000), None,
                    r"matched key \(0, 0, 3\) must be a matched phase pair"),
-    "m_slices 6 over M = 8 keys": (lambda r: setattr(r.tally, "m_slices", 6),
+    "m_slices 6 over M = 8 keys": (lambda r: _replaced(r.tally, "m_slices", 6), "ObservedTally",
                                    r"matched key \(6, 6, 1\) must be a matched phase pair "
                                    r"at m_slices=6"),
-    "loss_db 0": (lambda r: setattr(r, "loss_db", 0),
+    "loss_db 0": (lambda r: _replaced(r, "loss_db", 0), "ExperimentRecord",
                   r"loss_db must be finite and > 0, got 0$"),
 }
 
@@ -547,23 +563,68 @@ _RECORD_READERS = {
 
 
 class TestEveryReaderRunsTheWholeCheck:
-    """Each reader of a record or a tally runs its whole check, so a field set
-    after construction is refused, naming the stage and the field, and is
-    never rated or written.  The writer and tally_to_stats take no record's
-    loss."""
+    """No field set after construction is rated or written: each reader of a
+    record or a tally re-checks the counts, the one field that can be set in
+    place, and any other change is a replace that the constructor refuses.
+    Each refusal names the stage and the field.  The writer and
+    tally_to_stats take no record's loss."""
 
     @pytest.mark.parametrize("change,reader", [
         (change, reader) for change in _CHANGED_RECORDS for reader in _RECORD_READERS
         if change != "loss_db 0" or reader == "reproduce_key_rate"])
     def test_refused(self, tmp_path, change, reader):
         record = load_bundled_record(45)
-        mutate, names = _CHANGED_RECORDS[change]
-        mutate(record)
-        stage, call = _RECORD_READERS[reader]
+        mutate, stage, names = _CHANGED_RECORDS[change]
+        reader_stage, call = _RECORD_READERS[reader]
         path = tmp_path / "changed.csv"
-        with pytest.raises(DomainError, match=f"^{stage}: {names}"):
+        with pytest.raises(DomainError, match=f"^{stage or reader_stage}: {names}"):
+            mutate(record)
             call(record, path)
         assert not path.exists()
+
+
+# For each field of both records, a value its constructor refuses and the
+# text of the refusal after the stage, or None where a field has no rule.
+_VACUUM = ObservedTally(m_slices=8, n_rounds=10**6, mu=0.0, p_s=0.07, n_det=10)
+_REFUSED = {
+    ObservedTally: {
+        "m_slices": (7, "m_slices must be 6 or 8, got 7"),
+        "n_rounds": (-1, "n_rounds must be finite and >= 0, got -1"),
+        "mu": (math.nan, "mu must be finite and in [0, 700], got nan"),
+        "p_s": (1.5, "p_s must be in (0, 1), got 1.5"),
+        "n_det": (2.5, "n_det must be an integer, got 2.5"),
+        "n_double": (-1, "n_double must be finite and >= 0, got -1"),
+        "matched": ({(0, 0, 3): 1}, "matched key (0, 0, 3) must be a matched phase pair "
+                                    "at m_slices=8 and detector 1 or 2"),
+        "m_s": (math.inf, "m_s must be an integer, got inf"),
+        "n_sifted": (-1, "n_sifted must be finite and >= 0, got -1"),
+        "seed": (-1, "seed must be finite and >= 0, got -1"),
+        "counts_include_test": ("false", "counts_include_test must be a bool, got 'false'"),
+    },
+    ExperimentRecord: {
+        "loss_db": (0.0, "loss_db must be finite and > 0, got 0.0"),
+        # The record's rule on its tally: a measured mu, never 0.
+        "tally": (_VACUUM, "mu must be finite and > 0, got 0.0"),
+        "source": None,  # a label
+    },
+}
+
+
+@pytest.mark.parametrize("cls,name", [
+    (cls, field.name) for cls in _REFUSED for field in dataclasses.fields(cls)],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_a_checked_record_cannot_change(cls, name):
+    # Every field is frozen: a change is a replace, refused by the constructor
+    # as a new record would be.  A field added without a row here fails.
+    record = load_bundled_record(45)
+    record = record if cls is ExperimentRecord else record.tally
+    if _REFUSED[cls][name] is None:
+        assert getattr(_replaced(record, name, "another"), name) == "another"
+        return
+    value, text = _REFUSED[cls][name]
+    with pytest.raises(DomainError) as exc:
+        _replaced(record, name, value)
+    assert str(exc.value) == f"{cls.__name__}: {text}"
 
 
 def _tally_at(m):
@@ -572,9 +633,7 @@ def _tally_at(m):
 
 
 def _past_the_constructor(m):
-    tally = _tally_at(8)
-    tally.m_slices = m
-    return tally
+    return _replaced(_tally_at(8), "m_slices", m)
 
 
 def _parse_at(m, tmp_path):

@@ -29,6 +29,7 @@ from pmqkd.security import (
     deviation_bound,
     finite_key_rate,
     kato_correction,
+    kato_epsilon,
     key_length,
     phase_error_discrete,
     vacuum_yield_ub,
@@ -52,6 +53,8 @@ _SITES = [
      "pseudo_fock_weight: k must be in [0, 8), got 8"),
     ("_require_mu", lambda: pseudo_fock_weight(math.nan, 8, 0),
      "pseudo_fock_weight: mu must be finite and in [0, 700], got nan"),
+    ("_require_count", lambda: ObservedTally(m_slices=8, n_rounds=-1, mu=1e-3, p_s=0.07),
+     "ObservedTally: n_rounds must be finite and >= 0, got -1"),
     # channel
     ("ChannelSpec.eta_d", lambda: ChannelSpec(eta_d=0.0, total_loss_db=40.0),
      "ChannelSpec: eta_d must be in (0, 1], got 0.0"),
@@ -103,6 +106,8 @@ _SITES = [
      "kato_correction: lambda_n must be in [0, 100000], got 150000.0"),
     ("_kato_lift.lambda_n", lambda: _kato_lift(1e5, -0.1, 1e-10),
      "kato_correction: lambda_n must be in [0, 100000], got -10000.0"),
+    ("kato_epsilon", lambda: kato_epsilon(kato_correction(1e10, 1e10, 1e-10)),
+     "kato_epsilon: 1 + 4a / (3 sqrt(n)) must be finite and > 0, got 0.0"),
     ("vacuum_yield_ub.m_s", lambda: vacuum_yield_ub(-1.0, 0.07, 1e11, 1e-3, 1e-10),
      "vacuum_yield_ub: m_s must be finite and >= 0, got -1.0"),
     ("phase_error_discrete.q_mu", lambda: phase_error_discrete(1e-3, 8, 0.0, 1e-6),
@@ -140,6 +145,20 @@ def test_refusal_text_is_pinned(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n,lambda_n,bound", [
+    (1234567.0, 1234567.5, "1234567.0"),   # :g once wrote 1.23457e+06
+    (1e5 + 0.5, 1e5 + 1.0, "100000.5"),    # and 100000
+    (1e5, 1e5 + 1.0, "100000"),            # :g reads back as the bound
+    (1e20, 1.5e20, "1e+20"),
+])
+def test_a_bound_is_written_as_the_number_it_is(n, lambda_n, bound):
+    # A bound that is another input, as lambda_n's n, may need more than :g's
+    # six digits, or a refused value reads as inside its range.
+    with pytest.raises(DomainError) as exc:
+        kato_correction(n, lambda_n, 1e-10)
+    assert str(exc.value) == f"kato_correction: lambda_n must be in [0, {bound}], got {lambda_n}"
 
 
 # Each site a hand-written check once stated, the value it reads set to v,
@@ -219,7 +238,7 @@ _NOT_RANGES = {
     "numerics._check_range": (1, "the range rule itself"),
     "numerics._require_integer": (1, "integrality, not a range"),
     "numerics._require_count": (
-        2, "a count's floor and the double's size, beside its integrality; the size "
+        1, "the double's size, beside its integrality and its floor, a range; the size "
            "is named by bit length, since an int past 4300 digits has no str"),
     "numerics.pseudo_fock_weight_ub": (
         3, "M even, k in {0, 2, 4, 6}, and M >= k + 2: a parity, a set and a "
@@ -227,7 +246,8 @@ _NOT_RANGES = {
     "security._check_slices": (1, "a set, defaults.SUPPORTED_M_SLICES"),
     "security.deviation_bound": (1, "k even and below M: a parity"),
     "channel.ChannelSpec.__post_init__": (1, "exactly one of two fields is given"),
-    "ingest.ObservedTally._check": (3, "the tally's key set, flag type and count order"),
+    "ingest.ObservedTally.__post_init__": (1, "the flag's type"),
+    "ingest.ObservedTally._check_counts": (2, "the tally's key set and count order"),
     "ingest.ObservedTally.merge": (1, "two tallies must agree"),
     "ingest.load_bundled_record": (1, "a set, the bundled tallies"),
     "optimizer.SearchBounds.__post_init__": (

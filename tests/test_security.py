@@ -412,6 +412,16 @@ class TestKatoWithoutCancellation:
     def test_no_successes(self, n):
         assert kato_correction(n, 0.0, 1e-10).delta == pytest.approx(30.70113457325, rel=1e-12)
 
+    @pytest.mark.parametrize("n,den", [(1e10, "0.0"), (1e4, "-2.220446049250313e-16")])
+    def test_epsilon_refused_where_its_denominator_is_not_positive(self, n, den):
+        # At lambda = n, 1 + 4a / (3 sqrt(n)) is 0 or a rounding below: the
+        # bound's right-hand side raised ZeroDivisionError at n = 1e10 and
+        # OverflowError at n = 1e4.
+        with pytest.raises(DomainError) as exc:
+            kato_epsilon(kato_correction(n, n, 1e-10))
+        assert str(exc.value) == (
+            f"kato_epsilon: 1 + 4a / (3 sqrt(n)) must be finite and > 0, got {den}")
+
 
 def _lifted(n_mu, ep_m, eps_ka):
     """The chain's Kato lift by hand: ep_m + delta(n, n ep_m, eps_ka) / n."""

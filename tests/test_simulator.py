@@ -84,8 +84,10 @@ class TestRecordsRejectBadFields:
     @pytest.mark.parametrize("fields,match", [
         # The negative count once gave error_count() = -50 and the (9, 9)
         # entry was dropped by the writer without a word.
-        ({"matched": {(0, 0, 1): 100000, (0, 0, 2): -50, (9, 9, 1): 7}},
-         r"matched\[\(0, 0, 2\)\] must be >= 0, got -50"),
+        # Its ID keeps the text it pinned before the floor was a range.
+        pytest.param({"matched": {(0, 0, 1): 100000, (0, 0, 2): -50, (9, 9, 1): 7}},
+                     r"matched\[\(0, 0, 2\)\] must be finite and >= 0, got -50",
+                     id=r"fields0-matched\[\(0, 0, 2\)\] must be >= 0, got -50"),
         ({"matched": {(0, 0, 1): 2.5}}, r"matched\[\(0, 0, 1\)\] must be an integer, got 2.5"),
         ({"matched": {(9, 9, 1): 7}}, r"matched key \(9, 9, 1\) must be a matched phase pair"),
         ({"matched": {(0, 1, 1): 7}}, r"matched key \(0, 1, 1\) must"),  # not a matched pair
@@ -332,6 +334,26 @@ class TestTallyToStats:
             matched={(0, 0, 2): 3, (2, 6, 1): 4, (0, 0, 1): 93}, n_sifted=100,
         )
         assert tally.error_count() == 7
+
+
+def test_counts_moved_in_place_are_read_and_checked():
+    # The move benchmarks/selftest.py makes to show its z gate fires: a tenth
+    # of the D1 clicks at delta = 0 moved to D2, in place in matched, which
+    # stays a plain dict until that move is a replace.
+    tally = simulate(make_params(loss_db=10.0, mu=1e-2), seed=1)
+    q, e_b, n_mu = tally_to_stats(tally)
+    errors, total, all_moved = tally.error_count(), tally.total_matched(), 0
+    for a in range(tally.m_slices):
+        moved = tally.matched[(a, a, 1)] // 10
+        tally.matched[(a, a, 1)] -= moved
+        tally.matched[(a, a, 2)] = tally.matched.get((a, a, 2), 0) + moved
+        all_moved += moved
+    assert all_moved > 0
+    assert tally_to_stats(tally) == (q, (errors + all_moved) / total, n_mu)
+    tally.matched[(0, 0, 2)] = -1
+    with pytest.raises(DomainError,
+                       match=r"^tally_to_stats: matched\[\(0, 0, 2\)\] must be finite and >= 0, got -1$"):
+        tally_to_stats(tally)
 
 
 class TestCsvRoundTrip:
