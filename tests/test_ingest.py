@@ -451,7 +451,8 @@ class TestTallyFileRoundTrip:
         # the record's rules, loss_db and a measured mu > 0, by the writer.
         # The constructor keeps mu = 0, a simulated vacuum tally's.
         key = "counts" if field == "n_sifted" else field or "loss_db"
-        stage = "write_tally_csv" if field is None or value == 0.0 else "ObservedTally"
+        writer = (field, value) in ((None, None), ("mu", 0.0))
+        stage = "write_tally_csv" if writer else "ObservedTally"
         with pytest.raises(DomainError, match=rf"^{stage}: {key} must"):
             if field is not None:
                 tally = _replaced(tally, field, value)

@@ -29,11 +29,11 @@ from pmqkd.security import (
     deviation_bound,
     finite_key_rate,
     kato_correction,
-    kato_epsilon,
     key_length,
     phase_error_discrete,
     vacuum_yield_ub,
 )
+from pmqkd.simulator import ProtocolParams
 
 _GOOD = dict(mu=1e-3, m_slices=8, n_rounds=1e11, p_s=0.07, f=1.16, q_mu=3e-6,
              e_b=0.01, n_mu=7e4, m_s=49.0, budget=SecurityBudget())
@@ -53,8 +53,9 @@ _SITES = [
      "pseudo_fock_weight: k must be in [0, 8), got 8"),
     ("_require_mu", lambda: pseudo_fock_weight(math.nan, 8, 0),
      "pseudo_fock_weight: mu must be finite and in [0, 700], got nan"),
-    ("_require_count", lambda: ObservedTally(m_slices=8, n_rounds=-1, mu=1e-3, p_s=0.07),
-     "ObservedTally: n_rounds must be finite and >= 0, got -1"),
+    ("_require_count", lambda: ProtocolParams(mu=1e-3, m_slices=8, n_rounds=0, p_s=0.07,
+                                              channel=ChannelSpec(total_loss_db=20.0)),
+     "ProtocolParams: n_rounds must be finite and >= 1, got 0"),
     # channel
     ("ChannelSpec.eta_d", lambda: ChannelSpec(eta_d=0.0, total_loss_db=40.0),
      "ChannelSpec: eta_d must be in (0, 1], got 0.0"),
@@ -106,8 +107,6 @@ _SITES = [
      "kato_correction: lambda_n must be in [0, 100000], got 150000.0"),
     ("_kato_lift.lambda_n", lambda: _kato_lift(1e5, -0.1, 1e-10),
      "kato_correction: lambda_n must be in [0, 100000], got -10000.0"),
-    ("kato_epsilon", lambda: kato_epsilon(kato_correction(1e10, 1e10, 1e-10)),
-     "kato_epsilon: 1 + 4a / (3 sqrt(n)) must be finite and > 0, got 0.0"),
     ("vacuum_yield_ub.m_s", lambda: vacuum_yield_ub(-1.0, 0.07, 1e11, 1e-3, 1e-10),
      "vacuum_yield_ub: m_s must be finite and >= 0, got -1.0"),
     ("phase_error_discrete.q_mu", lambda: phase_error_discrete(1e-3, 8, 0.0, 1e-6),
