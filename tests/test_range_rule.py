@@ -148,7 +148,7 @@ def test_refusal_text_is_pinned(call, message):
 
 @pytest.mark.parametrize("n,lambda_n,bound", [
     (1234567.0, 1234567.5, "1234567.0"),   # :g once wrote 1.23457e+06
-    (1e5 + 0.5, 1e5 + 1.0, "100000.5"),    # and 100000
+    (1e5 + 0.5, 1e5 + 1.0, "100000.5"),    # :g once wrote 100000
     (1e5, 1e5 + 1.0, "100000"),            # :g reads back as the bound
     (1e20, 1.5e20, "1e+20"),
 ])

@@ -351,9 +351,9 @@ def test_counts_moved_in_place_are_read_and_checked():
     assert all_moved > 0
     assert tally_to_stats(tally) == (q, (errors + all_moved) / total, n_mu)
     tally.matched[(0, 0, 2)] = -1
-    with pytest.raises(DomainError,
-                       match=r"^tally_to_stats: matched\[\(0, 0, 2\)\] must be finite and >= 0, got -1$"):
+    with pytest.raises(DomainError) as exc:
         tally_to_stats(tally)
+    assert str(exc.value) == "tally_to_stats: matched[(0, 0, 2)] must be finite and >= 0, got -1"
 
 
 class TestCsvRoundTrip:
